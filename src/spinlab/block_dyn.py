@@ -1,10 +1,12 @@
-"""Heat-bath block dynamics driven by a random vertex subset: exact
-transition matrices, spectra, Dirichlet forms, bottleneck ratios, and
-one-step path-coupling contraction on lattices.
+"""Heat-bath block dynamics driven by a random vertex subset: the
+matrix-free transition operator, its spectrum, Dirichlet forms, bottleneck
+ratios, and one-step path-coupling contraction on lattices.
 
-The chain keeps the spins on a sampled subset and redraws the complement
-from the conditional measure; its transition operator is the subset
-average of conditional projections, so its second eigenvalue equals the
+The chain keeps the spins on a sampled subset U and redraws the complement
+from the conditional measure. Its transition operator
+P = sum_S P[U=S] E_mu[. | F_S] is a mixture of orthogonal projections in
+L^2(mu): self-adjoint and positive semidefinite, so its second eigenvalue
+is also its largest nontrivial one in absolute value, and it equals the
 maximal expected explained-variance fraction over all observables.
 """
 
@@ -16,13 +18,13 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse.linalg import LinearOperator, eigsh
 
 from . import _bits
 from .graphs import (
     Graph,
     SubsetSpec,
     component_labels,
-    revealment,
     sample_subset,
     subset_support,
     tiled_complement_mask,
@@ -30,76 +32,124 @@ from .graphs import (
 from .ising import IsingParams, conditional_exact_resample, sw_chain
 from .measures import ProbabilityTable
 
-MATRIX_CAP = 14
+#: Memory the boundary keys and block masses may take (bytes).
+OPERATOR_BYTES_CAP = 1 << 30
+#: Largest vertex count for which `BlockOperator.matrix` builds the dense
+#: 2^n x 2^n oracle.
+ORACLE_CAP = 10
 
 
-def _revealment_or_none(spec: SubsetSpec, graph: Graph):
-    try:
-        return revealment(spec, graph)
-    except ValueError:
-        return None, None
+class BlockOperator:
+    """P f = sum_S P[U=S] E_mu[f | F_S], applied in O(|support| 2^n).
+
+    For every subset S of the support other than the full vertex set
+    it stores the boundary key x & S of each configuration and the mass of
+    each boundary pattern. Boundary patterns of measure zero are never
+    entered from reachable states; there the chain stays put, which keeps
+    P1 = 1 on every state.
+    """
+
+    def __init__(self, table: ProbabilityTable, support):
+        self.table = table
+        size = 1 << table.n
+        idx = _bits.config_indices(table.n)
+        self._keep = 0.0  # weight of the full subset, on which P is the identity
+        self._terms = []  # (prob, subset bits, keys, pattern masses, stay mask)
+        for bits, prob in support:
+            if bits == size - 1:
+                self._keep += prob
+                continue
+            keys = (idx & np.uint64(bits)).astype(np.intp)
+            mass = np.bincount(keys, weights=table.p)
+            null = mass[keys] <= 0
+            mass[mass <= 0] = 1.0  # numerators vanish there; `stay` applies
+            self._terms.append((prob, bits, keys, mass, null if null.any() else None))
+
+    def apply(self, f) -> np.ndarray:
+        values = np.asarray(f, dtype=np.float64)
+        weighted = self.table.p * values
+        out = self._keep * values
+        for prob, _, keys, mass, stay in self._terms:
+            cond = (np.bincount(keys, weights=weighted) / mass)[keys]
+            if stay is not None:
+                cond = np.where(stay, values, cond)
+            out += prob * cond
+        return out
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """Dense row-stochastic P, one operator apply per column; a test
+        oracle for small systems."""
+        n = self.table.n
+        if n > ORACLE_CAP:
+            raise ValueError(
+                f"dense transition matrix capped at {ORACLE_CAP} vertices "
+                f"(got {n}: {8 * 4**n} bytes)"
+            )
+        return np.column_stack([self.apply(e) for e in np.eye(1 << n)])
+
+    def cut_increments(self, order: np.ndarray) -> np.ndarray:
+        """delta[i] = E(1_{E_(i+1)}) - E(1_{E_i}) for the prefixes E_i of
+        `order`, so that cumulative sums give every cut's Dirichlet form.
+
+        Adding a state of mass a to a block B in which the cut already holds
+        mass m and leaves mass r outside changes m (mu(B) - m) / mu(B) by
+        a (r - m) / mu(B). Within each block the states keep their sweep
+        order, and every block of S holds 2^(n - |S|) states, so each
+        subset's blocks form the rows of one array.
+        """
+        mu = self.table.p[order]
+        delta = np.zeros(len(order))
+        for prob, bits, keys, _, _ in self._terms:
+            rank = np.argsort(keys[order], kind="stable")
+            a = mu[rank].reshape(1 << bits.bit_count(), -1)
+            held = np.zeros_like(a)
+            np.cumsum(a[:, :-1], axis=1, out=held[:, 1:])
+            rest = np.zeros_like(a)
+            rest[:, :-1] = np.cumsum(a[:, :0:-1], axis=1)[:, ::-1]
+            total = held[:, -1:] + a[:, -1:]
+            step = a * (rest - held) / np.where(total > 0, total, 1.0)
+            delta[rank] += prob * step.ravel()
+        return delta
 
 
-@dataclass
-class BlockTransition:
-    table: ProbabilityTable
-    spec: SubsetSpec
-    matrix: np.ndarray  # dense row-stochastic, 2^n x 2^n
+def block_operator(table: ProbabilityTable, spec: SubsetSpec, graph: Graph) -> BlockOperator:
+    """Transition operator of the keep-subset / redraw-complement chain.
 
-    def __post_init__(self):
-        rows = self.matrix.sum(axis=1)
-        if np.abs(rows - 1.0).max() > 1e-12:
-            raise AssertionError("transition rows must sum to 1")
-        mu = self.table.p
-        flux = mu[:, None] * self.matrix
-        if np.abs(flux - flux.T).max() > 1e-10:
-            raise AssertionError("chain is not reversible for the table")
-        if np.abs(mu @ self.matrix - mu).max() > 1e-10:
-            raise AssertionError("table is not stationary for the chain")
-
-
-def block_transition_matrix(
-    table: ProbabilityTable, spec: SubsetSpec, graph: Graph
-) -> BlockTransition:
-    """Dense transition matrix of the keep-subset / redraw-complement chain."""
-    n = table.n
-    if n > MATRIX_CAP:
-        raise ValueError(f"dense transition matrices capped at {MATRIX_CAP} vertices")
-    rev_vec, _ = _revealment_or_none(spec, graph)
-    if rev_vec is not None and np.any(rev_vec >= 1.0 - 1e-15):
+    Raises ValueError, before allocating, when the boundary keys and block
+    masses would exceed OPERATOR_BYTES_CAP. Checks P1 = 1 and, on seeded
+    random pairs, the self-adjointness <f, Pg>_mu = <Pf, g>_mu that makes
+    the chain reversible with mu stationary.
+    """
+    support = subset_support(spec, graph)
+    size = 1 << table.n
+    stored = sum(1 for bits, _ in support if bits != size - 1)
+    nbytes = 16 * size * stored
+    if nbytes > OPERATOR_BYTES_CAP:
+        raise ValueError(
+            f"block operator needs about {nbytes} bytes for {stored} subsets "
+            f"over {size} configurations (cap {OPERATOR_BYTES_CAP})"
+        )
+    always = size - 1
+    for bits, prob in support:
+        if prob > 0:
+            always &= bits
+    if always:
         warnings.warn(
             "some vertex is kept with probability 1: the chain never "
             "resamples it and is reducible",
             stacklevel=2,
         )
-    size = 1 << n
-    idx = _bits.config_indices(n)
+    op = BlockOperator(table, support)
+    if np.abs(op.apply(np.ones(size)) - 1.0).max() > 1e-12:
+        raise AssertionError("P must fix constants")
     mu = table.p
-    P = np.zeros((size, size))
-    support = subset_support(spec, graph)
-    full_bits = size - 1
-    for bits, prob in support:
-        keys = (idx & np.uint64(bits)).astype(np.int64)
-        weights = np.bincount(keys, weights=mu, minlength=size)
-        if bits == full_bits:
-            P[np.arange(size), np.arange(size)] += prob
-            continue
-        order = np.argsort(keys, kind="stable")
-        sorted_keys = keys[order]
-        starts = np.flatnonzero(np.r_[True, sorted_keys[1:] != sorted_keys[:-1]])
-        bounds = np.r_[starts, len(order)]
-        for b in range(len(starts)):
-            members = order[bounds[b]:bounds[b + 1]]
-            w = weights[sorted_keys[starts[b]]]
-            if w <= 0:
-                # Boundary pattern of measure zero: redraws are never
-                # triggered from reachable states; keep rows stochastic by
-                # staying put.
-                P[members, members] += prob
-                continue
-            block = mu[members] / w
-            P[np.ix_(members, members)] += prob * block[None, :]
-    return BlockTransition(table, spec, P)
+    rng = np.random.default_rng(0)
+    for _ in range(3):
+        f, g = rng.standard_normal((2, size))
+        if abs(mu @ (f * op.apply(g)) - mu @ (op.apply(f) * g)) > 1e-10:
+            raise AssertionError("operator is not self-adjoint in L2(mu)")
+    return op
 
 
 @dataclass(frozen=True)
@@ -111,51 +161,42 @@ class SpectrumReport:
     second_eigenfunction: np.ndarray
 
 
-DENSE_EIG_CAP = 4096
+def spectrum(op: BlockOperator) -> SpectrumReport:
+    """Top two eigenpairs of the symmetrized operator D^(1/2) P D^(-1/2).
 
-
-def spectrum(block: BlockTransition) -> SpectrumReport:
-    """Eigenvalues via the symmetrized matrix D^(1/2) P D^(-1/2).
-
-    Up to 2^12 states the full symmetric eigensolve runs; beyond that a
-    Lanczos iteration extracts the extreme eigenpairs (tolerance 1e-10).
+    One Lanczos solve from a fixed start vector, so reruns agree bit for
+    bit; the two-state chain, which the iteration cannot handle, uses the
+    dense matrix. P is positive semidefinite, so lambda_star = lambda_2.
     The top nontrivial eigenfunction is cross-checked against the
     variational (Dirichlet) characterization of the gap at 1e-9.
     """
-    mu = block.table.p
+    mu = op.table.p
     if np.any(mu <= 0):
         # Restrict to the support; zero-probability states are unreachable.
         raise ValueError("spectrum needs a fully supported table")
     root = np.sqrt(mu)
-    sym = (root[:, None] * block.matrix) / root[None, :]
-    if np.abs(sym - sym.T).max() > 1e-9:
-        raise ValueError("symmetrized matrix is not symmetric: non-reversible input")
-    if len(mu) <= DENSE_EIG_CAP:
-        eigvals, eigvecs = np.linalg.eigh((sym + sym.T) / 2.0)
-        lam2 = float(eigvals[-2]) if len(eigvals) > 1 else float("nan")
-        lam_min = float(eigvals[0])
-        f2 = eigvecs[:, -2] / root
+    size = len(mu)
+    if size > 2:
+        sym = LinearOperator(
+            (size, size), matvec=lambda v: root * op.apply(v / root), dtype=np.float64
+        )
+        start = root * np.random.default_rng(0).standard_normal(size)
+        vals, vecs = eigsh(sym, k=2, which="LA", v0=start)
     else:
-        from scipy.sparse.linalg import eigsh
-
-        symm = (sym + sym.T) / 2.0
-        top_vals, top_vecs = eigsh(symm, k=2, which="LA", tol=1e-10, maxiter=10**5)
-        order = np.argsort(top_vals)
-        lam2 = float(top_vals[order[0]])
-        f2 = top_vecs[:, order[0]] / root
-        bottom, _ = eigsh(symm, k=1, which="SA", tol=1e-10, maxiter=10**5)
-        lam_min = float(bottom[0])
-    lam_star = max(abs(lam2), abs(lam_min))
+        vals, vecs = np.linalg.eigh(root[:, None] * op.matrix / root[None, :])
+    second = int(np.argmin(vals))
+    lam2 = float(vals[second])
+    f2 = vecs[:, second] / root
     gap = 1.0 - lam2
-    var_f2 = block.table.variance(f2)
+    var_f2 = op.table.variance(f2)
     if var_f2 > 0:
-        dirich = dirichlet_form(block.table, block, f2) / var_f2
+        dirich = dirichlet_form(op, f2) / var_f2
         if abs(dirich - gap) > 1e-9 * max(1.0, abs(gap)):
             raise AssertionError(
                 f"variational gap {dirich!r} disagrees with eigensolve {gap!r}"
             )
-    rel = math.inf if lam_star >= 1.0 else 1.0 / (1.0 - lam_star)
-    return SpectrumReport(lam2, lam_star, gap, rel, f2)
+    rel = math.inf if lam2 >= 1.0 else 1.0 / (1.0 - lam2)
+    return SpectrumReport(lam2, lam2, gap, rel, f2)
 
 
 def spectrum_report_json(report: SpectrumReport) -> str:
@@ -170,11 +211,10 @@ def spectrum_report_json(report: SpectrumReport) -> str:
     )
 
 
-def dirichlet_form(table: ProbabilityTable, block: BlockTransition, f) -> float:
-    """E(f) = (1/2) sum mu(x) P(x,y) (f(x) - f(y))^2 = E_mu[f (f - Pf)]."""
+def dirichlet_form(op: BlockOperator, f) -> float:
+    """E(f) = (1/2) sum mu(x) P(x,y) (f(x) - f(y))^2 = <f, f - Pf>_mu."""
     values = np.asarray(f, dtype=np.float64)
-    pf = block.matrix @ values
-    return float(table.p @ (values * (values - pf)))
+    return float(op.table.p @ (values * (values - op.apply(values))))
 
 
 @dataclass(frozen=True)
@@ -200,8 +240,7 @@ def eigenclue_verify(
     """
     from .clue import expected_clue
 
-    block = block_transition_matrix(table, spec, graph)
-    rep = spectrum(block)
+    rep = spectrum(block_operator(table, spec, graph))
     f2 = rep.second_eigenfunction
     achieved = expected_clue(table, f2, spec, graph)
     residual = abs(rep.lambda_2 - achieved)
@@ -219,55 +258,56 @@ def eigenclue_verify(
     return EigenclueReport(rep.lambda_2, achieved, max_trial, residual)
 
 
-def bottleneck_ratio(table: ProbabilityTable, block: BlockTransition, event_mask) -> float:
+def bottleneck_ratio(op: BlockOperator, event_mask) -> float:
     """Phi(E) = escape flux / mu(E), for events with mu(E) <= 1/2."""
     ind = np.asarray(event_mask, dtype=np.float64)
     if set(np.unique(ind)) - {0.0, 1.0}:
         raise ValueError("event must be an indicator over configurations")
-    mu_e = float(table.p @ ind)
+    mu_e = float(op.table.p @ ind)
     if mu_e <= 0:
         raise ValueError("event has zero probability")
     if mu_e > 0.5 + 1e-12:
         raise ValueError("bottleneck ratio needs mu(E) <= 1/2")
-    return dirichlet_form(table, block, ind) / mu_e
+    return dirichlet_form(op, ind) / mu_e
 
 
-def sweep_cut_bottleneck(table: ProbabilityTable, block: BlockTransition) -> float:
-    """Smallest bottleneck ratio over threshold cuts of the second
-    eigenfunction.
+def sweep_cut_bottleneck(op: BlockOperator, f) -> float:
+    """Smallest bottleneck ratio over the threshold cuts {f > t}, where f is
+    normally the second eigenfunction.
 
     This is an upper bound on the true expansion constant, and the classical
     spectral argument guarantees its square over 2 is below the gap, so it
     certifies the Cheeger-type inequality without scanning all 2^(2^n)
-    events.
+    events. Each cut's flux is summed from the end of the sweep that holds
+    its lighter side, so its rounding error stays small relative to the
+    mass it is divided by.
     """
-    rep = spectrum(block)
-    order = np.argsort(rep.second_eigenfunction)[::-1]
-    best = math.inf
-    ind = np.zeros(1 << table.n)
-    for j in order[:-1]:
-        ind[j] = 1.0
-        mu_e = float(table.p @ ind)
-        side = ind if mu_e <= 0.5 else 1.0 - ind
-        mu_side = min(mu_e, 1.0 - mu_e)
-        if mu_side <= 0:
-            continue
-        best = min(best, dirichlet_form(table, block, side) / mu_side)
-    return best
+    order = np.argsort(f)[::-1]
+    mu = op.table.p[order]
+    delta = op.cut_increments(order)
+    held = np.cumsum(mu)[:-1]  # mu(E_j), j = 1 .. 2^n - 1
+    rest = np.cumsum(mu[::-1])[::-1][1:]  # mu of the complement
+    flux_held = np.cumsum(delta)[:-1]
+    flux_rest = np.cumsum(-delta[::-1])[::-1][1:]
+    light = held <= 0.5
+    side = np.where(light, held, rest)
+    flux = np.where(light, flux_held, flux_rest)
+    ok = side > 0
+    return float((flux[ok] / side[ok]).min(initial=math.inf))
 
 
-def exhaustive_bottleneck(table: ProbabilityTable, block: BlockTransition) -> float:
+def exhaustive_bottleneck(op: BlockOperator) -> float:
     """True expansion constant by scanning every event; only feasible for
     state spaces of at most 16 configurations (n <= 4)."""
-    size = 1 << table.n
+    size = 1 << op.table.n
     if size > 16:
         raise ValueError("exhaustive event scan is impossible beyond 16 states")
     best = math.inf
     for ebits in range(1, 1 << size):
         ind = np.array([(ebits >> j) & 1 for j in range(size)], dtype=np.float64)
-        mu_e = float(table.p @ ind)
+        mu_e = float(op.table.p @ ind)
         if 0 < mu_e <= 0.5:
-            best = min(best, dirichlet_form(table, block, ind) / mu_e)
+            best = min(best, dirichlet_form(op, ind) / mu_e)
     return best
 
 
@@ -282,7 +322,7 @@ def block_chain_step(
     rng: np.random.Generator,
 ) -> int:
     """Sample a subset, keep its spins, redraw the complement from the exact
-    conditional; used to validate the explicit matrix row by row."""
+    conditional; used to validate the dense oracle matrix row by row."""
     bits = _bits.mask_to_bits(sample_subset(spec, graph, rng))
     idx = _bits.config_indices(table.n)
     keys = (idx & np.uint64(bits)).astype(np.int64)

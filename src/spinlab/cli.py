@@ -123,14 +123,6 @@ def recipe(name: str, claim: str, defaults: dict):
     return wrap
 
 
-def _graph_from(params_doc) -> graphs.Graph:
-    return graphs.build_graph(params_doc)
-
-
-def _spec_from(doc, n: int) -> graphs.SubsetSpec:
-    return graphs.SubsetSpec.from_json(doc, n)
-
-
 # ---------------------------------------------------------------------------
 # mean-field recipes
 
@@ -265,9 +257,9 @@ def run_en_moments(params, seed, writer, budget, threads):
     },
 )
 def run_eigenclue(params, seed, writer, budget, threads):
-    g = _graph_from(params["graph"])
+    g = graphs.build_graph(params["graph"])
     table = measures.exact_table(measures.IsingMeasure(params["beta"]), g)
-    spec = _spec_from(params["spec"], g.n_vertices)
+    spec = graphs.SubsetSpec.from_json(params["spec"], g.n_vertices)
     rep = block_dyn.eigenclue_verify(table, spec, g, params["trials"], stream(seed, 0))
     writer.table("eigenclue", ["lambda_2", "clue_second_eigenfunction",
                                "residual", "max_trial_clue"])
@@ -294,11 +286,11 @@ def run_eigenclue(params, seed, writer, budget, threads):
     },
 )
 def run_dirichlet_cheeger(params, seed, writer, budget, threads):
-    g = _graph_from(params["graph"])
+    g = graphs.build_graph(params["graph"])
     table = measures.exact_table(measures.IsingMeasure(params["beta"]), g)
-    spec = _spec_from(params["spec"], g.n_vertices)
-    block = block_dyn.block_transition_matrix(table, spec, g)
-    rep = block_dyn.spectrum(block)
+    spec = graphs.SubsetSpec.from_json(params["spec"], g.n_vertices)
+    op = block_dyn.block_operator(table, spec, g)
+    rep = block_dyn.spectrum(op)
     rng = stream(seed, 0)
     writer.table("cheeger", ["event", "mu", "phi", "expected_clue", "flux_floor"])
     checks = []
@@ -312,14 +304,14 @@ def run_dirichlet_cheeger(params, seed, writer, budget, threads):
         mu_e = float(table.p @ ind)
         if mu_e > 0.5 or mu_e <= 0:
             continue
-        phi = block_dyn.bottleneck_ratio(table, block, ind)
+        phi = block_dyn.bottleneck_ratio(op, ind)
         ec = clue_mod.expected_clue(table, ind, spec, g)
         writer.row("cheeger", e, mu_e, phi, ec, 1.0 - 2.0 * phi)
         checks.append(check(
             f"flux-floor-event{e}", 1.0 - 2.0 * phi <= ec + 1e-9,
             f"1-2phi={1 - 2 * phi!r} clue={ec!r}",
         ))
-    sweep = block_dyn.sweep_cut_bottleneck(table, block)
+    sweep = block_dyn.sweep_cut_bottleneck(op, rep.second_eigenfunction)
     writer.table("cheeger_summary", ["lambda_2", "gap", "sweep_cut_phi"])
     writer.row("cheeger_summary", rep.lambda_2, rep.gap, sweep)
     checks.append(check(
@@ -402,13 +394,25 @@ def run_tiled_coupling(params, seed, writer, budget, threads):
 # coloring-measure recipes
 
 
-def _random_bond_table(g: graphs.Graph, rng, support: int) -> list[tuple[int, float]]:
+def _random_dac_instance(params, rng):
+    """A path on n vertices plus random extra edges, a random bond table on
+    it, and a Gaussian function over the configurations, drawn in that
+    order from `rng`."""
+    n = params["n"]
+    path = [[i, i + 1] for i in range(n - 1)]
+    extra = set()
+    while len(extra) < params["extra_edges"]:
+        u, v = sorted(rng.choice(n, size=2, replace=False).tolist())
+        if [u, v] not in path:
+            extra.add((u, v))
+    g = graphs.custom(n, path + [list(e) for e in sorted(extra)])
+    support = params["bond_support"]
     masks = rng.integers(0, 1 << g.n_edges, size=support)
     probs = rng.dirichlet(np.ones(support))
     agg: dict[int, float] = {}
     for m, p in zip(masks, probs):
         agg[int(m)] = agg.get(int(m), 0.0) + float(p)
-    return sorted(agg.items())
+    return g, sorted(agg.items()), rng.standard_normal(1 << n)
 
 
 @recipe(
@@ -426,15 +430,7 @@ def run_dac_identities(params, seed, writer, budget, threads):
     n = params["n"]
     for inst in range(params["instances"]):
         rng = stream(seed, 7, inst)
-        path = [[i, i + 1] for i in range(n - 1)]
-        extra = set()
-        while len(extra) < params["extra_edges"]:
-            u, v = sorted(rng.choice(n, size=2, replace=False).tolist())
-            if [u, v] not in path:
-                extra.add((u, v))
-        g = graphs.custom(n, path + [list(e) for e in sorted(extra)])
-        bond_table = _random_bond_table(g, rng, params["bond_support"])
-        fv = rng.standard_normal(1 << n)
+        g, bond_table, fv = _random_dac_instance(params, rng)
         gv = rng.standard_normal(1 << n)
         rep = dac.dac_expectation(fv, bond_table, g, g=gv)
         writer.row("dac_identities", inst, rep.e_f, rep.direct_e_f, rep.e_fg,
@@ -487,19 +483,9 @@ def run_dac_bounds(params, seed, writer, budget, threads):
     writer.table("dac_bounds", [
         "instance", "exact", "spectral", "theorem", "cluster_ratio",
     ])
-    n = params["n"]
 
     def one(inst):
-        rng = stream(seed, 8, inst)
-        path = [[i, i + 1] for i in range(n - 1)]
-        extra = set()
-        while len(extra) < params["extra_edges"]:
-            u, v = sorted(rng.choice(n, size=2, replace=False).tolist())
-            if [u, v] not in path:
-                extra.add((u, v))
-        g = graphs.custom(n, path + [list(e) for e in sorted(extra)])
-        bond_table = _random_bond_table(g, rng, params["bond_support"])
-        fv = rng.standard_normal(1 << n)
+        g, bond_table, fv = _random_dac_instance(params, stream(seed, 8, inst))
         spec = graphs.SubsetSpec.uniform_k(params["spec_k"])
         rep = dac.dac_clue_upper_bound(fv, bond_table, spec, g)
         repm = dac.dac_clue_upper_bound(
@@ -786,7 +772,12 @@ def run_ffiid_demo(params, seed, writer, budget, threads):
 # driver
 
 
-def _validate_params(rec: Recipe, overrides: dict) -> dict:
+def _validate_params(name: str, overrides: dict) -> tuple[Recipe, dict]:
+    """Resolve the recipe and its parameters, building any graph and subset
+    spec they describe, so that bad configs fail before any output."""
+    if name not in RECIPES:
+        raise KeyError(f"unknown recipe {name!r}")
+    rec = RECIPES[name]
     params = dict(rec.defaults)
     for key, value in overrides.items():
         if key == "budget_seconds":
@@ -794,7 +785,11 @@ def _validate_params(rec: Recipe, overrides: dict) -> dict:
         if key not in rec.defaults:
             raise KeyError(f"unknown parameter {key!r} for recipe {rec.name}")
         params[key] = value
-    return params
+    if "graph" in params:
+        g = graphs.build_graph(params["graph"])
+        if "spec" in params:
+            graphs.revealment(graphs.SubsetSpec.from_json(params["spec"], g.n_vertices), g)
+    return rec, params
 
 
 def run_recipe(
@@ -806,10 +801,7 @@ def run_recipe(
     threads: int = 1,
     budget_seconds: float = 600.0,
 ) -> dict:
-    if name not in RECIPES:
-        raise KeyError(f"unknown recipe {name!r}")
-    rec = RECIPES[name]
-    params = _validate_params(rec, overrides)
+    rec, params = _validate_params(name, overrides)
     outdir.mkdir(parents=True, exist_ok=True)
     writer = OutputWriter(outdir, fmt)
     budget = Budget(float(overrides.get("budget_seconds", budget_seconds)))
@@ -874,6 +866,11 @@ def main(argv=None) -> int:
         except (OSError, json.JSONDecodeError) as exc:
             print(f"error: cannot read config: {exc}", file=sys.stderr)
             return 2
+    try:
+        _validate_params(args.recipe, overrides)
+    except (KeyError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     started = time.monotonic()
     try:
         summary = run_recipe(

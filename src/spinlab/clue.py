@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _bits
+from .block_dyn import block_operator
 from .graphs import Graph, SubsetSpec, revealment, subset_support
 from .measures import Observable, ProbabilityTable
 
@@ -185,21 +186,10 @@ class ConditionalFamily:
     def get(self, bits: int) -> np.ndarray:
         return self.members[int(bits)]
 
-    def tower_check(self, f, tol: float = 1e-10) -> None:
-        values = _values_of(f, self.table.n)
-        mean = self.table.expectation(values)
-        for bits, y in self.members.items():
-            if abs(self.table.expectation(y) - mean) > tol:
-                raise AssertionError(f"tower property failed for subset {bits:b}")
-
 
 def apply_P_operator(f, spec: SubsetSpec, graph: Graph, table: ProbabilityTable) -> np.ndarray:
     """Subset-averaged projection: sum over S of P[U=S] E[f | F_S]."""
-    values = _values_of(f, table.n)
-    out = np.zeros_like(values)
-    for bits, prob in subset_support(spec, graph):
-        out += prob * table.conditional_mean(values, bits)
-    return out
+    return block_operator(table, spec, graph).apply(_values_of(f, table.n))
 
 
 def apply_M_operator(

@@ -42,10 +42,6 @@ class CwMagnetizationPmf:
     def moment_s(self, r: int) -> float:
         return float(self.probabilities @ (self.s_values.astype(float) ** r))
 
-    def mean_majority(self) -> float:
-        sign = np.where(self.s_values > 0, 1.0, -1.0)
-        return float(self.probabilities @ sign)
-
 
 def cw_magnetization_pmf(n: int, beta: float) -> CwMagnetizationPmf:
     if n < 1:

@@ -17,18 +17,7 @@ import numpy as np
 from . import _bits
 from .graphs import Graph, SubsetSpec, revealment, subset_support
 from .ising import BondConfig, IsingParams, fk_sample
-from .measures import DacMeasure, Observable, exact_table, walsh_transform
-
-
-def _zeta(values: np.ndarray, bits: int) -> np.ndarray:
-    """Sums over submasks (zeta transform) of a 2^bits vector."""
-    out = np.array(values, dtype=np.float64)
-    for b in range(bits):
-        step = 1 << b
-        idx = np.arange(1 << bits)
-        has = (idx & step) != 0
-        out[has] += out[idx[has] ^ step]
-    return out
+from .measures import DacMeasure, Observable, exact_table, subset_sums, walsh_transform
 
 
 def clusters(graph: Graph, open_edges) -> BondConfig:
@@ -288,7 +277,7 @@ def dac_clue_upper_bound(
         sum_c2 += prob * float((sizes.astype(float) ** 2).sum())
         # Profile p fits inside U iff p avoids every cluster disjoint from U,
         # so the feasible mass is a subset sum over the good clusters.
-        sq_subset_sums = _zeta(sq, cf.k)
+        sq_subset_sums = subset_sums(sq, cf.k)
         cluster_bits = cf.cluster_masks
         for ubits, uprob in support:
             good = 0

@@ -105,15 +105,6 @@ class Graph:
             return (self.kind_params["side"],) * self.kind_params["d"]
         raise ValueError("graph has no coordinate shape")
 
-    def group_size(self) -> int:
-        if self.kind in ("cycle", "complete"):
-            return self.n_vertices
-        if self.kind == "torus":
-            return self.n_vertices
-        if self.translations is not None:
-            return len(self.translations)
-        raise ValueError(f"graph kind {self.kind!r} has no translation group")
-
     def random_translation(self, rng: np.random.Generator) -> np.ndarray:
         if self.kind == "cycle":
             return self.translation_permutation([rng.integers(self.n_vertices)])
@@ -457,6 +448,20 @@ def tiled_complement_mask(graph: Graph, L: int, anchor, axis_only: bool = False)
     return removed
 
 
+def _bernoulli_probs(spec: SubsetSpec, n: int) -> np.ndarray:
+    prob = np.broadcast_to(np.asarray(spec.params["p"], dtype=float), (n,))
+    if not np.all((prob >= 0) & (prob <= 1)):
+        raise ValueError("bernoulli probabilities must lie in [0, 1]")
+    return prob
+
+
+def _uniform_k_size(spec: SubsetSpec, n: int) -> int:
+    k = spec.params["k"]
+    if not 0 <= k <= n:
+        raise ValueError(f"uniform_k needs 0 <= k <= {n}, got {k}")
+    return k
+
+
 def sample_subset(spec: SubsetSpec, graph: Graph, rng: np.random.Generator) -> np.ndarray:
     """Draw one subset realization as a boolean mask."""
     n = graph.n_vertices
@@ -468,14 +473,10 @@ def sample_subset(spec: SubsetSpec, graph: Graph, rng: np.random.Generator) -> n
             raise ValueError("fixed mask length mismatch")
         return mask.copy()
     if k == "bernoulli":
-        prob = np.broadcast_to(np.asarray(p["p"], dtype=float), (n,))
-        if np.any(prob < 0) or np.any(prob > 1):
-            raise ValueError("bernoulli probabilities must lie in [0, 1]")
-        return rng.random(n) < prob
+        return rng.random(n) < _bernoulli_probs(spec, n)
     if k == "uniform_k":
-        if not 0 <= p["k"] <= n:
-            raise ValueError(f"uniform_k needs 0 <= k <= {n}")
-        return _bits.indices_to_mask(rng.choice(n, size=p["k"], replace=False), n)
+        size = _uniform_k_size(spec, n)
+        return _bits.indices_to_mask(rng.choice(n, size=size, replace=False), n)
     if k == "uniform_translate":
         perm = graph.random_translation(rng)
         out = np.zeros(n, dtype=bool)
@@ -505,9 +506,9 @@ def revealment(spec: SubsetSpec, graph: Graph) -> tuple[np.ndarray, float]:
     if k == "fixed":
         vec = p["mask"].astype(float)
     elif k == "bernoulli":
-        vec = np.broadcast_to(np.asarray(p["p"], dtype=float), (n,)).copy()
+        vec = _bernoulli_probs(spec, n).copy()
     elif k == "uniform_k":
-        vec = np.full(n, p["k"] / n)
+        vec = np.full(n, _uniform_k_size(spec, n) / n)
     elif k == "uniform_translate":
         base_size = int(p["base"].sum())
         if graph.kind in ("cycle", "torus", "complete"):
@@ -569,7 +570,7 @@ def subset_support(
     if k == "bernoulli":
         if 2**n > cap:
             raise ValueError("bernoulli support too large to enumerate")
-        prob = np.broadcast_to(np.asarray(p["p"], dtype=float), (n,))
+        prob = _bernoulli_probs(spec, n)
         idx = _bits.config_indices(n)
         logp = np.zeros(1 << n)
         for v in range(n):
@@ -579,13 +580,14 @@ def subset_support(
         weights = np.exp(logp)
         return [(int(i), float(w)) for i, w in enumerate(weights) if w > 0]
     if k == "uniform_k":
-        count = math.comb(n, p["k"])
+        size = _uniform_k_size(spec, n)
+        count = math.comb(n, size)
         if count > cap:
             raise ValueError("uniform_k support too large to enumerate")
         prob = 1.0 / count
         return [
             (sum(1 << v for v in combo), prob)
-            for combo in itertools.combinations(range(n), p["k"])
+            for combo in itertools.combinations(range(n), size)
         ]
     if k == "uniform_translate":
         if graph.translations is not None:
@@ -610,7 +612,9 @@ def subset_support(
         return sorted(acc.items())
     if k == "union_of_k_copies":
         inner = subset_support(p["inner"], graph, cap)
-        acc = {bits: prob for bits, prob in inner}
+        acc = {}
+        for bits, prob in inner:  # explicit supports may repeat a subset
+            acc[bits] = acc.get(bits, 0.0) + prob
         for _ in range(p["k"] - 1):
             nxt: dict[int, float] = {}
             for b1, q1 in acc.items():

@@ -27,10 +27,6 @@ BETA_C_2D = math.log(1.0 + math.sqrt(2.0)) / 2.0
 DEFAULT_SW_BURNIN = 200
 
 
-def default_glauber_burnin(n: int) -> int:
-    return 50 * n
-
-
 @dataclass(frozen=True)
 class IsingParams:
     beta: float

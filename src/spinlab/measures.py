@@ -256,10 +256,6 @@ class Observable:
     def custom(fn) -> "Observable":
         return Observable("custom", {"fn": fn})
 
-    @staticmethod
-    def from_values(values) -> "Observable":
-        return Observable("values", {"values": np.asarray(values, dtype=np.float64)})
-
     def evaluate(self, config: np.ndarray) -> float:
         config = np.asarray(config)
         k = self.kind
@@ -277,8 +273,6 @@ class Observable:
             return 1.0 if _bits.config_to_index(config) in self.params["set"] else 0.0
         if k == "custom":
             return float(self.params["fn"](config))
-        if k == "values":
-            return float(self.params["values"][_bits.config_to_index(config)])
         raise ValueError(f"unknown observable kind {k!r}")
 
     def table_values(self, n: int, allow_large: bool = False) -> np.ndarray:
@@ -307,16 +301,7 @@ class Observable:
             return np.array([
                 float(fn(_bits.index_to_config(int(i), n))) for i in idx
             ])
-        if k == "values":
-            vals = self.params["values"]
-            if vals.shape != (1 << n,):
-                raise ValueError("value vector length mismatch")
-            return vals
         raise ValueError(f"unknown observable kind {k!r}")
-
-
-def observable_eval(obs: Observable, config: np.ndarray) -> float:
-    return obs.evaluate(config)
 
 
 # -- susceptibility ----------------------------------------------------------

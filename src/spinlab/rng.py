@@ -23,18 +23,6 @@ def stream(seed: int, *path: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-def substreams(rng_or_seed, count: int, *path: int) -> list[np.random.Generator]:
-    """Derive `count` independent child streams.
-
-    Accepts either a root seed (int) or a Generator whose seed sequence is
-    spawned. Children are deterministic functions of the parent identity.
-    """
-    if isinstance(rng_or_seed, (int, np.integer)):
-        return [stream(int(rng_or_seed), *path, i) for i in range(count)]
-    ss = rng_or_seed.bit_generator.seed_seq
-    return [np.random.Generator(np.random.Philox(child)) for child in ss.spawn(count)]
-
-
 def parallel_map(fn, items, threads: int = 1) -> list:
     """Map `fn` over `items` with a deterministic, index-ordered result list.
 

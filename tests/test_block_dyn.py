@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinlab import _bits, block_dyn, clue, graphs, measures
 from spinlab.measures import IsingMeasure, ProductMeasure, exact_table
@@ -19,40 +21,46 @@ def test_fixed_empty_rows_equal_stationary():
     g = graphs.cycle(4)
     t = exact_table(IsingMeasure(0.5), g)
     spec = graphs.SubsetSpec.fixed(np.zeros(4, dtype=bool))
-    bt = block_dyn.block_transition_matrix(t, spec, g)
-    assert np.allclose(bt.matrix, np.tile(t.p, (16, 1)), atol=1e-12)
-    assert block_dyn.spectrum(bt).lambda_2 == pytest.approx(0.0, abs=1e-10)
+    op = block_dyn.block_operator(t, spec, g)
+    assert np.allclose(op.matrix, np.tile(t.p, (16, 1)), atol=1e-12)
+    assert block_dyn.spectrum(op).lambda_2 == pytest.approx(0.0, abs=1e-10)
 
 
 def test_fixed_full_is_identity():
     g = graphs.cycle(4)
     t = exact_table(IsingMeasure(0.5), g)
     spec = graphs.SubsetSpec.fixed(np.ones(4, dtype=bool))
-    bt = block_dyn.block_transition_matrix(t, spec, g)
-    assert np.allclose(bt.matrix, np.eye(16), atol=1e-12)
-    assert block_dyn.spectrum(bt).lambda_2 == pytest.approx(1.0, abs=1e-12)
+    op = block_dyn.block_operator(t, spec, g)
+    assert np.allclose(op.matrix, np.eye(16), atol=1e-12)
+    assert block_dyn.spectrum(op).lambda_2 == pytest.approx(1.0, abs=1e-12)
 
 
 def test_single_site_delta_chain():
     g = graphs.custom(1, [])
     t = exact_table(ProductMeasure(), g)
     q = 0.3
-    bt = block_dyn.block_transition_matrix(t, delta_spec(1, [0], q), g)
+    op = block_dyn.block_operator(t, delta_spec(1, [0], q), g)
     expected = q * np.eye(2) + (1 - q) * np.full((2, 2), 0.5)
-    assert np.allclose(bt.matrix, expected, atol=1e-12)
-    rep = block_dyn.spectrum(bt)
+    assert np.allclose(op.matrix, expected, atol=1e-12)
+    rep = block_dyn.spectrum(op)
     assert rep.lambda_2 == pytest.approx(q, abs=1e-12)
     assert rep.lambda_star == pytest.approx(q, abs=1e-12)
     assert rep.relaxation_time == pytest.approx(1 / (1 - q))
 
 
 def test_transition_matrix_cap():
-    g = graphs.custom(15, [])
-    t_small = None
-    with pytest.raises(ValueError):
-        block_dyn.block_transition_matrix(
-            measures.ProbabilityTable(15, np.full(1 << 15, 1 / (1 << 15))),
-            graphs.SubsetSpec.uniform_k(1), g)
+    # the operator's byte estimate is checked before anything is allocated,
+    # and the dense oracle matrix has its own vertex cap
+    n = 16
+    uniform = measures.ProbabilityTable(n, np.full(1 << n, 1 / (1 << n)))
+    with pytest.raises(ValueError, match="bytes"):
+        block_dyn.block_operator(uniform, graphs.SubsetSpec.uniform_k(4), graphs.custom(n, []))
+    n = block_dyn.ORACLE_CAP + 1
+    g = graphs.custom(n, [])
+    op = block_dyn.block_operator(
+        exact_table(ProductMeasure(), g), graphs.SubsetSpec.uniform_k(1), g)
+    with pytest.raises(ValueError, match="capped"):
+        op.matrix
 
 
 def test_matrix_reversibility_and_stationarity():
@@ -63,12 +71,12 @@ def test_matrix_reversibility_and_stationarity():
         graphs.SubsetSpec.bernoulli(0.3),
         graphs.SubsetSpec.uniform_translate(_bits.indices_to_mask([0, 1], 6)),
     ):
-        bt = block_dyn.block_transition_matrix(t, spec, g)
+        op = block_dyn.block_operator(t, spec, g)
         mu = t.p
-        flux = mu[:, None] * bt.matrix
+        flux = mu[:, None] * op.matrix
         assert np.abs(flux - flux.T).max() < 1e-10
-        assert np.abs(mu @ bt.matrix - mu).max() < 1e-10
-        assert np.abs(bt.matrix.sum(axis=1) - 1).max() < 1e-12
+        assert np.abs(mu @ op.matrix - mu).max() < 1e-10
+        assert np.abs(op.matrix.sum(axis=1) - 1).max() < 1e-12
 
 
 def test_eigenclue_product_uniform_k():
@@ -77,8 +85,8 @@ def test_eigenclue_product_uniform_k():
     g = graphs.custom(n, [])
     t = exact_table(ProductMeasure(), g)
     for k in (1, 2, 3):
-        bt = block_dyn.block_transition_matrix(t, graphs.SubsetSpec.uniform_k(k), g)
-        assert block_dyn.spectrum(bt).lambda_2 == pytest.approx(k / n, abs=1e-10)
+        op = block_dyn.block_operator(t, graphs.SubsetSpec.uniform_k(k), g)
+        assert block_dyn.spectrum(op).lambda_2 == pytest.approx(k / n, abs=1e-10)
 
 
 def test_eigenclue_verify_ising_cycle():
@@ -106,10 +114,10 @@ def test_degenerate_top_eigenspace():
     g = graphs.custom(n, [])
     t = exact_table(ProductMeasure(), g)
     spec = graphs.SubsetSpec.uniform_k(1)
-    bt = block_dyn.block_transition_matrix(t, spec, g)
+    op = block_dyn.block_operator(t, spec, g)
     mu = t.p
     root = np.sqrt(mu)
-    sym = (root[:, None] * bt.matrix) / root[None, :]
+    sym = (root[:, None] * op.matrix) / root[None, :]
     vals, vecs = np.linalg.eigh((sym + sym.T) / 2)
     top = np.flatnonzero(np.abs(vals - 1 / n) < 1e-12)
     assert len(top) == n
@@ -122,18 +130,18 @@ def test_dirichlet_form_examples():
     g = graphs.cycle(5)
     t = exact_table(IsingMeasure(0.4), g)
     spec = graphs.SubsetSpec.uniform_k(2)
-    bt = block_dyn.block_transition_matrix(t, spec, g)
-    assert block_dyn.dirichlet_form(t, bt, np.full(32, 2.0)) == pytest.approx(0.0, abs=1e-12)
-    rep = block_dyn.spectrum(bt)
+    op = block_dyn.block_operator(t, spec, g)
+    assert block_dyn.dirichlet_form(op, np.full(32, 2.0)) == pytest.approx(0.0, abs=1e-12)
+    rep = block_dyn.spectrum(op)
     f2 = rep.second_eigenfunction
-    assert block_dyn.dirichlet_form(t, bt, f2) / t.variance(f2) == pytest.approx(
+    assert block_dyn.dirichlet_form(op, f2) / t.variance(f2) == pytest.approx(
         1 - rep.lambda_2, abs=1e-9)
     # resample-everything chain: form equals the variance
     empty = graphs.SubsetSpec.fixed(np.zeros(5, dtype=bool))
-    bte = block_dyn.block_transition_matrix(t, empty, g)
+    ope = block_dyn.block_operator(t, empty, g)
     rng = stream(23, 2)
     f = rng.standard_normal(32)
-    assert block_dyn.dirichlet_form(t, bte, f) == pytest.approx(
+    assert block_dyn.dirichlet_form(ope, f) == pytest.approx(
         t.variance(f), abs=1e-10)
 
 
@@ -142,11 +150,11 @@ def test_dirichlet_clue_identity():
     g = graphs.cycle(5)
     t = exact_table(IsingMeasure(0.35), g)
     spec = graphs.SubsetSpec.bernoulli(0.4)
-    bt = block_dyn.block_transition_matrix(t, spec, g)
+    op = block_dyn.block_operator(t, spec, g)
     rng = stream(23, 3)
     for _ in range(10):
         f = rng.standard_normal(32)
-        lhs = block_dyn.dirichlet_form(t, bt, f) / t.variance(f)
+        lhs = block_dyn.dirichlet_form(op, f) / t.variance(f)
         rhs = 1 - clue.expected_clue(t, f, spec, g)
         assert lhs == pytest.approx(rhs, abs=1e-9)
 
@@ -156,15 +164,15 @@ def test_bottleneck_examples():
     g = graphs.custom(2, [])
     t = exact_table(ProductMeasure(), g)
     empty = graphs.SubsetSpec.fixed(np.zeros(2, dtype=bool))
-    bt = block_dyn.block_transition_matrix(t, empty, g)
+    op = block_dyn.block_operator(t, empty, g)
     event = np.array([1.0, 1.0, 0.0, 0.0])
-    assert block_dyn.bottleneck_ratio(t, bt, event) == pytest.approx(0.5, abs=1e-12)
+    assert block_dyn.bottleneck_ratio(op, event) == pytest.approx(0.5, abs=1e-12)
     # frozen chain: every event is absorbing
     full = graphs.SubsetSpec.fixed(np.ones(2, dtype=bool))
-    btf = block_dyn.block_transition_matrix(t, full, g)
-    assert block_dyn.bottleneck_ratio(t, btf, event) == pytest.approx(0.0, abs=1e-12)
+    opf = block_dyn.block_operator(t, full, g)
+    assert block_dyn.bottleneck_ratio(opf, event) == pytest.approx(0.0, abs=1e-12)
     with pytest.raises(ValueError):
-        block_dyn.bottleneck_ratio(t, bt, np.ones(4))
+        block_dyn.bottleneck_ratio(op, np.ones(4))
 
 
 def test_cheeger_certificate_small_and_exhaustive():
@@ -173,10 +181,10 @@ def test_cheeger_certificate_small_and_exhaustive():
     g = graphs.cycle(4)
     t = exact_table(IsingMeasure(0.45), g)
     spec = graphs.SubsetSpec.uniform_k(1)
-    bt = block_dyn.block_transition_matrix(t, spec, g)
-    rep = block_dyn.spectrum(bt)
-    star = block_dyn.exhaustive_bottleneck(t, bt)
-    sweep = block_dyn.sweep_cut_bottleneck(t, bt)
+    op = block_dyn.block_operator(t, spec, g)
+    rep = block_dyn.spectrum(op)
+    star = block_dyn.exhaustive_bottleneck(op)
+    sweep = block_dyn.sweep_cut_bottleneck(op, rep.second_eigenfunction)
     assert star <= sweep + 1e-12
     assert sweep**2 / 2 <= rep.gap + 1e-12
     assert star**2 / 2 <= rep.gap + 1e-12
@@ -185,9 +193,9 @@ def test_cheeger_certificate_small_and_exhaustive():
 def test_cheeger_sweep_certificate_n6():
     g = graphs.cycle(6)
     t = exact_table(IsingMeasure(0.4), g)
-    bt = block_dyn.block_transition_matrix(t, graphs.SubsetSpec.uniform_k(2), g)
-    rep = block_dyn.spectrum(bt)
-    sweep = block_dyn.sweep_cut_bottleneck(t, bt)
+    op = block_dyn.block_operator(t, graphs.SubsetSpec.uniform_k(2), g)
+    rep = block_dyn.spectrum(op)
+    sweep = block_dyn.sweep_cut_bottleneck(op, rep.second_eigenfunction)
     assert sweep**2 / 2 <= rep.gap + 1e-12
 
 
@@ -196,14 +204,14 @@ def test_clue_flux_floor():
     g = graphs.cycle(5)
     t = exact_table(IsingMeasure(0.5), g)
     spec = graphs.SubsetSpec.uniform_k(2)
-    bt = block_dyn.block_transition_matrix(t, spec, g)
+    op = block_dyn.block_operator(t, spec, g)
     rng = stream(23, 4)
     for _ in range(15):
         ind = (rng.random(32) < 0.4).astype(float)
         mu_e = float(t.p @ ind)
         if not 0 < mu_e <= 0.5:
             continue
-        phi = block_dyn.bottleneck_ratio(t, bt, ind)
+        phi = block_dyn.bottleneck_ratio(op, ind)
         ec = clue.expected_clue(t, ind, spec, g)
         assert 1 - 2 * phi <= ec + 1e-9
 
@@ -213,22 +221,22 @@ def test_one_step_simulation_matches_matrix_rows():
     g = graphs.cycle(4)
     t = exact_table(IsingMeasure(0.5), g)
     spec = graphs.SubsetSpec.uniform_k(2)
-    bt = block_dyn.block_transition_matrix(t, spec, g)
+    op = block_dyn.block_operator(t, spec, g)
     rng = stream(23, 5)
     steps = 100_000
     for row in (0, 5, 15):
         counts = np.zeros(16)
         for _ in range(steps):
             counts[block_dyn.block_chain_step(t, spec, g, row, rng)] += 1
-        tv = 0.5 * np.abs(counts / steps - bt.matrix[row]).sum()
+        tv = 0.5 * np.abs(counts / steps - op.matrix[row]).sum()
         assert tv <= 0.02
 
 
 def test_spectrum_report_json():
     g = graphs.custom(1, [])
     t = exact_table(ProductMeasure(), g)
-    bt = block_dyn.block_transition_matrix(t, delta_spec(1, [0], 0.25), g)
-    doc = block_dyn.spectrum_report_json(block_dyn.spectrum(bt))
+    op = block_dyn.block_operator(t, delta_spec(1, [0], 0.25), g)
+    doc = block_dyn.spectrum_report_json(block_dyn.spectrum(op))
     assert '"lambda_2": 0.25' in doc
 
 
@@ -267,9 +275,9 @@ def test_frozen_everything_keeps_disagreement():
     # identity and a seeded disagreement survives every step
     g = graphs.custom(6, [])
     table = exact_table(ProductMeasure(), g)
-    bt = block_dyn.block_transition_matrix(
+    op = block_dyn.block_operator(
         table, graphs.SubsetSpec.fixed(np.ones(6, dtype=bool)), g)
-    assert np.allclose(bt.matrix, np.eye(64))
+    assert np.allclose(op.matrix, np.eye(64))
     rng = stream(23, 40)
     for state in (0, 17, 63):
         assert block_dyn.block_chain_step(
@@ -288,19 +296,20 @@ def test_reducible_chain_flagged():
     ])  # vertex 0 is always kept
     with _w.catch_warnings(record=True) as caught:
         _w.simplefilter("always")
-        block_dyn.block_transition_matrix(t, spec, g)
+        block_dyn.block_operator(t, spec, g)
     assert any("reducible" in str(c.message) for c in caught)
 
 
-def test_spectrum_lanczos_path_matches_dense(monkeypatch):
+def test_spectrum_lanczos_path_matches_dense():
     g = graphs.cycle(6)
     t = exact_table(IsingMeasure(0.4), g)
-    bt = block_dyn.block_transition_matrix(t, graphs.SubsetSpec.uniform_k(2), g)
-    dense = block_dyn.spectrum(bt)
-    monkeypatch.setattr(block_dyn, "DENSE_EIG_CAP", 16)
-    iterative = block_dyn.spectrum(bt)
-    assert iterative.lambda_2 == pytest.approx(dense.lambda_2, abs=1e-9)
-    assert iterative.lambda_star == pytest.approx(dense.lambda_star, abs=1e-9)
+    op = block_dyn.block_operator(t, graphs.SubsetSpec.uniform_k(2), g)
+    iterative = block_dyn.spectrum(op)
+    root = np.sqrt(t.p)
+    dense = np.linalg.eigvalsh(root[:, None] * op.matrix / root[None, :])
+    assert iterative.lambda_2 == pytest.approx(dense[-2], abs=1e-9)
+    assert iterative.lambda_star == pytest.approx(
+        max(abs(dense[-2]), abs(dense[0])), abs=1e-9)
 
 
 def test_magnetization_clue_bounded_by_lambda2():
@@ -309,8 +318,8 @@ def test_magnetization_clue_bounded_by_lambda2():
     g = graphs.cycle(6)
     t = exact_table(IsingMeasure(0.4), g)
     spec = graphs.SubsetSpec.uniform_k(2)
-    bt = block_dyn.block_transition_matrix(t, spec, g)
-    lam2 = block_dyn.spectrum(bt).lambda_2
+    op = block_dyn.block_operator(t, spec, g)
+    lam2 = block_dyn.spectrum(op).lambda_2
     from spinlab.measures import Observable
 
     val = clue.expected_clue(t, Observable.magnetization(), spec, g)
@@ -322,7 +331,7 @@ def test_transition_matrix_entries_against_literal_construction():
     g = graphs.cycle(5)
     t = exact_table(IsingMeasure(0.45), g)
     spec = graphs.SubsetSpec.uniform_k(2)
-    bt = block_dyn.block_transition_matrix(t, spec, g)
+    op = block_dyn.block_operator(t, spec, g)
     size = 1 << 5
     oracle = np.zeros((size, size))
     for bits, prob in graphs.subset_support(spec, g):
@@ -332,4 +341,95 @@ def test_transition_matrix_entries_against_literal_construction():
             for y in range(size):
                 if (y & bits) == xs:
                     oracle[x, y] += prob * t.p[y] / denom
-    assert np.abs(bt.matrix - oracle).max() < 1e-12
+    assert np.abs(op.matrix - oracle).max() < 1e-12
+
+
+# -- property test against the literal construction ---------------------------
+
+
+def _literal_matrix(t, support):
+    # P(x,y) = sum_S P[U=S] 1{x_S = y_S} mu(y)/mu_S(x_S); stay put when
+    # mu_S(x_S) = 0
+    size = 1 << t.n
+    oracle = np.zeros((size, size))
+    for bits, prob in support:
+        for x in range(size):
+            block = [y for y in range(size) if (y & bits) == (x & bits)]
+            denom = sum(t.p[y] for y in block)
+            if denom <= 0:
+                oracle[x, x] += prob
+                continue
+            for y in block:
+                oracle[x, y] += prob * t.p[y] / denom
+    return oracle
+
+
+def _prefix_scan(t, matrix, f):
+    # one dense Dirichlet form per threshold cut of f
+    best = math.inf
+    ind = np.zeros(1 << t.n)
+    for j in np.argsort(f)[::-1][:-1]:
+        ind[j] = 1.0
+        mu_e = float(t.p @ ind)
+        side = ind if mu_e <= 0.5 else 1.0 - ind
+        mu_side = min(mu_e, 1.0 - mu_e)
+        if mu_side > 0:
+            best = min(best, float(t.p @ (side * (side - matrix @ side))) / mu_side)
+    return best
+
+
+@st.composite
+def _chains(draw):
+    n = draw(st.integers(1, 6))
+    if n >= 4 and draw(st.booleans()):
+        g = graphs.cycle(n)  # the tiled kind needs coordinates
+    else:
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+        eset = set(edges)
+        shifts = [
+            [(v + s) % n for v in range(n)] for s in range(n)
+            if all(tuple(sorted(((u + s) % n, (v + s) % n))) in eset for u, v in edges)
+        ]
+        g = graphs.custom(n, edges, shifts)
+    if draw(st.booleans()):
+        t = exact_table(IsingMeasure(draw(st.floats(0.0, 1.0))), g)
+    else:
+        q = draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.05, 0.95)))
+        t = exact_table(ProductMeasure(q), g)
+    mask = st.lists(st.booleans(), min_size=n, max_size=n).map(np.array)
+    base = st.one_of(
+        mask.map(graphs.SubsetSpec.fixed),
+        st.floats(0.0, 1.0).map(graphs.SubsetSpec.bernoulli),
+        st.integers(0, n).map(graphs.SubsetSpec.uniform_k),
+        mask.map(graphs.SubsetSpec.uniform_translate),
+        st.lists(st.tuples(mask, st.floats(0.01, 1.0)), min_size=1, max_size=4).map(
+            lambda items: graphs.SubsetSpec.explicit(
+                [(m, w / sum(w for _, w in items)) for m, w in items])),
+    )
+    if g.kind == "cycle":
+        base = st.one_of(base, st.just(graphs.SubsetSpec.tiled(1)))
+    spec = draw(base)
+    if draw(st.booleans()):
+        spec = graphs.SubsetSpec.union_of_k_copies(spec, draw(st.integers(1, 3)))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return g, t, spec, np.random.default_rng(seed)
+
+
+@pytest.mark.filterwarnings("ignore:some vertex is kept")
+@settings(max_examples=60, deadline=None)
+@given(_chains())
+def test_operator_matches_literal_construction(chain):
+    g, t, spec, rng = chain
+    op = block_dyn.block_operator(t, spec, g)
+    matrix = op.matrix
+    assert np.abs(matrix - _literal_matrix(t, graphs.subset_support(spec, g))).max() < 1e-12
+    size = 1 << t.n
+    f = rng.standard_normal(size)
+    if t.variance(f) > 1e-6:
+        assert block_dyn.dirichlet_form(op, f) / t.variance(f) == pytest.approx(
+            1 - clue.expected_clue(t, f, spec, g), abs=1e-9)
+    # a few distinct values force ties, broken the same way by both scans
+    for values in (f, rng.integers(0, 3, size=size).astype(float)):
+        assert block_dyn.sweep_cut_bottleneck(op, values) == pytest.approx(
+            _prefix_scan(t, matrix, values), abs=1e-12)

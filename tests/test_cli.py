@@ -60,6 +60,19 @@ def test_exit_codes(tmp_path):
                "--out", str(tmp_path / "run2"), "--format", "json"])
     assert rc == 0
     assert main(["nonexistent", "--out", str(tmp_path / "x")]) == 2
+    # malformed graph or spec docs are rejected before any output
+    for i, doc in enumerate([
+        {"spec": {"kind": "uniform_k", "k": 99}},
+        {"spec": {"kind": "no-such-kind"}},
+        {"spec": {"kind": "bernoulli", "p": 1.5}},
+        {"graph": {"type": "no-such-graph", "n": 6}},
+        {"graph": {"type": "cycle", "n": 2}},
+    ]):
+        bad = tmp_path / f"bad{i}.json"
+        bad.write_text(json.dumps(doc))
+        out = tmp_path / f"bad{i}"
+        assert main(["eigenclue-verify", "--config", str(bad), "--out", str(out)]) == 2
+        assert not (out / "summary.json").exists()
 
 
 def test_seed_determinism(tmp_path):

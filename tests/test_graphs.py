@@ -93,6 +93,25 @@ def test_uniform_k_too_large_rejected():
         graphs.sample_subset(graphs.SubsetSpec.uniform_k(6), g, stream(1, 2))
 
 
+@pytest.mark.parametrize("spec", [
+    graphs.SubsetSpec.uniform_k(6),
+    graphs.SubsetSpec.uniform_k(99),
+    graphs.SubsetSpec.uniform_k(-1),
+    graphs.SubsetSpec.bernoulli(1.5),
+    graphs.SubsetSpec.bernoulli(-0.1),
+    graphs.SubsetSpec.bernoulli([0.2, 0.2, 0.2, 0.2, 1.01]),
+    graphs.SubsetSpec.bernoulli(float("nan")),
+], ids=lambda spec: spec.to_json())
+def test_invalid_spec_rejected_everywhere(spec):
+    g = graphs.cycle(5)
+    with pytest.raises(ValueError):
+        graphs.sample_subset(spec, g, stream(1, 2))
+    with pytest.raises(ValueError):
+        graphs.revealment(spec, g)
+    with pytest.raises(ValueError):
+        graphs.subset_support(spec, g)
+
+
 def test_uniform_translate_preserves_cardinality():
     g = graphs.torus(2, 4)
     base = _bits.indices_to_mask([0, 1, 5], 16)

@@ -59,13 +59,13 @@ def test_translation_invariant_marginals():
 
 def test_observable_eval_examples():
     m = Observable.magnetization()
-    assert measures.observable_eval(m, np.array([1, 1, -1, -1])) == 0.0
+    assert m.evaluate(np.array([1, 1, -1, -1])) == 0.0
     maj = Observable.majority()
-    assert measures.observable_eval(maj, np.array([1, -1])) == -1.0  # tie
+    assert maj.evaluate(np.array([1, -1])) == -1.0  # tie
     par = Observable.parity([1, 2])
-    assert measures.observable_eval(par, np.array([1, -1, 1, 1])) == -1.0
-    assert measures.observable_eval(Observable.single_spin(2), np.array([1, 1, -1])) == -1.0
-    assert measures.observable_eval(Observable.total_sum(), np.array([1, 1, -1])) == 1.0
+    assert par.evaluate(np.array([1, -1, 1, 1])) == -1.0
+    assert Observable.single_spin(2).evaluate(np.array([1, 1, -1])) == -1.0
+    assert Observable.total_sum().evaluate(np.array([1, 1, -1])) == 1.0
 
 
 def test_observable_tables_match_eval():
