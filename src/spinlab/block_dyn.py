@@ -37,6 +37,9 @@ OPERATOR_BYTES_CAP = 1 << 30
 #: Largest vertex count for which `BlockOperator.matrix` builds the dense
 #: 2^n x 2^n oracle.
 ORACLE_CAP = 10
+#: Relative tolerance under which `sweep_cut_bottleneck` treats two values
+#: of f as one level.
+SWEEP_LEVEL_RTOL = 1e-9
 
 
 class BlockOperator:
@@ -272,23 +275,33 @@ def bottleneck_ratio(op: BlockOperator, event_mask) -> float:
 
 
 def sweep_cut_bottleneck(op: BlockOperator, f) -> float:
-    """Smallest bottleneck ratio over the threshold cuts {f > t}, where f is
+    """Smallest bottleneck ratio over the level-set cuts {f > t}, where f is
     normally the second eigenfunction.
 
     This is an upper bound on the true expansion constant, and the classical
     spectral argument guarantees its square over 2 is below the gap, so it
     certifies the Cheeger-type inequality without scanning all 2^(2^n)
-    events. Each cut's flux is summed from the end of the sweep that holds
-    its lighter side, so its rounding error stays small relative to the
-    mass it is divided by.
+    events. Values within SWEEP_LEVEL_RTOL * max|f| of their neighbour in
+    sorted order form one level, so rounding noise in a computed
+    eigenfunction never splits a level; the sweep visits levels from the
+    top and states within a level by index, so the result depends on the
+    levels alone. Each cut's flux is summed from the end of the sweep that
+    holds its lighter side, so its rounding error stays small relative to
+    the mass it is divided by.
     """
-    order = np.argsort(f)[::-1]
+    values = np.asarray(f, dtype=np.float64)
+    ranked = np.sort(values)[::-1]
+    tol = SWEEP_LEVEL_RTOL * np.abs(values).max(initial=0.0)
+    tops = ranked[np.concatenate(([True], ranked[:-1] - ranked[1:] > tol))]
+    height = np.searchsorted(tops[::-1], values)  # level tops below each value
+    order = np.lexsort((np.arange(len(values)), -height))
+    cut = np.flatnonzero(np.diff(height[order]))
     mu = op.table.p[order]
     delta = op.cut_increments(order)
-    held = np.cumsum(mu)[:-1]  # mu(E_j), j = 1 .. 2^n - 1
-    rest = np.cumsum(mu[::-1])[::-1][1:]  # mu of the complement
-    flux_held = np.cumsum(delta)[:-1]
-    flux_rest = np.cumsum(-delta[::-1])[::-1][1:]
+    held = np.cumsum(mu)[cut]  # mu of each level-set cut
+    rest = np.cumsum(mu[::-1])[::-1][cut + 1]  # mu of its complement
+    flux_held = np.cumsum(delta)[cut]
+    flux_rest = np.cumsum(-delta[::-1])[::-1][cut + 1]
     light = held <= 0.5
     side = np.where(light, held, rest)
     flux = np.where(light, flux_held, flux_rest)

@@ -486,10 +486,10 @@ def run_dac_bounds(params, seed, writer, budget, threads):
 
     def one(inst):
         g, bond_table, fv = _random_dac_instance(params, stream(seed, 8, inst))
-        spec = graphs.SubsetSpec.uniform_k(params["spec_k"])
+        spec = graphs.UniformK(params["spec_k"])
         rep = dac.dac_clue_upper_bound(fv, bond_table, spec, g)
         repm = dac.dac_clue_upper_bound(
-            measures.Observable.magnetization(), bond_table, spec, g)
+            measures.Magnetization(), bond_table, spec, g)
         return inst, rep, repm
 
     for inst, rep, repm in parallel_map(one, range(params["instances"]), threads):
@@ -525,7 +525,7 @@ def run_dac_bounds(params, seed, writer, budget, threads):
 )
 def run_fk_bound(params, seed, writer, budget, threads):
     g = graphs.torus(2, params["side"])
-    spec = graphs.SubsetSpec.uniform_k(params["spec_k"])
+    spec = graphs.UniformK(params["spec_k"])
     writer.table("fk_bound", [
         "beta", "clue_mc", "clue_se", "ratio_bound", "ratio_se",
         "max_cluster_bound",
@@ -548,7 +548,7 @@ def run_fk_bound(params, seed, writer, budget, threads):
             rng = stream(seed, 21, bi, r)
             mask = graphs.sample_subset(spec, g, rng)
             est = clue_mod.clue_mc(
-                sampler, measures.Observable.magnetization(), mask,
+                sampler, measures.Magnetization(), mask,
                 outer=params["outer"], inner=params["inner"], rng=rng, bootstrap=50,
             )
             return est.value
@@ -868,7 +868,7 @@ def main(argv=None) -> int:
             return 2
     try:
         _validate_params(args.recipe, overrides)
-    except (KeyError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     started = time.monotonic()

@@ -13,20 +13,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _bits
-from .block_dyn import block_operator
-from .graphs import Graph, SubsetSpec, revealment, subset_support
-from .measures import Observable, ProbabilityTable
+from .graphs import Graph, SubsetSpec, UnionOfKCopies, revealment, subset_support
+from .measures import Observable, ProbabilityTable, values_of
 
 EXACT_RANGE_TOL = 1e-10
-
-
-def _values_of(f, n: int) -> np.ndarray:
-    if isinstance(f, Observable):
-        return f.table_values(n)
-    values = np.asarray(f, dtype=np.float64)
-    if values.shape != (1 << n,):
-        raise ValueError("function values must cover all 2^n configurations")
-    return values
 
 
 def _subset_bits(subset) -> int:
@@ -58,7 +48,7 @@ def clue_exact(table: ProbabilityTable, f, subset) -> float:
 
     Constant f returns 0 by convention.
     """
-    values = _values_of(f, table.n)
+    values = values_of(f, table.n)
     bits = _subset_bits(subset)
     var_f = table.variance(values)
     if var_f <= 0:
@@ -75,7 +65,7 @@ def iclue_exact(table: ProbabilityTable, f, subset) -> float:
 
     f must be discrete-valued on the table's support.
     """
-    values = _values_of(f, table.n)
+    values = values_of(f, table.n)
     bits = _subset_bits(subset)
     idx = _bits.config_indices(table.n)
     distinct, z_inverse = np.unique(values, return_inverse=True)
@@ -118,7 +108,7 @@ def expected_clue(
     On product tables the low-revealment bound E[clue] <= max membership
     probability is asserted as a free invariant.
     """
-    values = _values_of(f, table.n)
+    values = values_of(f, table.n)
     try:
         support = subset_support(spec, graph, cap)
     except ValueError:
@@ -178,18 +168,13 @@ class ConditionalFamily:
         table: ProbabilityTable, f, support_bits
     ) -> "ConditionalFamily":
         """Y_S = E[f | F_S] for every S in the support list."""
-        values = _values_of(f, table.n)
+        values = values_of(f, table.n)
         return ConditionalFamily(
             table, {int(s): table.conditional_mean(values, int(s)) for s in support_bits}
         )
 
     def get(self, bits: int) -> np.ndarray:
         return self.members[int(bits)]
-
-
-def apply_P_operator(f, spec: SubsetSpec, graph: Graph, table: ProbabilityTable) -> np.ndarray:
-    """Subset-averaged projection: sum over S of P[U=S] E[f | F_S]."""
-    return block_operator(table, spec, graph).apply(_values_of(f, table.n))
 
 
 def apply_M_operator(
@@ -255,7 +240,7 @@ def mean_correlation_with(
     z, family: ConditionalFamily, spec: SubsetSpec, graph: Graph, table: ProbabilityTable
 ) -> float:
     """E[Corr(Z, Y_U)] over the subset draw, zero-variance members contributing 0."""
-    z_values = _values_of(z, table.n)
+    z_values = values_of(z, table.n)
     mu_z = table.expectation(z_values)
     sd_z = math.sqrt(max(table.variance(z_values), 0.0))
     if sd_z <= 0:
@@ -289,7 +274,7 @@ def boost_reconstruction(
     and verify the guaranteed lower bound
     1 - 1/(1 + k * E[Corr(Y_U1, Y_U2)]) on the achieved expected clue.
     """
-    values = _values_of(f, table.n)
+    values = values_of(f, table.n)
     support = subset_support(spec, graph)
     family = ConditionalFamily.of_conditionals(table, values, [s for s, _ in support])
     for bits, prob in support:
@@ -302,7 +287,7 @@ def boost_reconstruction(
     if avg_corr <= 0:
         raise ValueError("zero average correlation: nothing to amplify")
     g, _ = apply_M_operator(family, spec, graph, table)
-    boosted = SubsetSpec.union_of_k_copies(spec, k)
+    boosted = UnionOfKCopies(spec, k)
     achieved = expected_clue(table, g, boosted, graph)
     bound = 1.0 - 1.0 / (1.0 + k * avg_corr)
     if achieved < bound - 1e-12:

@@ -17,7 +17,7 @@ import numpy as np
 from . import _bits
 from .graphs import Graph, SubsetSpec, revealment, subset_support
 from .ising import BondConfig, IsingParams, fk_sample
-from .measures import DacMeasure, Observable, exact_table, subset_sums, walsh_transform
+from .measures import DacMeasure, Magnetization, exact_table, subset_sums, values_of, walsh_transform
 
 
 def clusters(graph: Graph, open_edges) -> BondConfig:
@@ -75,7 +75,7 @@ def dac_coefficients(f, bonds: BondConfig, allow_large: bool = False) -> DacCoef
     """
     graph = bonds.graph
     n = graph.n_vertices
-    values = f.table_values(n, allow_large) if isinstance(f, Observable) else np.asarray(f, dtype=float)
+    values = values_of(f, n, allow_large)
     coef = walsh_transform(values, n)
     masks = _cluster_bit_masks(bonds)
     k = len(masks)
@@ -136,10 +136,10 @@ def dac_expectation(
     sampler the comparison is Monte Carlo at matched replica counts.
     """
     n = graph.n_vertices
-    f_vals = f.table_values(n) if isinstance(f, Observable) else np.asarray(f, dtype=float)
+    f_vals = values_of(f, n)
     g_vals = None
     if g is not None:
-        g_vals = g.table_values(n) if isinstance(g, Observable) else np.asarray(g, dtype=float)
+        g_vals = values_of(g, n)
 
     if replicas is None:
         e_f = 0.0
@@ -245,7 +245,7 @@ def dac_clue_upper_bound(
     sit below each applicable bound.
     """
     n = graph.n_vertices
-    f_vals = f.table_values(n) if isinstance(f, Observable) else np.asarray(f, dtype=float)
+    f_vals = values_of(f, n)
     table = exact_table(DacMeasure(tuple(bond_table)), graph)
     offset = table.expectation(f_vals)
     fc = f_vals - offset
@@ -256,7 +256,7 @@ def dac_clue_upper_bound(
     support = subset_support(spec, graph)
 
     is_magnetization = bool(
-        np.allclose(f_vals, Observable.magnetization().table_values(n))
+        np.allclose(f_vals, Magnetization().table_values(n))
     )
 
     spectral = 0.0

@@ -4,6 +4,12 @@ Vertex indexing on tori and boxes is row-major over coordinates
 (``numpy.unravel_index`` with C order), so masks are portable across runs.
 Subset masks are boolean numpy arrays over vertices; the exact layer converts
 them to integer bitmasks via :mod:`spinlab._bits`.
+
+A law of the random observation set U is a `SubsetSpec`: one frozen
+dataclass per kind (`Fixed`, `Bernoulli`, `UniformK`, `UniformTranslate`,
+`Tiled`, `UnionOfKCopies`, `Explicit`), each holding its own sampling,
+exact revealment, support enumeration and JSON document. `sample_subset`,
+`revealment` and `subset_support` are the entry points for every kind.
 """
 
 from __future__ import annotations
@@ -11,7 +17,9 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass, field, fields
+from typing import ClassVar
 
 import numpy as np
 from scipy.sparse import coo_matrix
@@ -312,95 +320,354 @@ def component_labels(
 # Random vertex subsets
 
 
-@dataclass
+SUPPORT_CAP = 10**6
+
+
 class SubsetSpec:
-    """Distribution over vertex subsets (the random observation set)."""
+    """Law of the random observation set U.
 
-    kind: str
-    params: dict = field(default_factory=dict)
+    Each kind is one frozen dataclass below, registered under its JSON
+    ``kind`` in SPEC_KINDS. `sample_subset`, `revealment` and
+    `subset_support` call the kind's `_check`, which raises ValueError when
+    the spec cannot act on the graph, and then its `_sample`, `_revealment`
+    or `_support`.
+    """
 
-    @staticmethod
-    def fixed(mask) -> "SubsetSpec":
-        return SubsetSpec("fixed", {"mask": np.asarray(mask, dtype=bool)})
+    kind: ClassVar[str]
 
-    @staticmethod
-    def bernoulli(p) -> "SubsetSpec":
-        return SubsetSpec("bernoulli", {"p": p})
+    def _doc(self) -> dict:
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
-    @staticmethod
-    def uniform_k(k: int) -> "SubsetSpec":
-        return SubsetSpec("uniform_k", {"k": int(k)})
-
-    @staticmethod
-    def uniform_translate(base_mask) -> "SubsetSpec":
-        return SubsetSpec(
-            "uniform_translate", {"base": np.asarray(base_mask, dtype=bool)}
-        )
-
-    @staticmethod
-    def tiled(L: int, axis_only: bool = False) -> "SubsetSpec":
-        # axis_only keeps only cube translates along single axes; it exists
-        # for comparison runs and carries no verified geometry properties.
-        return SubsetSpec("tiled", {"L": int(L), "axis_only": bool(axis_only)})
-
-    @staticmethod
-    def union_of_k_copies(inner: "SubsetSpec", k: int) -> "SubsetSpec":
-        return SubsetSpec("union_of_k_copies", {"inner": inner, "k": int(k)})
-
-    @staticmethod
-    def explicit(entries) -> "SubsetSpec":
-        """Explicit support: list of (bool mask, probability)."""
-        items = [(np.asarray(m, dtype=bool), float(p)) for m, p in entries]
-        total = sum(p for _, p in items)
-        if abs(total - 1.0) > 1e-9:
-            raise ValueError("explicit subset probabilities must sum to 1")
-        return SubsetSpec("explicit", {"entries": items})
+    @classmethod
+    def _from_doc(cls, doc: dict, n: int | None) -> "SubsetSpec":
+        return cls(*(doc[f.name] for f in fields(cls)))
 
     def to_json(self) -> str:
-        p = self.params
-        if self.kind == "fixed":
-            doc = {"kind": "fixed", "members": _bits.mask_to_indices(p["mask"]).tolist()}
-        elif self.kind == "bernoulli":
-            prob = p["p"]
-            doc = {"kind": "bernoulli",
-                   "p": prob if np.isscalar(prob) else np.asarray(prob).tolist()}
-        elif self.kind == "uniform_k":
-            doc = {"kind": "uniform_k", "k": p["k"]}
-        elif self.kind == "uniform_translate":
-            doc = {"kind": "uniform_translate",
-                   "base": _bits.mask_to_indices(p["base"]).tolist()}
-        elif self.kind == "tiled":
-            doc = {"kind": "tiled", "L": p["L"], "axis_only": p["axis_only"]}
-        elif self.kind == "union_of_k_copies":
-            doc = {"kind": "union_of_k_copies", "k": p["k"],
-                   "inner": json.loads(p["inner"].to_json())}
-        else:
-            raise ValueError(f"cannot serialize subset kind {self.kind!r}")
-        return json.dumps(doc, sort_keys=True)
+        return json.dumps(_jsonable(self), sort_keys=True, default=_jsonable)
 
     @staticmethod
-    def from_json(text: str, n: int | None = None) -> "SubsetSpec":
+    def from_json(text, n: int | None = None) -> "SubsetSpec":
+        """Parse a JSON document or its decoded dict; kinds that list
+        vertices need the vertex count `n`. Unknown kinds and missing,
+        unexpected or wrongly typed fields raise ValueError."""
         doc = json.loads(text) if isinstance(text, str) else text
-        kind = doc["kind"]
-        if kind == "fixed":
-            if n is None:
-                raise ValueError("fixed spec needs the vertex count")
-            return SubsetSpec.fixed(_bits.indices_to_mask(doc["members"], n))
-        if kind == "bernoulli":
-            return SubsetSpec.bernoulli(doc["p"])
-        if kind == "uniform_k":
-            return SubsetSpec.uniform_k(doc["k"])
-        if kind == "uniform_translate":
-            if n is None:
-                raise ValueError("uniform_translate spec needs the vertex count")
-            return SubsetSpec.uniform_translate(_bits.indices_to_mask(doc["base"], n))
-        if kind == "tiled":
-            return SubsetSpec.tiled(doc["L"], doc.get("axis_only", False))
-        if kind == "union_of_k_copies":
-            return SubsetSpec.union_of_k_copies(
-                SubsetSpec.from_json(doc["inner"], n), doc["k"]
+        kind = doc.get("kind") if isinstance(doc, dict) else None
+        if not isinstance(kind, str) or kind not in SPEC_KINDS:
+            raise ValueError(f"unknown subset kind in {doc!r}")
+        try:
+            spec = SPEC_KINDS[kind]._from_doc(doc, n)
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"malformed {kind} spec {doc!r}: {exc!r}") from exc
+        if set(doc) != set(json.loads(spec.to_json())):
+            raise ValueError(f"unexpected fields in {kind} spec {doc!r}")
+        return spec
+
+
+def _jsonable(x):
+    """JSON form of a spec, or of a numpy value inside one."""
+    if isinstance(x, SubsetSpec):
+        return {"kind": x.kind, **x._doc()}
+    return x.tolist()
+
+
+def _index(value) -> int:
+    """An integer field; floats, strings and booleans raise TypeError."""
+    if isinstance(value, bool):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return operator.index(value)
+
+
+def _reals(value) -> np.ndarray:
+    """Numeric field(s) as floats; strings, booleans and None raise TypeError."""
+    if np.asarray(value).dtype.kind not in "iuf":
+        raise TypeError(f"expected numbers, got {value!r}")
+    return np.asarray(value, dtype=float)
+
+
+def _members(value, n: int | None) -> np.ndarray:
+    """A JSON vertex list as a mask over n vertices."""
+    if n is None:
+        raise ValueError("a spec that lists vertices needs the vertex count")
+    members = [_index(v) for v in value]
+    if any(not 0 <= v < n for v in members):
+        raise ValueError(f"vertex list {value!r} leaves [0, {n})")
+    return _bits.indices_to_mask(members, n)
+
+
+def _check_mask(mask: np.ndarray, graph: Graph) -> None:
+    if mask.shape != (graph.n_vertices,):
+        raise ValueError(f"mask of length {len(mask)} for {graph.n_vertices} vertices")
+
+
+@dataclass(frozen=True, eq=False)
+class Fixed(SubsetSpec):
+    """U is always the vertex set `mask`."""
+
+    mask: np.ndarray
+    kind = "fixed"
+
+    def __post_init__(self):
+        object.__setattr__(self, "mask", np.asarray(self.mask, dtype=bool))
+
+    def _check(self, graph):
+        _check_mask(self.mask, graph)
+
+    def _sample(self, graph, rng):
+        return self.mask.copy()
+
+    def _revealment(self, graph):
+        return self.mask.astype(float)
+
+    def _support(self, graph, cap):
+        return [(_bits.mask_to_bits(self.mask), 1.0)]
+
+    def _doc(self):
+        return {"members": _bits.mask_to_indices(self.mask)}
+
+    @classmethod
+    def _from_doc(cls, doc, n):
+        return cls(_members(doc["members"], n))
+
+
+@dataclass(frozen=True, eq=False)
+class Bernoulli(SubsetSpec):
+    """Each vertex joins U independently with probability `p`, one number
+    or one per vertex."""
+
+    p: float | list
+    kind = "bernoulli"
+
+    def __post_init__(self):
+        _reals(self.p)
+
+    def _probs(self, n: int) -> np.ndarray:
+        prob = np.broadcast_to(_reals(self.p), (n,))
+        if not np.all((prob >= 0) & (prob <= 1)):
+            raise ValueError("bernoulli probabilities must lie in [0, 1]")
+        return prob
+
+    def _check(self, graph):
+        self._probs(graph.n_vertices)
+
+    def _sample(self, graph, rng):
+        return rng.random(graph.n_vertices) < self._probs(graph.n_vertices)
+
+    def _revealment(self, graph):
+        return self._probs(graph.n_vertices).copy()
+
+    def _support(self, graph, cap):
+        n = graph.n_vertices
+        if 2**n > cap:
+            raise ValueError("bernoulli support too large to enumerate")
+        prob = self._probs(n)
+        idx = _bits.config_indices(n)
+        logp = np.zeros(1 << n)
+        for v in range(n):
+            member = ((idx >> np.uint64(v)) & np.uint64(1)).astype(bool)
+            with np.errstate(divide="ignore"):
+                logp += np.where(member, np.log(prob[v]), np.log1p(-prob[v]))
+        weights = np.exp(logp)
+        return [(int(i), float(w)) for i, w in enumerate(weights) if w > 0]
+
+
+@dataclass(frozen=True)
+class UniformK(SubsetSpec):
+    """U is uniform over the k-element vertex sets."""
+
+    k: int
+    kind = "uniform_k"
+
+    def __post_init__(self):
+        object.__setattr__(self, "k", _index(self.k))
+
+    def _check(self, graph):
+        if not 0 <= self.k <= graph.n_vertices:
+            raise ValueError(f"uniform_k needs 0 <= k <= {graph.n_vertices}, got {self.k}")
+
+    def _sample(self, graph, rng):
+        n = graph.n_vertices
+        return _bits.indices_to_mask(rng.choice(n, size=self.k, replace=False), n)
+
+    def _revealment(self, graph):
+        return np.full(graph.n_vertices, self.k / graph.n_vertices)
+
+    def _support(self, graph, cap):
+        count = math.comb(graph.n_vertices, self.k)
+        if count > cap:
+            raise ValueError("uniform_k support too large to enumerate")
+        combos = itertools.combinations(range(graph.n_vertices), self.k)
+        return [(sum(1 << v for v in combo), 1.0 / count) for combo in combos]
+
+
+@dataclass(frozen=True, eq=False)
+class UniformTranslate(SubsetSpec):
+    """U is the vertex set `base` moved by a uniform element of the graph's
+    translation group."""
+
+    base: np.ndarray
+    kind = "uniform_translate"
+
+    def __post_init__(self):
+        object.__setattr__(self, "base", np.asarray(self.base, dtype=bool))
+
+    def _check(self, graph):
+        _check_mask(self.base, graph)
+
+    def _sample(self, graph, rng):
+        perm = graph.random_translation(rng)
+        out = np.zeros(graph.n_vertices, dtype=bool)
+        out[perm[_bits.mask_to_indices(self.base)]] = True
+        return out
+
+    def _revealment(self, graph):
+        n = graph.n_vertices
+        if graph.kind in ("cycle", "torus", "complete"):
+            # Free transitive shift action: every vertex is covered by
+            # exactly |base| of the |group| translates.
+            return np.full(n, int(self.base.sum()) / n)
+        if graph.translations is None:
+            raise ValueError("uniform_translate needs a translation group")
+        counts = np.zeros(n)
+        members = _bits.mask_to_indices(self.base)
+        for perm in graph.translations:
+            counts[perm[members]] += 1
+        return counts / len(graph.translations)
+
+    def _support(self, graph, cap):
+        if graph.translations is None:
+            raise ValueError("uniform_translate support needs materialized group")
+        members = _bits.mask_to_indices(self.base)
+        w = 1.0 / len(graph.translations)
+        return [(int(sum(1 << int(v) for v in perm[members])), w)
+                for perm in graph.translations]
+
+    def _doc(self):
+        return {"base": _bits.mask_to_indices(self.base)}
+
+    @classmethod
+    def _from_doc(cls, doc, n):
+        return cls(_members(doc["base"], n))
+
+
+@dataclass(frozen=True)
+class Tiled(SubsetSpec):
+    """U is the complement of side-L cubes on an (L+3)-periodic lattice
+    with a uniform anchor; see `tiled_complement_mask`."""
+
+    L: int
+    kind = "tiled"
+
+    def __post_init__(self):
+        object.__setattr__(self, "L", _index(self.L))
+
+    def _check(self, graph):
+        _tiled_geometry(graph, self.L)
+
+    def _sample(self, graph, rng):
+        d, _ = _tiled_geometry(graph, self.L)
+        anchor = rng.integers(self.L + 3, size=d)
+        return ~tiled_complement_mask(graph, self.L, anchor)
+
+    def _revealment(self, graph):
+        d, _ = _tiled_geometry(graph, self.L)
+        return np.full(graph.n_vertices, 1.0 - (self.L / (self.L + 3)) ** d)
+
+    def _support(self, graph, cap):
+        d, _ = _tiled_geometry(graph, self.L)
+        anchors = list(itertools.product(range(self.L + 3), repeat=d))
+        w = 1.0 / len(anchors)
+        return [
+            (_bits.mask_to_bits(~tiled_complement_mask(graph, self.L, a)), w)
+            for a in anchors
+        ]
+
+
+@dataclass(frozen=True)
+class UnionOfKCopies(SubsetSpec):
+    """U is the union of k >= 1 independent draws from `inner`."""
+
+    inner: SubsetSpec
+    k: int
+    kind = "union_of_k_copies"
+
+    def __post_init__(self):
+        object.__setattr__(self, "k", _index(self.k))
+
+    def _check(self, graph):
+        if self.k < 1:
+            raise ValueError(f"union_of_k_copies needs k >= 1, got {self.k}")
+
+    def _sample(self, graph, rng):
+        out = np.zeros(graph.n_vertices, dtype=bool)
+        for _ in range(self.k):
+            out |= sample_subset(self.inner, graph, rng)
+        return out
+
+    def _revealment(self, graph):
+        inner_vec, _ = revealment(self.inner, graph)
+        return 1.0 - (1.0 - inner_vec) ** self.k
+
+    def _support(self, graph, cap):
+        inner = acc = subset_support(self.inner, graph, cap)
+        for _ in range(self.k - 1):
+            acc = _merged(
+                ((b1 | b2, q1 * q2) for b1, q1 in acc for b2, q2 in inner), cap
             )
-        raise ValueError(f"unknown subset kind {kind!r}")
+        return acc
+
+    @classmethod
+    def _from_doc(cls, doc, n):
+        return cls(SubsetSpec.from_json(doc["inner"], n), doc["k"])
+
+
+@dataclass(frozen=True, eq=False)
+class Explicit(SubsetSpec):
+    """U is one of the listed vertex masks, each taken with its
+    probability; the probabilities are nonnegative and sum to 1."""
+
+    entries: tuple
+    kind = "explicit"
+
+    def __post_init__(self):
+        items = tuple(
+            (np.asarray(m, dtype=bool), float(_reals(q))) for m, q in self.entries
+        )
+        if any(q < 0 for _, q in items) or abs(sum(q for _, q in items) - 1.0) > 1e-9:
+            raise ValueError("explicit subset probabilities must be >= 0 and sum to 1")
+        object.__setattr__(self, "entries", items)
+
+    def _check(self, graph):
+        for mask, _ in self.entries:
+            _check_mask(mask, graph)
+
+    def _sample(self, graph, rng):
+        probs = np.array([q for _, q in self.entries])
+        idx = rng.choice(len(probs), p=probs / probs.sum())
+        return self.entries[idx][0].copy()
+
+    def _revealment(self, graph):
+        vec = np.zeros(graph.n_vertices)
+        for mask, q in self.entries:
+            vec += q * mask
+        return vec
+
+    def _support(self, graph, cap):
+        return [(_bits.mask_to_bits(m), q) for m, q in self.entries]
+
+    def _doc(self):
+        return {"entries": [{"members": _bits.mask_to_indices(m), "p": q}
+                            for m, q in self.entries]}
+
+    @classmethod
+    def _from_doc(cls, doc, n):
+        return cls([(_members(e["members"], n), e["p"]) for e in doc["entries"]])
+
+
+SPEC_KINDS: dict[str, type[SubsetSpec]] = {
+    cls.kind: cls
+    for cls in (Fixed, Bernoulli, UniformK, UniformTranslate, Tiled,
+                UnionOfKCopies, Explicit)
+}
 
 
 def _tiled_geometry(graph: Graph, L: int) -> tuple[int, int]:
@@ -417,7 +684,7 @@ def _tiled_geometry(graph: Graph, L: int) -> tuple[int, int]:
     return d, side
 
 
-def tiled_complement_mask(graph: Graph, L: int, anchor, axis_only: bool = False) -> np.ndarray:
+def tiled_complement_mask(graph: Graph, L: int, anchor) -> np.ndarray:
     """Cells removed by the tiling anchored at `anchor` (True = removed).
 
     The removed set is the union of side-L cubes placed on the full
@@ -427,205 +694,46 @@ def tiled_complement_mask(graph: Graph, L: int, anchor, axis_only: bool = False)
     d, side = _tiled_geometry(graph, L)
     anchor = np.asarray(anchor, dtype=np.int64).reshape(d)
     coords = np.unravel_index(np.arange(graph.n_vertices), (side,) * d)
-    offsets = [np.mod(coords[i] - anchor[i], L + 3) for i in range(d)]
-    in_cube_axis = [off < L for off in offsets]
-    if not axis_only:
-        removed = np.logical_and.reduce(in_cube_axis)
-    else:
-        # Cubes translated along one axis only: the remaining coordinates
-        # must sit inside the base cube footprint [anchor, anchor+L).
-        base_axis = [
-            (coords[i] - anchor[i] >= 0) & (coords[i] - anchor[i] < L)
-            for i in range(d)
-        ]
-        removed = np.zeros(graph.n_vertices, dtype=bool)
-        for i in range(d):
-            cond = in_cube_axis[i]
-            for j in range(d):
-                if j != i:
-                    cond = cond & base_axis[j]
-            removed |= cond
-    return removed
+    return np.logical_and.reduce(
+        [np.mod(coords[i] - anchor[i], L + 3) < L for i in range(d)]
+    )
 
 
-def _bernoulli_probs(spec: SubsetSpec, n: int) -> np.ndarray:
-    prob = np.broadcast_to(np.asarray(spec.params["p"], dtype=float), (n,))
-    if not np.all((prob >= 0) & (prob <= 1)):
-        raise ValueError("bernoulli probabilities must lie in [0, 1]")
-    return prob
-
-
-def _uniform_k_size(spec: SubsetSpec, n: int) -> int:
-    k = spec.params["k"]
-    if not 0 <= k <= n:
-        raise ValueError(f"uniform_k needs 0 <= k <= {n}, got {k}")
-    return k
+def _merged(pairs, cap: int) -> list[tuple[int, float]]:
+    """(bitmask, probability) pairs with repeated subsets summed, sorted by
+    bitmask; raises when more than `cap` subsets remain."""
+    acc: dict[int, float] = {}
+    for bits, prob in pairs:
+        acc[bits] = acc.get(bits, 0.0) + prob
+    if len(acc) > cap:
+        raise ValueError(f"support of more than {cap} subsets is too large to enumerate")
+    return sorted(acc.items())
 
 
 def sample_subset(spec: SubsetSpec, graph: Graph, rng: np.random.Generator) -> np.ndarray:
     """Draw one subset realization as a boolean mask."""
-    n = graph.n_vertices
-    k = spec.kind
-    p = spec.params
-    if k == "fixed":
-        mask = p["mask"]
-        if len(mask) != n:
-            raise ValueError("fixed mask length mismatch")
-        return mask.copy()
-    if k == "bernoulli":
-        return rng.random(n) < _bernoulli_probs(spec, n)
-    if k == "uniform_k":
-        size = _uniform_k_size(spec, n)
-        return _bits.indices_to_mask(rng.choice(n, size=size, replace=False), n)
-    if k == "uniform_translate":
-        perm = graph.random_translation(rng)
-        out = np.zeros(n, dtype=bool)
-        out[perm[_bits.mask_to_indices(p["base"])]] = True
-        return out
-    if k == "tiled":
-        d, _ = _tiled_geometry(graph, p["L"])
-        anchor = rng.integers(p["L"] + 3, size=d)
-        return ~tiled_complement_mask(graph, p["L"], anchor, p["axis_only"])
-    if k == "union_of_k_copies":
-        out = np.zeros(n, dtype=bool)
-        for _ in range(p["k"]):
-            out |= sample_subset(p["inner"], graph, rng)
-        return out
-    if k == "explicit":
-        probs = np.array([q for _, q in p["entries"]])
-        idx = rng.choice(len(probs), p=probs / probs.sum())
-        return p["entries"][idx][0].copy()
-    raise ValueError(f"unknown subset kind {k!r}")
+    spec._check(graph)
+    return spec._sample(graph, rng)
 
 
 def revealment(spec: SubsetSpec, graph: Graph) -> tuple[np.ndarray, float]:
     """Exact per-vertex membership probabilities and their maximum."""
-    n = graph.n_vertices
-    k = spec.kind
-    p = spec.params
-    if k == "fixed":
-        vec = p["mask"].astype(float)
-    elif k == "bernoulli":
-        vec = _bernoulli_probs(spec, n).copy()
-    elif k == "uniform_k":
-        vec = np.full(n, _uniform_k_size(spec, n) / n)
-    elif k == "uniform_translate":
-        base_size = int(p["base"].sum())
-        if graph.kind in ("cycle", "torus", "complete"):
-            # Free transitive shift action: every vertex is covered by
-            # exactly |base| of the |group| translates.
-            vec = np.full(n, base_size / n)
-        elif graph.translations is not None:
-            counts = np.zeros(n)
-            for perm in graph.translations:
-                counts[perm[_bits.mask_to_indices(p["base"])]] += 1
-            vec = counts / len(graph.translations)
-        else:
-            raise ValueError("uniform_translate needs a translation group")
-    elif k == "tiled":
-        d, _ = _tiled_geometry(graph, p["L"])
-        L = p["L"]
-        if not p["axis_only"]:
-            vec = np.full(n, 1.0 - (L / (L + 3)) ** d)
-        else:
-            # P[removed] = sum over axes of (L/(L+3)) * ((L - ...)) has no
-            # closed product form; enumerate the (L+3)^d anchors exactly.
-            total = np.zeros(n)
-            anchors = itertools.product(range(L + 3), repeat=d)
-            count = 0
-            for a in anchors:
-                total += ~tiled_complement_mask(graph, L, a, True)
-                count += 1
-            vec = total / count
-    elif k == "union_of_k_copies":
-        inner_vec, _ = revealment(p["inner"], graph)
-        vec = 1.0 - (1.0 - inner_vec) ** p["k"]
-    elif k == "explicit":
-        vec = np.zeros(n)
-        for mask, q in p["entries"]:
-            vec += q * mask
-    else:
-        raise ValueError(f"unknown subset kind {k!r}")
+    spec._check(graph)
+    vec = spec._revealment(graph)
     return vec, float(vec.max(initial=0.0))
-
-
-SUPPORT_CAP = 10**6
 
 
 def subset_support(
     spec: SubsetSpec, graph: Graph, cap: int = SUPPORT_CAP
 ) -> list[tuple[int, float]]:
-    """Enumerate the support as (bitmask, probability) pairs.
+    """Enumerate the support as (bitmask, probability) pairs, one per
+    distinct subset, sorted by bitmask.
 
     Raises if the support exceeds `cap`; callers that can sample instead
     should catch that and fall back.
     """
-    n = graph.n_vertices
-    k = spec.kind
-    p = spec.params
-    if k == "fixed":
-        return [(_bits.mask_to_bits(p["mask"]), 1.0)]
-    if k == "explicit":
-        return [(_bits.mask_to_bits(m), q) for m, q in p["entries"]]
-    if k == "bernoulli":
-        if 2**n > cap:
-            raise ValueError("bernoulli support too large to enumerate")
-        prob = _bernoulli_probs(spec, n)
-        idx = _bits.config_indices(n)
-        logp = np.zeros(1 << n)
-        for v in range(n):
-            member = ((idx >> np.uint64(v)) & np.uint64(1)).astype(bool)
-            with np.errstate(divide="ignore"):
-                logp += np.where(member, np.log(prob[v]), np.log1p(-prob[v]))
-        weights = np.exp(logp)
-        return [(int(i), float(w)) for i, w in enumerate(weights) if w > 0]
-    if k == "uniform_k":
-        size = _uniform_k_size(spec, n)
-        count = math.comb(n, size)
-        if count > cap:
-            raise ValueError("uniform_k support too large to enumerate")
-        prob = 1.0 / count
-        return [
-            (sum(1 << v for v in combo), prob)
-            for combo in itertools.combinations(range(n), size)
-        ]
-    if k == "uniform_translate":
-        if graph.translations is not None:
-            perms = graph.translations
-        else:
-            raise ValueError("uniform_translate support needs materialized group")
-        members = _bits.mask_to_indices(p["base"])
-        acc: dict[int, float] = {}
-        w = 1.0 / len(perms)
-        for perm in perms:
-            bits = int(sum(1 << int(v) for v in perm[members]))
-            acc[bits] = acc.get(bits, 0.0) + w
-        return sorted(acc.items())
-    if k == "tiled":
-        d, _ = _tiled_geometry(graph, p["L"])
-        acc = {}
-        anchors = list(itertools.product(range(p["L"] + 3), repeat=d))
-        w = 1.0 / len(anchors)
-        for a in anchors:
-            bits = _bits.mask_to_bits(~tiled_complement_mask(graph, p["L"], a, p["axis_only"]))
-            acc[bits] = acc.get(bits, 0.0) + w
-        return sorted(acc.items())
-    if k == "union_of_k_copies":
-        inner = subset_support(p["inner"], graph, cap)
-        acc = {}
-        for bits, prob in inner:  # explicit supports may repeat a subset
-            acc[bits] = acc.get(bits, 0.0) + prob
-        for _ in range(p["k"] - 1):
-            nxt: dict[int, float] = {}
-            for b1, q1 in acc.items():
-                for b2, q2 in inner:
-                    key = b1 | b2
-                    nxt[key] = nxt.get(key, 0.0) + q1 * q2
-            if len(nxt) > cap:
-                raise ValueError("union support too large to enumerate")
-            acc = nxt
-        return sorted(acc.items())
-    raise ValueError(f"unknown subset kind {k!r}")
+    spec._check(graph)
+    return _merged(spec._support(graph, cap), cap)
 
 
 def mask_to_json(mask: np.ndarray) -> str:

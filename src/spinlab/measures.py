@@ -4,12 +4,19 @@ Fourier-Walsh layer.
 Exact mode enumerates all 2^n configurations; bit v of a configuration
 index set means spin +1 at vertex v. Tables are the oracle that backs
 every identity test in the package.
+
+An `Observable` is one frozen dataclass per kind (`TotalSum`,
+`Magnetization`, `Majority`, `Parity`, `SingleSpin`, `Indicator`,
+`Custom`), each giving its value on one configuration and on all 2^n.
+Functions that accept "an Observable or a 2^n value vector" turn either
+into a checked vector with `values_of`.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import logsumexp
@@ -221,87 +228,124 @@ def exact_table(measure, graph: Graph, allow_large: bool = False) -> Probability
 # -- observables -------------------------------------------------------------
 
 
-@dataclass
 class Observable:
-    kind: str
-    params: dict = field(default_factory=dict)
+    """A real function of the spin configuration.
 
-    @staticmethod
-    def total_sum() -> "Observable":
-        return Observable("total_sum")
+    Each kind is one frozen dataclass below holding its value on one
+    configuration (`_value`) and on all 2^n of them at once (`_table`);
+    `evaluate` and `table_values` are the entry points for every kind.
+    """
 
-    @staticmethod
-    def magnetization() -> "Observable":
-        return Observable("magnetization")
-
-    @staticmethod
-    def majority() -> "Observable":
-        return Observable("majority")
-
-    @staticmethod
-    def parity(subset) -> "Observable":
-        return Observable("parity", {"subset": np.asarray(subset, dtype=np.int64)})
-
-    @staticmethod
-    def single_spin(v: int) -> "Observable":
-        return Observable("single_spin", {"v": int(v)})
-
-    @staticmethod
-    def indicator(config_indices) -> "Observable":
-        return Observable(
-            "indicator", {"set": frozenset(int(i) for i in config_indices)}
-        )
-
-    @staticmethod
-    def custom(fn) -> "Observable":
-        return Observable("custom", {"fn": fn})
-
-    def evaluate(self, config: np.ndarray) -> float:
-        config = np.asarray(config)
-        k = self.kind
-        if k == "total_sum":
-            return float(config.sum())
-        if k == "magnetization":
-            return float(config.mean())
-        if k == "majority":
-            return 1.0 if config.sum() > 0 else -1.0
-        if k == "parity":
-            return float(np.prod(config[self.params["subset"]]))
-        if k == "single_spin":
-            return float(config[self.params["v"]])
-        if k == "indicator":
-            return 1.0 if _bits.config_to_index(config) in self.params["set"] else 0.0
-        if k == "custom":
-            return float(self.params["fn"](config))
-        raise ValueError(f"unknown observable kind {k!r}")
+    def evaluate(self, config) -> float:
+        """Value on one ±1 configuration."""
+        return float(self._value(np.asarray(config)))
 
     def table_values(self, n: int, allow_large: bool = False) -> np.ndarray:
         """Values over all 2^n configurations."""
         _check_cap(n, allow_large)
-        idx = _bits.config_indices(n)
-        k = self.kind
-        if k == "total_sum":
-            return _bits.total_spin(idx, n)
-        if k == "magnetization":
-            return _bits.total_spin(idx, n) / n
-        if k == "majority":
-            return np.where(_bits.total_spin(idx, n) > 0, 1.0, -1.0)
-        if k == "parity":
-            sub_bits = np.uint64(sum(1 << int(v) for v in self.params["subset"]))
-            minus_spins = len(self.params["subset"]) - _bits.popcount(idx & sub_bits)
-            return np.where(minus_spins % 2 == 0, 1.0, -1.0)
-        if k == "single_spin":
-            return _bits.spins_of(idx, self.params["v"])
-        if k == "indicator":
-            out = np.zeros(1 << n)
-            out[list(self.params["set"])] = 1.0
-            return out
-        if k == "custom":
-            fn = self.params["fn"]
-            return np.array([
-                float(fn(_bits.index_to_config(int(i), n))) for i in idx
-            ])
-        raise ValueError(f"unknown observable kind {k!r}")
+        return self._table(_bits.config_indices(n), n)
+
+
+@dataclass(frozen=True)
+class TotalSum(Observable):
+    def _value(self, config):
+        return config.sum()
+
+    def _table(self, idx, n):
+        return _bits.total_spin(idx, n)
+
+
+@dataclass(frozen=True)
+class Magnetization(Observable):
+    def _value(self, config):
+        return config.mean()
+
+    def _table(self, idx, n):
+        return _bits.total_spin(idx, n) / n
+
+
+@dataclass(frozen=True)
+class Majority(Observable):
+    """Sign of the total spin; ties go to -1."""
+
+    def _value(self, config):
+        return 1.0 if config.sum() > 0 else -1.0
+
+    def _table(self, idx, n):
+        return np.where(_bits.total_spin(idx, n) > 0, 1.0, -1.0)
+
+
+@dataclass(frozen=True, eq=False)
+class Parity(Observable):
+    """Product of the spins on `subset`."""
+
+    subset: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "subset", np.asarray(self.subset, dtype=np.int64))
+
+    def _value(self, config):
+        return np.prod(config[self.subset])
+
+    def _table(self, idx, n):
+        sub_bits = np.uint64(sum(1 << int(v) for v in self.subset))
+        minus_spins = len(self.subset) - _bits.popcount(idx & sub_bits)
+        return np.where(minus_spins % 2 == 0, 1.0, -1.0)
+
+
+@dataclass(frozen=True)
+class SingleSpin(Observable):
+    v: int
+
+    def _value(self, config):
+        return config[self.v]
+
+    def _table(self, idx, n):
+        return _bits.spins_of(idx, self.v)
+
+
+@dataclass(frozen=True)
+class Indicator(Observable):
+    """1 on the listed configuration indices, 0 elsewhere."""
+
+    configs: frozenset
+
+    def __post_init__(self):
+        object.__setattr__(self, "configs", frozenset(int(i) for i in self.configs))
+
+    def _value(self, config):
+        return 1.0 if _bits.config_to_index(config) in self.configs else 0.0
+
+    def _table(self, idx, n):
+        out = np.zeros(1 << n)
+        out[list(self.configs)] = 1.0
+        return out
+
+
+@dataclass(frozen=True)
+class Custom(Observable):
+    """Any callable of a ±1 configuration vector."""
+
+    fn: Callable
+
+    def _value(self, config):
+        return self.fn(config)
+
+    def _table(self, idx, n):
+        return np.array([
+            float(self.fn(_bits.index_to_config(int(i), n))) for i in idx
+        ])
+
+
+def values_of(f, n: int, allow_large: bool = False) -> np.ndarray:
+    """An Observable's values over all 2^n configurations, or a given value
+    vector checked to have that length."""
+    if isinstance(f, Observable):
+        return f.table_values(n, allow_large)
+    values = np.asarray(f, dtype=np.float64)
+    if values.shape != (1 << n,):
+        raise ValueError("function values must cover all 2^n configurations")
+    return values
 
 
 # -- susceptibility ----------------------------------------------------------
@@ -387,7 +431,7 @@ def spectral_sample_product(
     f: Observable | np.ndarray, n: int, rng: np.random.Generator, size: int = 1
 ) -> np.ndarray:
     """Draw subsets with probability f_hat(S)^2 / sum_T f_hat(T)^2."""
-    values = f.table_values(n) if isinstance(f, Observable) else np.asarray(f)
+    values = values_of(f, n)
     coef = walsh_transform(values, n)
     weights = coef**2
     total = weights.sum()

@@ -12,8 +12,11 @@ from spinlab.cli import run_recipe
 from spinlab.measures import (
     CurieWeissMeasure,
     IsingMeasure,
-    Observable,
+    Magnetization,
+    Majority,
+    Parity,
     ProductMeasure,
+    SingleSpin,
     exact_table,
 )
 from spinlab.rng import stream
@@ -31,7 +34,7 @@ def test_criterion_01_eigenvalue_identity():
     started = time.monotonic()
     g = graphs.cycle(6)
     table = exact_table(IsingMeasure(0.4), g)
-    spec = graphs.SubsetSpec.uniform_k(2)
+    spec = graphs.UniformK(2)
     rep = block_dyn.eigenclue_verify(table, spec, g, trials=100, rng=stream(101, 0))
     elapsed = time.monotonic() - started
     ok = (rep.residual <= 1e-8
@@ -49,8 +52,8 @@ def test_criterion_02_product_measure_bound():
         g = graphs.custom(n, [])
         table = exact_table(ProductMeasure(), g)
         for kind in ("majority", "parity"):
-            obs = (Observable.majority() if kind == "majority"
-                   else Observable.parity(range(n)))
+            obs = (Majority() if kind == "majority"
+                   else Parity(range(n)))
             vals = obs.table_values(n)
             coef2 = measures.walsh_transform(vals, n) ** 2
             sums = measures.subset_sums(coef2, n)
@@ -148,7 +151,7 @@ def test_criterion_06_operator_identities():
         table = measures.ProbabilityTable(n, rng.dirichlet(np.ones(1 << n)))
         f = rng.standard_normal(1 << n)
         k = int(rng.integers(1, max(2, n // 2)))
-        spec = graphs.SubsetSpec.uniform_k(k)
+        spec = graphs.UniformK(k)
         support = [s for s, _ in graphs.subset_support(spec, g)]
         fam = clue.ConditionalFamily.of_conditionals(table, f, support)
         mvals, _ = clue.apply_M_operator(fam, spec, g, table)
@@ -169,10 +172,10 @@ def test_criterion_06_operator_identities():
     g2 = graphs.custom(2, [])
     t2 = exact_table(ProductMeasure(), g2)
     fam2 = clue.ConditionalFamily(t2, {
-        0b01: Observable.single_spin(0).table_values(2),
-        0b10: Observable.single_spin(1).table_values(2),
+        0b01: SingleSpin(0).table_values(2),
+        0b10: SingleSpin(1).table_values(2),
     })
-    spec2 = graphs.SubsetSpec.uniform_k(1)
+    spec2 = graphs.UniformK(1)
     hand = clue.average_correlation(fam2, spec2, g2, t2)
     hand2 = clue.mean_correlation_with(
         clue.apply_M_operator(fam2, spec2, g2, t2)[0], fam2, spec2, g2, t2) ** 2
@@ -217,7 +220,7 @@ def test_criterion_07_coloring_measure_suite():
         agg = {}
         for m, q in zip(masks, probs):
             agg[int(m)] = agg.get(int(m), 0.0) + float(q)
-        spec = graphs.SubsetSpec.uniform_k(int(rng.integers(1, n)))
+        spec = graphs.UniformK(int(rng.integers(1, n)))
         f = rng.standard_normal(1 << n)
         b = dac.dac_clue_upper_bound(f, sorted(agg.items()), spec, gi)
         chain_ok &= b.exact_expected_clue <= b.spectral_bound + 1e-9
@@ -228,8 +231,8 @@ def test_criterion_07_coloring_measure_suite():
     ident_ok = True
     for k in (1, 2, 3):
         b = dac.dac_clue_upper_bound(
-            Observable.magnetization(), bond_table,
-            graphs.SubsetSpec.uniform_k(k), g)
+            Magnetization(), bond_table,
+            graphs.UniformK(k), g)
         ident_ok &= abs(
             b.singleton_bound_for_magnetization - b.cluster_ratio_bound
         ) <= 1e-9 * max(1.0, b.cluster_ratio_bound)

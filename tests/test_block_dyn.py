@@ -11,7 +11,7 @@ from spinlab.rng import stream
 
 
 def delta_spec(n, members, q):
-    return graphs.SubsetSpec.explicit([
+    return graphs.Explicit([
         (_bits.indices_to_mask(members, n), q),
         (np.zeros(n, dtype=bool), 1 - q),
     ])
@@ -20,7 +20,7 @@ def delta_spec(n, members, q):
 def test_fixed_empty_rows_equal_stationary():
     g = graphs.cycle(4)
     t = exact_table(IsingMeasure(0.5), g)
-    spec = graphs.SubsetSpec.fixed(np.zeros(4, dtype=bool))
+    spec = graphs.Fixed(np.zeros(4, dtype=bool))
     op = block_dyn.block_operator(t, spec, g)
     assert np.allclose(op.matrix, np.tile(t.p, (16, 1)), atol=1e-12)
     assert block_dyn.spectrum(op).lambda_2 == pytest.approx(0.0, abs=1e-10)
@@ -29,7 +29,7 @@ def test_fixed_empty_rows_equal_stationary():
 def test_fixed_full_is_identity():
     g = graphs.cycle(4)
     t = exact_table(IsingMeasure(0.5), g)
-    spec = graphs.SubsetSpec.fixed(np.ones(4, dtype=bool))
+    spec = graphs.Fixed(np.ones(4, dtype=bool))
     op = block_dyn.block_operator(t, spec, g)
     assert np.allclose(op.matrix, np.eye(16), atol=1e-12)
     assert block_dyn.spectrum(op).lambda_2 == pytest.approx(1.0, abs=1e-12)
@@ -54,11 +54,11 @@ def test_transition_matrix_cap():
     n = 16
     uniform = measures.ProbabilityTable(n, np.full(1 << n, 1 / (1 << n)))
     with pytest.raises(ValueError, match="bytes"):
-        block_dyn.block_operator(uniform, graphs.SubsetSpec.uniform_k(4), graphs.custom(n, []))
+        block_dyn.block_operator(uniform, graphs.UniformK(4), graphs.custom(n, []))
     n = block_dyn.ORACLE_CAP + 1
     g = graphs.custom(n, [])
     op = block_dyn.block_operator(
-        exact_table(ProductMeasure(), g), graphs.SubsetSpec.uniform_k(1), g)
+        exact_table(ProductMeasure(), g), graphs.UniformK(1), g)
     with pytest.raises(ValueError, match="capped"):
         op.matrix
 
@@ -67,9 +67,9 @@ def test_matrix_reversibility_and_stationarity():
     g = graphs.cycle(6)
     t = exact_table(IsingMeasure(0.4), g)
     for spec in (
-        graphs.SubsetSpec.uniform_k(2),
-        graphs.SubsetSpec.bernoulli(0.3),
-        graphs.SubsetSpec.uniform_translate(_bits.indices_to_mask([0, 1], 6)),
+        graphs.UniformK(2),
+        graphs.Bernoulli(0.3),
+        graphs.UniformTranslate(_bits.indices_to_mask([0, 1], 6)),
     ):
         op = block_dyn.block_operator(t, spec, g)
         mu = t.p
@@ -85,7 +85,7 @@ def test_eigenclue_product_uniform_k():
     g = graphs.custom(n, [])
     t = exact_table(ProductMeasure(), g)
     for k in (1, 2, 3):
-        op = block_dyn.block_operator(t, graphs.SubsetSpec.uniform_k(k), g)
+        op = block_dyn.block_operator(t, graphs.UniformK(k), g)
         assert block_dyn.spectrum(op).lambda_2 == pytest.approx(k / n, abs=1e-10)
 
 
@@ -93,7 +93,7 @@ def test_eigenclue_verify_ising_cycle():
     g = graphs.cycle(6)
     t = exact_table(IsingMeasure(0.4), g)
     rep = block_dyn.eigenclue_verify(
-        t, graphs.SubsetSpec.uniform_k(2), g, trials=100, rng=stream(23, 0))
+        t, graphs.UniformK(2), g, trials=100, rng=stream(23, 0))
     assert rep.residual <= 1e-8
     assert rep.max_trial_clue <= rep.lambda_2 + 1e-9
 
@@ -113,7 +113,7 @@ def test_degenerate_top_eigenspace():
     n = 4
     g = graphs.custom(n, [])
     t = exact_table(ProductMeasure(), g)
-    spec = graphs.SubsetSpec.uniform_k(1)
+    spec = graphs.UniformK(1)
     op = block_dyn.block_operator(t, spec, g)
     mu = t.p
     root = np.sqrt(mu)
@@ -129,7 +129,7 @@ def test_degenerate_top_eigenspace():
 def test_dirichlet_form_examples():
     g = graphs.cycle(5)
     t = exact_table(IsingMeasure(0.4), g)
-    spec = graphs.SubsetSpec.uniform_k(2)
+    spec = graphs.UniformK(2)
     op = block_dyn.block_operator(t, spec, g)
     assert block_dyn.dirichlet_form(op, np.full(32, 2.0)) == pytest.approx(0.0, abs=1e-12)
     rep = block_dyn.spectrum(op)
@@ -137,7 +137,7 @@ def test_dirichlet_form_examples():
     assert block_dyn.dirichlet_form(op, f2) / t.variance(f2) == pytest.approx(
         1 - rep.lambda_2, abs=1e-9)
     # resample-everything chain: form equals the variance
-    empty = graphs.SubsetSpec.fixed(np.zeros(5, dtype=bool))
+    empty = graphs.Fixed(np.zeros(5, dtype=bool))
     ope = block_dyn.block_operator(t, empty, g)
     rng = stream(23, 2)
     f = rng.standard_normal(32)
@@ -149,7 +149,7 @@ def test_dirichlet_clue_identity():
     # E(f)/Var(f) = 1 - expected clue, for arbitrary f
     g = graphs.cycle(5)
     t = exact_table(IsingMeasure(0.35), g)
-    spec = graphs.SubsetSpec.bernoulli(0.4)
+    spec = graphs.Bernoulli(0.4)
     op = block_dyn.block_operator(t, spec, g)
     rng = stream(23, 3)
     for _ in range(10):
@@ -163,12 +163,12 @@ def test_bottleneck_examples():
     # resample-everything: a half-measure event escapes at rate 1/2
     g = graphs.custom(2, [])
     t = exact_table(ProductMeasure(), g)
-    empty = graphs.SubsetSpec.fixed(np.zeros(2, dtype=bool))
+    empty = graphs.Fixed(np.zeros(2, dtype=bool))
     op = block_dyn.block_operator(t, empty, g)
     event = np.array([1.0, 1.0, 0.0, 0.0])
     assert block_dyn.bottleneck_ratio(op, event) == pytest.approx(0.5, abs=1e-12)
     # frozen chain: every event is absorbing
-    full = graphs.SubsetSpec.fixed(np.ones(2, dtype=bool))
+    full = graphs.Fixed(np.ones(2, dtype=bool))
     opf = block_dyn.block_operator(t, full, g)
     assert block_dyn.bottleneck_ratio(opf, event) == pytest.approx(0.0, abs=1e-12)
     with pytest.raises(ValueError):
@@ -180,7 +180,7 @@ def test_cheeger_certificate_small_and_exhaustive():
     # upper-bounds it and already certifies the gap inequality
     g = graphs.cycle(4)
     t = exact_table(IsingMeasure(0.45), g)
-    spec = graphs.SubsetSpec.uniform_k(1)
+    spec = graphs.UniformK(1)
     op = block_dyn.block_operator(t, spec, g)
     rep = block_dyn.spectrum(op)
     star = block_dyn.exhaustive_bottleneck(op)
@@ -193,7 +193,7 @@ def test_cheeger_certificate_small_and_exhaustive():
 def test_cheeger_sweep_certificate_n6():
     g = graphs.cycle(6)
     t = exact_table(IsingMeasure(0.4), g)
-    op = block_dyn.block_operator(t, graphs.SubsetSpec.uniform_k(2), g)
+    op = block_dyn.block_operator(t, graphs.UniformK(2), g)
     rep = block_dyn.spectrum(op)
     sweep = block_dyn.sweep_cut_bottleneck(op, rep.second_eigenfunction)
     assert sweep**2 / 2 <= rep.gap + 1e-12
@@ -203,7 +203,7 @@ def test_clue_flux_floor():
     # 1 - 2 Phi(E) <= expected clue of the indicator
     g = graphs.cycle(5)
     t = exact_table(IsingMeasure(0.5), g)
-    spec = graphs.SubsetSpec.uniform_k(2)
+    spec = graphs.UniformK(2)
     op = block_dyn.block_operator(t, spec, g)
     rng = stream(23, 4)
     for _ in range(15):
@@ -220,7 +220,7 @@ def test_one_step_simulation_matches_matrix_rows():
     # empirical transition frequencies against the explicit rows
     g = graphs.cycle(4)
     t = exact_table(IsingMeasure(0.5), g)
-    spec = graphs.SubsetSpec.uniform_k(2)
+    spec = graphs.UniformK(2)
     op = block_dyn.block_operator(t, spec, g)
     rng = stream(23, 5)
     steps = 100_000
@@ -276,12 +276,12 @@ def test_frozen_everything_keeps_disagreement():
     g = graphs.custom(6, [])
     table = exact_table(ProductMeasure(), g)
     op = block_dyn.block_operator(
-        table, graphs.SubsetSpec.fixed(np.ones(6, dtype=bool)), g)
+        table, graphs.Fixed(np.ones(6, dtype=bool)), g)
     assert np.allclose(op.matrix, np.eye(64))
     rng = stream(23, 40)
     for state in (0, 17, 63):
         assert block_dyn.block_chain_step(
-            table, graphs.SubsetSpec.fixed(np.ones(6, dtype=bool)), g, state, rng
+            table, graphs.Fixed(np.ones(6, dtype=bool)), g, state, rng
         ) == state
 
 
@@ -290,7 +290,7 @@ def test_reducible_chain_flagged():
 
     g = graphs.custom(3, [])
     t = exact_table(ProductMeasure(), g)
-    spec = graphs.SubsetSpec.explicit([
+    spec = graphs.Explicit([
         (_bits.indices_to_mask([0], 3), 0.5),
         (_bits.indices_to_mask([0, 1], 3), 0.5),
     ])  # vertex 0 is always kept
@@ -303,7 +303,7 @@ def test_reducible_chain_flagged():
 def test_spectrum_lanczos_path_matches_dense():
     g = graphs.cycle(6)
     t = exact_table(IsingMeasure(0.4), g)
-    op = block_dyn.block_operator(t, graphs.SubsetSpec.uniform_k(2), g)
+    op = block_dyn.block_operator(t, graphs.UniformK(2), g)
     iterative = block_dyn.spectrum(op)
     root = np.sqrt(t.p)
     dense = np.linalg.eigvalsh(root[:, None] * op.matrix / root[None, :])
@@ -317,12 +317,12 @@ def test_magnetization_clue_bounded_by_lambda2():
     # the chain's second eigenvalue
     g = graphs.cycle(6)
     t = exact_table(IsingMeasure(0.4), g)
-    spec = graphs.SubsetSpec.uniform_k(2)
+    spec = graphs.UniformK(2)
     op = block_dyn.block_operator(t, spec, g)
     lam2 = block_dyn.spectrum(op).lambda_2
-    from spinlab.measures import Observable
+    from spinlab.measures import Magnetization
 
-    val = clue.expected_clue(t, Observable.magnetization(), spec, g)
+    val = clue.expected_clue(t, Magnetization(), spec, g)
     assert val <= lam2 + 1e-9
 
 
@@ -330,7 +330,7 @@ def test_transition_matrix_entries_against_literal_construction():
     # entry-by-entry oracle: P(x,y) = sum_S P[U=S] 1{x_S = y_S} mu(y)/mu_S(x_S)
     g = graphs.cycle(5)
     t = exact_table(IsingMeasure(0.45), g)
-    spec = graphs.SubsetSpec.uniform_k(2)
+    spec = graphs.UniformK(2)
     op = block_dyn.block_operator(t, spec, g)
     size = 1 << 5
     oracle = np.zeros((size, size))
@@ -365,11 +365,14 @@ def _literal_matrix(t, support):
 
 
 def _prefix_scan(t, matrix, f):
-    # one dense Dirichlet form per threshold cut of f
+    # one dense Dirichlet form per level-set cut {f >= v}, v the lowest value
+    # of a level; a level ends where sorted values drop by more than the
+    # relative tolerance
     best = math.inf
-    ind = np.zeros(1 << t.n)
-    for j in np.argsort(f)[::-1][:-1]:
-        ind[j] = 1.0
+    vals = np.sort(f)[::-1]
+    tol = block_dyn.SWEEP_LEVEL_RTOL * np.abs(f).max()
+    for v in vals[:-1][vals[:-1] - vals[1:] > tol]:
+        ind = (f >= v).astype(float)
         mu_e = float(t.p @ ind)
         side = ind if mu_e <= 0.5 else 1.0 - ind
         mu_side = min(mu_e, 1.0 - mu_e)
@@ -399,19 +402,19 @@ def _chains(draw):
         t = exact_table(ProductMeasure(q), g)
     mask = st.lists(st.booleans(), min_size=n, max_size=n).map(np.array)
     base = st.one_of(
-        mask.map(graphs.SubsetSpec.fixed),
-        st.floats(0.0, 1.0).map(graphs.SubsetSpec.bernoulli),
-        st.integers(0, n).map(graphs.SubsetSpec.uniform_k),
-        mask.map(graphs.SubsetSpec.uniform_translate),
+        mask.map(graphs.Fixed),
+        st.floats(0.0, 1.0).map(graphs.Bernoulli),
+        st.integers(0, n).map(graphs.UniformK),
+        mask.map(graphs.UniformTranslate),
         st.lists(st.tuples(mask, st.floats(0.01, 1.0)), min_size=1, max_size=4).map(
-            lambda items: graphs.SubsetSpec.explicit(
+            lambda items: graphs.Explicit(
                 [(m, w / sum(w for _, w in items)) for m, w in items])),
     )
     if g.kind == "cycle":
-        base = st.one_of(base, st.just(graphs.SubsetSpec.tiled(1)))
+        base = st.one_of(base, st.just(graphs.Tiled(1)))
     spec = draw(base)
     if draw(st.booleans()):
-        spec = graphs.SubsetSpec.union_of_k_copies(spec, draw(st.integers(1, 3)))
+        spec = graphs.UnionOfKCopies(spec, draw(st.integers(1, 3)))
     seed = draw(st.integers(0, 2**32 - 1))
     return g, t, spec, np.random.default_rng(seed)
 
@@ -429,7 +432,7 @@ def test_operator_matches_literal_construction(chain):
     if t.variance(f) > 1e-6:
         assert block_dyn.dirichlet_form(op, f) / t.variance(f) == pytest.approx(
             1 - clue.expected_clue(t, f, spec, g), abs=1e-9)
-    # a few distinct values force ties, broken the same way by both scans
+    # a few distinct values force ties, which no level-set cut splits
     for values in (f, rng.integers(0, 3, size=size).astype(float)):
         assert block_dyn.sweep_cut_bottleneck(op, values) == pytest.approx(
             _prefix_scan(t, matrix, values), abs=1e-12)

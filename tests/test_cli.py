@@ -67,6 +67,10 @@ def test_exit_codes(tmp_path):
         {"spec": {"kind": "bernoulli", "p": 1.5}},
         {"graph": {"type": "no-such-graph", "n": 6}},
         {"graph": {"type": "cycle", "n": 2}},
+        {"graph": {"type": "cycle", "n": "six"}},
+        {"spec": {"kind": "uniform_k", "k": "two"}},
+        {"spec": {"kind": "union_of_k_copies", "k": 0,
+                  "inner": {"kind": "uniform_k", "k": 2}}},
     ]):
         bad = tmp_path / f"bad{i}.json"
         bad.write_text(json.dumps(doc))

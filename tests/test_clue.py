@@ -4,12 +4,15 @@ import warnings
 import numpy as np
 import pytest
 
-from spinlab import _bits, clue, graphs, ising, measures
+from spinlab import _bits, block_dyn, clue, graphs, ising, measures
 from spinlab.measures import (
     CurieWeissMeasure,
+    Custom,
     IsingMeasure,
-    Observable,
+    Magnetization,
+    Majority,
     ProductMeasure,
+    SingleSpin,
     exact_table,
 )
 from spinlab.rng import stream
@@ -28,7 +31,7 @@ def random_table(n, rng):
 def test_clue_full_and_empty():
     g = graphs.cycle(5)
     t = exact_table(IsingMeasure(0.4), g)
-    f = Observable.majority()
+    f = Majority()
     assert clue.clue_exact(t, f, (1 << 5) - 1) == pytest.approx(1.0, abs=1e-12)
     assert clue.clue_exact(t, f, 0) == pytest.approx(0.0, abs=1e-12)
 
@@ -42,7 +45,7 @@ def test_clue_constant_function_zero():
 def test_clue_maj3_singleton():
     g = graphs.custom(3, [])
     t = exact_table(ProductMeasure(), g)
-    assert clue.clue_exact(t, Observable.majority(), 0b001) == pytest.approx(0.25)
+    assert clue.clue_exact(t, Majority(), 0b001) == pytest.approx(0.25)
 
 
 def test_clue_monotone_under_inclusion():
@@ -67,14 +70,14 @@ def test_clue_sharpness_on_iid():
     idx = _bits.config_indices(n)
     f_obs = sum(_bits.spins_of(idx, v) for v in (1, 2, 4))
     assert clue.clue_exact(t, f_obs, ubits) == pytest.approx(1.0, abs=1e-12)
-    m = Observable.magnetization()
+    m = Magnetization()
     assert clue.clue_exact(t, m, ubits) == pytest.approx(3 / n, abs=1e-12)
 
 
 def test_iclue_exact_edges():
     g = graphs.cycle(4)
     t = exact_table(IsingMeasure(0.6), g)
-    f = Observable.majority()
+    f = Majority()
     assert clue.iclue_exact(t, f, 0b1111) == pytest.approx(1.0, abs=1e-12)
     assert clue.iclue_exact(t, f, 0) == pytest.approx(0.0, abs=1e-12)
     with pytest.raises(ValueError):
@@ -84,8 +87,8 @@ def test_iclue_exact_edges():
 def test_expected_clue_fixed_equals_exact():
     g = graphs.cycle(5)
     t = exact_table(IsingMeasure(0.3), g)
-    f = Observable.magnetization()
-    spec = graphs.SubsetSpec.fixed(_bits.indices_to_mask([0, 2], 5))
+    f = Magnetization()
+    spec = graphs.Fixed(_bits.indices_to_mask([0, 2], 5))
     assert clue.expected_clue(t, f, spec, g) == pytest.approx(
         clue.clue_exact(t, f, 0b00101), abs=1e-12)
 
@@ -96,7 +99,7 @@ def test_expected_clue_product_bound():
     g = graphs.cycle(n)
     t = exact_table(ProductMeasure(), g)
     rng = stream(17, 1)
-    spec = graphs.SubsetSpec.uniform_k(2)
+    spec = graphs.UniformK(2)
     for _ in range(10):
         f = rng.standard_normal(1 << n)
         val = clue.expected_clue(t, f, spec, g)
@@ -106,8 +109,8 @@ def test_expected_clue_product_bound():
 def test_expected_clue_sampled_mode():
     g = graphs.cycle(5)
     t = exact_table(IsingMeasure(0.4), g)
-    f = Observable.magnetization()
-    spec = graphs.SubsetSpec.uniform_k(2)
+    f = Magnetization()
+    spec = graphs.UniformK(2)
     exact = clue.expected_clue(t, f, spec, g)
     est = clue.expected_clue(t, f, spec, g, cap=3, rng=stream(17, 2), replicas=400)
     assert abs(est.value - exact) <= 4 * est.standard_error
@@ -116,11 +119,11 @@ def test_expected_clue_sampled_mode():
 def test_p_operator_examples():
     g = graphs.cycle(4)
     t = exact_table(IsingMeasure(0.5), g)
-    f = Observable.majority().table_values(4)
-    full = graphs.SubsetSpec.fixed(np.ones(4, dtype=bool))
-    assert np.allclose(clue.apply_P_operator(f, full, g, t), f, atol=1e-12)
-    empty = graphs.SubsetSpec.fixed(np.zeros(4, dtype=bool))
-    out = clue.apply_P_operator(f, empty, g, t)
+    f = Majority().table_values(4)
+    full = graphs.Fixed(np.ones(4, dtype=bool))
+    assert np.allclose(block_dyn.block_operator(t, full, g).apply(f), f, atol=1e-12)
+    empty = graphs.Fixed(np.zeros(4, dtype=bool))
+    out = block_dyn.block_operator(t, empty, g).apply(f)
     assert np.allclose(out, t.expectation(f), atol=1e-12)
 
 
@@ -129,23 +132,24 @@ def test_p_operator_single_spin_shrinks():
     g = graphs.custom(1, [])
     t = exact_table(ProductMeasure(), g)
     q = 0.35
-    spec = graphs.SubsetSpec.explicit([
+    spec = graphs.Explicit([
         (np.array([True]), q), (np.array([False]), 1 - q)])
-    f = Observable.single_spin(0).table_values(1)
-    out = clue.apply_P_operator(f, spec, g, t)
+    f = SingleSpin(0).table_values(1)
+    out = block_dyn.block_operator(t, spec, g).apply(f)
     assert np.allclose(out, q * f, atol=1e-12)
 
 
 def test_p_operator_iteration_converges_to_eigenfunction():
     g = graphs.cycle(5)
     t = exact_table(IsingMeasure(0.4), g)
-    spec = graphs.SubsetSpec.uniform_k(2)
+    spec = graphs.UniformK(2)
     rng = stream(17, 3)
     f = rng.standard_normal(32)
+    op = block_dyn.block_operator(t, spec, g)
     prev = f
     for _ in range(60):
-        prev = clue.apply_P_operator(prev, spec, g, t)
-    nxt = clue.apply_P_operator(prev, spec, g, t)
+        prev = op.apply(prev)
+    nxt = op.apply(prev)
     # centered iterates align with a single eigendirection
     a = prev - t.expectation(prev)
     b = nxt - t.expectation(nxt)
@@ -161,10 +165,11 @@ def test_p_is_good_inequality():
         n = int(rng.integers(2, 6))
         g = graphs.custom(n, [])
         t = random_table(n, rng)
-        spec = graphs.SubsetSpec.uniform_k(1)
+        spec = graphs.UniformK(1)
         f = rng.standard_normal(1 << n)
         before = clue.expected_clue(t, f, spec, g)
-        after = clue.expected_clue(t, clue.apply_P_operator(f, spec, g, t), spec, g)
+        pf = block_dyn.block_operator(t, spec, g).apply(f)
+        after = clue.expected_clue(t, pf, spec, g)
         assert before <= after + 1e-10
 
 
@@ -172,10 +177,10 @@ def test_m_operator_hand_instance():
     g = graphs.custom(2, [])
     t = exact_table(ProductMeasure(), g)
     fam = clue.ConditionalFamily(t, {
-        0b01: Observable.single_spin(0).table_values(2),
-        0b10: Observable.single_spin(1).table_values(2),
+        0b01: SingleSpin(0).table_values(2),
+        0b10: SingleSpin(1).table_values(2),
     })
-    spec = graphs.SubsetSpec.uniform_k(1)
+    spec = graphs.UniformK(1)
     vals, dropped = clue.apply_M_operator(fam, spec, g, t)
     assert dropped == []
     assert t.variance(vals) == pytest.approx(0.5, abs=1e-12)
@@ -188,9 +193,9 @@ def test_m_operator_hand_instance():
 def test_m_operator_fixed_spec_unit_variance():
     g = graphs.cycle(4)
     t = exact_table(IsingMeasure(0.3), g)
-    spec = graphs.SubsetSpec.fixed(_bits.indices_to_mask([0, 1], 4))
+    spec = graphs.Fixed(_bits.indices_to_mask([0, 1], 4))
     fam = clue.ConditionalFamily.of_conditionals(
-        t, Observable.magnetization(), [0b0011])
+        t, Magnetization(), [0b0011])
     vals, _ = clue.apply_M_operator(fam, spec, g, t)
     assert t.variance(vals) == pytest.approx(1.0, abs=1e-10)
 
@@ -200,9 +205,9 @@ def test_m_operator_drops_degenerate_members():
     t = exact_table(ProductMeasure(), g)
     fam = clue.ConditionalFamily(t, {
         0b00: np.zeros(4),
-        0b01: Observable.single_spin(0).table_values(2),
+        0b01: SingleSpin(0).table_values(2),
     })
-    spec = graphs.SubsetSpec.explicit([
+    spec = graphs.Explicit([
         (np.zeros(2, dtype=bool), 0.5),
         (_bits.indices_to_mask([0], 2), 0.5),
     ])
@@ -212,7 +217,7 @@ def test_m_operator_drops_degenerate_members():
     assert dropped == [0]
     assert len(caught) == 1
     # remaining term: 0.5 * sigma_0 / 1
-    assert np.allclose(vals, 0.5 * Observable.single_spin(0).table_values(2))
+    assert np.allclose(vals, 0.5 * SingleSpin(0).table_values(2))
 
 
 def test_var_m_equals_average_correlation():
@@ -222,7 +227,7 @@ def test_var_m_equals_average_correlation():
         g = graphs.custom(n, [])
         t = random_table(n, rng)
         f = rng.standard_normal(1 << n)
-        spec = graphs.SubsetSpec.uniform_k(int(rng.integers(1, n + 1)))
+        spec = graphs.UniformK(int(rng.integers(1, n + 1)))
         support = [s for s, _ in graphs.subset_support(spec, g)]
         fam = clue.ConditionalFamily.of_conditionals(t, f, support)
         vals, _ = clue.apply_M_operator(fam, spec, g, t)
@@ -238,7 +243,7 @@ def test_correlation_identity_random_tables():
         g = graphs.custom(n, [])
         t = random_table(n, rng)
         f = rng.standard_normal(1 << n)
-        spec = graphs.SubsetSpec.uniform_k(int(rng.integers(1, n)))
+        spec = graphs.UniformK(int(rng.integers(1, n)))
         support = [s for s, _ in graphs.subset_support(spec, g)]
         fam = clue.ConditionalFamily.of_conditionals(t, f, support)
         mvals, _ = clue.apply_M_operator(fam, spec, g, t)
@@ -252,7 +257,7 @@ def test_boost_iid_hand_value():
     g = graphs.custom(4, [])
     t = exact_table(ProductMeasure(), g)
     rep = clue.boost_reconstruction(
-        Observable.magnetization(), graphs.SubsetSpec.uniform_k(1), 4, t, g)
+        Magnetization(), graphs.UniformK(1), 4, t, g)
     assert rep.average_correlation == pytest.approx(0.25, abs=1e-12)
     assert rep.lower_bound == pytest.approx(0.5, abs=1e-12)
     assert rep.achieved >= rep.lower_bound
@@ -263,7 +268,7 @@ def test_boost_covers_everything_in_the_limit():
     g = graphs.custom(3, [])
     t = exact_table(ProductMeasure(), g)
     rep = clue.boost_reconstruction(
-        Observable.magnetization(), graphs.SubsetSpec.uniform_k(1), 40, t, g)
+        Magnetization(), graphs.UniformK(1), 40, t, g)
     assert rep.achieved > 0.999
 
 
@@ -271,7 +276,7 @@ def test_boost_on_ordered_mean_field():
     g = graphs.complete(12)
     t = exact_table(CurieWeissMeasure(1.5), g)
     rep = clue.boost_reconstruction(
-        Observable.magnetization(), graphs.SubsetSpec.uniform_k(1), 6, t, g)
+        Magnetization(), graphs.UniformK(1), 6, t, g)
     assert rep.achieved >= rep.lower_bound
     assert rep.achieved > rep.unboosted
 
@@ -279,26 +284,26 @@ def test_boost_on_ordered_mean_field():
 def test_boost_rejects_degenerate_support():
     g = graphs.custom(2, [])
     t = exact_table(ProductMeasure(), g)
-    spec = graphs.SubsetSpec.bernoulli(0.5)  # includes the empty subset
+    spec = graphs.Bernoulli(0.5)  # includes the empty subset
     with pytest.raises(ValueError):
-        clue.boost_reconstruction(Observable.magnetization(), spec, 2, t, g)
+        clue.boost_reconstruction(Magnetization(), spec, 2, t, g)
 
 
 def test_shearer_examples():
     # fair coins, uniform singleton: equality at 1 bit
     g = graphs.custom(4, [])
     t = exact_table(ProductMeasure(), g)
-    rep = clue.shearer_check(t, graphs.SubsetSpec.uniform_k(1), g)
+    rep = clue.shearer_check(t, graphs.UniformK(1), g)
     assert rep.lhs == pytest.approx(1.0, abs=1e-10)
     assert rep.rhs == pytest.approx(1.0, abs=1e-10)
     assert rep.holds
     # fixed full set: both sides are the total entropy
     g6 = graphs.cycle(6)
     t6 = exact_table(IsingMeasure(0.5), g6)
-    full = graphs.SubsetSpec.fixed(np.ones(6, dtype=bool))
+    full = graphs.Fixed(np.ones(6, dtype=bool))
     rep = clue.shearer_check(t6, full, g6)
     assert rep.lhs == pytest.approx(rep.rhs, abs=1e-10)
-    rep2 = clue.shearer_check(t6, graphs.SubsetSpec.uniform_k(2), g6)
+    rep2 = clue.shearer_check(t6, graphs.UniformK(2), g6)
     assert rep2.holds
     assert rep2.lhs <= rep2.rhs + 1e-10
 
@@ -354,7 +359,7 @@ def test_clue_mc_product_measure():
     n, k = 10, 3
     sampler = ProductSampler(n)
     est = clue.clue_mc(
-        sampler, Observable.magnetization(), _bits.indices_to_mask(range(k), n),
+        sampler, Magnetization(), _bits.indices_to_mask(range(k), n),
         outer=220, inner=12, rng=stream(17, 8))
     assert abs(est.value - k / n) <= 3.5 * est.standard_error
     assert est.outer_samples == 220 and est.inner_samples == 12
@@ -363,7 +368,7 @@ def test_clue_mc_product_measure():
 def test_clue_mc_constant_function():
     sampler = ProductSampler(6)
     est = clue.clue_mc(
-        sampler, Observable.custom(lambda c: 1.0),
+        sampler, Custom(lambda c: 1.0),
         _bits.indices_to_mask([0], 6), outer=30, inner=4, rng=stream(17, 9))
     assert est.value == 0.0
 
@@ -371,10 +376,10 @@ def test_clue_mc_constant_function():
 def test_clue_mc_validation():
     sampler = ProductSampler(4)
     with pytest.raises(ValueError):
-        clue.clue_mc(sampler, Observable.magnetization(), np.zeros(4, bool),
+        clue.clue_mc(sampler, Magnetization(), np.zeros(4, bool),
                      outer=10, inner=1, rng=stream(17, 10))
     with pytest.raises(ValueError):
-        clue.clue_mc(sampler, Observable.magnetization(), np.zeros(4, bool),
+        clue.clue_mc(sampler, Magnetization(), np.zeros(4, bool),
                      outer=1, inner=4, rng=stream(17, 10))
 
 
@@ -387,7 +392,7 @@ def test_clue_mc_matches_mean_field_oracle():
     sampler = ising.ConditionalGibbsSampler(
         g, ising.IsingParams(beta, J=1.0 / n), sw_burnin=60, sweeps_between=8)
     est = clue.clue_mc(
-        sampler, Observable.magnetization(), _bits.indices_to_mask(range(k), n),
+        sampler, Magnetization(), _bits.indices_to_mask(range(k), n),
         outer=70, inner=10, rng=stream(17, 11))
     assert abs(est.value - exact) <= 3 * max(est.standard_error, 1e-3)
 

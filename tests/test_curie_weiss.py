@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from spinlab import _bits, clue, curie_weiss as cw, graphs, measures
-from spinlab.measures import CurieWeissMeasure, Observable, exact_table
+from spinlab.measures import CurieWeissMeasure, Magnetization, Majority, exact_table
 
 
 def test_pmf_beta0_is_binomial():
@@ -96,8 +96,8 @@ def test_exact_clue_matches_generic_table():
             for k in (1, n // 3, n - 1):
                 ubits = (1 << k) - 1
                 for target, obs in (
-                    ("magnetization", Observable.magnetization()),
-                    ("majority", Observable.majority()),
+                    ("magnetization", Magnetization()),
+                    ("majority", Majority()),
                 ):
                     generic = clue.clue_exact(table, obs, ubits)
                     fast = cw.cw_exact_clue(n, beta, k, target)
@@ -109,7 +109,7 @@ def test_iclue_matches_generic_table():
         g = graphs.complete(n)
         table = exact_table(CurieWeissMeasure(beta), g)
         ubits = (1 << k) - 1
-        generic = clue.iclue_exact(table, Observable.majority(), ubits)
+        generic = clue.iclue_exact(table, Majority(), ubits)
         fast = cw.cw_iclue(n, beta, k).iclue
         assert fast == pytest.approx(generic, abs=1e-9)
 

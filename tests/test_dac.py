@@ -2,7 +2,14 @@ import numpy as np
 import pytest
 
 from spinlab import _bits, clue, dac, graphs, ising, measures
-from spinlab.measures import IsingMeasure, Observable, exact_table
+from spinlab.measures import (
+    IsingMeasure,
+    Magnetization,
+    Majority,
+    Parity,
+    SingleSpin,
+    exact_table,
+)
 from spinlab.rng import stream
 
 
@@ -55,7 +62,7 @@ def test_coefficients_empty_bonds_are_plain_walsh():
 def test_coefficients_spanning_single_spin():
     g = graphs.custom(3, [[0, 1], [1, 2]])
     bonds = dac.clusters(g, [True, True])
-    cf = dac.dac_coefficients(Observable.single_spin(0), bonds)
+    cf = dac.dac_coefficients(SingleSpin(0), bonds)
     assert cf.coefficients[0] == pytest.approx(0.0, abs=1e-12)
     assert cf.coefficients[1] == pytest.approx(1.0, abs=1e-12)
 
@@ -63,7 +70,7 @@ def test_coefficients_spanning_single_spin():
 def test_coefficients_magnetization_cluster_sizes():
     g = graphs.custom(5, [[0, 1], [1, 2], [2, 3], [3, 4]])
     bonds = dac.clusters(g, [True, True, False, True])  # clusters {0,1,2},{3,4}
-    cf = dac.dac_coefficients(Observable.magnetization(), bonds)
+    cf = dac.dac_coefficients(Magnetization(), bonds)
     # odd-in-first-cluster class carries 3/5; odd-in-second 2/5
     assert cf.coefficients[0b01] == pytest.approx(3 / 5)
     assert cf.coefficients[0b10] == pytest.approx(2 / 5)
@@ -82,7 +89,7 @@ def test_representative_and_profile_roundtrip():
 
 def test_dac_expectation_point_mass():
     g = graphs.custom(2, [[0, 1]])
-    f = Observable.parity([0, 1])
+    f = Parity([0, 1])
     rep = dac.dac_expectation(f, [(0b1, 1.0)], g, g=f)
     assert rep.e_fg == pytest.approx(1.0, abs=1e-12)
     assert rep.e_f == pytest.approx(1.0, abs=1e-12)
@@ -92,7 +99,7 @@ def test_dac_expectation_odd_function_vanishes():
     g = graphs.custom(4, [[0, 1], [1, 2], [2, 3]])
     rng = stream(31, 2)
     table = bernoulli_bond_table(g, 0.45)
-    rep = dac.dac_expectation(Observable.magnetization(), table, g)
+    rep = dac.dac_expectation(Magnetization(), table, g)
     assert rep.e_f == pytest.approx(0.0, abs=1e-12)
 
 
@@ -122,7 +129,7 @@ def test_dac_expectation_sampled_mode():
     def sampler(rng):
         return ising.fk_sample(g, par, rng, sweeps=4)
 
-    fv = Observable.magnetization().table_values(3)
+    fv = Magnetization().table_values(3)
     rep = dac.dac_expectation(fv, sampler, g, rng=stream(31, 4), replicas=500)
     assert abs(rep.e_f - rep.direct_e_f) <= 4 * (rep.se_f + 0.03)
 
@@ -131,10 +138,10 @@ def test_spectral_sample_dac_cases():
     g = graphs.custom(3, [[0, 1], [1, 2]])
     rng = stream(31, 5)
     spanning = dac.clusters(g, [True, True])
-    draws = dac.spectral_sample_dac(Observable.single_spin(0), spanning, rng, size=40)
+    draws = dac.spectral_sample_dac(SingleSpin(0), spanning, rng, size=40)
     assert np.all(draws == 1)  # always the odd class
     empty = dac.clusters(g, [False, False])
-    f = Observable.majority()
+    f = Majority()
     draws = dac.spectral_sample_dac(f, empty, rng, size=30_000)
     coef = measures.walsh_transform(f.table_values(3), 3)
     # empty bonds: profiles coincide with subsets
@@ -148,7 +155,7 @@ def test_spectral_sample_magnetization_cluster_weights():
     g = graphs.custom(4, [[0, 1], [1, 2], [2, 3]])
     bonds = dac.clusters(g, [True, False, True])  # clusters {0,1}, {2,3}
     rng = stream(31, 6)
-    draws = dac.spectral_sample_dac(Observable.magnetization(), bonds, rng, size=20_000)
+    draws = dac.spectral_sample_dac(Magnetization(), bonds, rng, size=20_000)
     # both clusters have size 2: equal squared weight
     freq = np.bincount(draws, minlength=4) / len(draws)
     assert freq[0b01] == pytest.approx(0.5, abs=0.02)
@@ -185,8 +192,8 @@ def test_bounds_empty_bonds_reduce_to_iid():
     n = 5
     g = graphs.custom(n, [[i, i + 1] for i in range(n - 1)])
     bond_table = [(0, 1.0)]
-    spec = graphs.SubsetSpec.uniform_k(2)
-    rep = dac.dac_clue_upper_bound(Observable.magnetization(), bond_table, spec, g)
+    spec = graphs.UniformK(2)
+    rep = dac.dac_clue_upper_bound(Magnetization(), bond_table, spec, g)
     assert rep.cluster_ratio_bound == pytest.approx(2 / n, abs=1e-12)
     assert rep.exact_expected_clue == pytest.approx(2 / n, abs=1e-10)
     assert rep.clue_given_bonds == pytest.approx(0.0, abs=1e-12)
@@ -195,7 +202,7 @@ def test_bounds_empty_bonds_reduce_to_iid():
 def test_bounds_odd_function_no_bond_information():
     g = graphs.custom(4, [[0, 1], [1, 2], [2, 3]])
     bond_table = bernoulli_bond_table(g, 0.5)
-    spec = graphs.SubsetSpec.uniform_k(2)
+    spec = graphs.UniformK(2)
     # odd function: knowing the clustering alone gives nothing
     rng = stream(31, 8)
     fv = rng.standard_normal(16)
@@ -220,7 +227,7 @@ def test_bound_chain_random_instances():
         agg = {}
         for m, p in zip(masks, probs):
             agg[int(m)] = agg.get(int(m), 0) + float(p)
-        spec = graphs.SubsetSpec.uniform_k(int(rng.integers(1, 4)))
+        spec = graphs.UniformK(int(rng.integers(1, 4)))
         fv = rng.standard_normal(1 << n)
         rep = dac.dac_clue_upper_bound(fv, sorted(agg.items()), spec, g)
         assert rep.exact_expected_clue <= rep.spectral_bound + 1e-9
@@ -231,9 +238,9 @@ def test_magnetization_singleton_identity():
     g = graphs.custom(6, [[0, 1], [1, 2], [2, 3], [3, 4], [4, 5], [0, 3]])
     bond_table = bernoulli_bond_table(g, 0.35)
     for k in (1, 2, 3):
-        spec = graphs.SubsetSpec.uniform_k(k)
+        spec = graphs.UniformK(k)
         rep = dac.dac_clue_upper_bound(
-            Observable.magnetization(), bond_table, spec, g)
+            Magnetization(), bond_table, spec, g)
         assert rep.singleton_bound_for_magnetization == pytest.approx(
             rep.cluster_ratio_bound, abs=1e-9)
         assert rep.exact_expected_clue <= rep.singleton_bound_for_magnetization + 1e-9
@@ -241,7 +248,7 @@ def test_magnetization_singleton_identity():
 
 def test_fk_bound_beta0_gives_revealment():
     g = graphs.torus(2, 3)
-    spec = graphs.SubsetSpec.uniform_k(2)
+    spec = graphs.UniformK(2)
     rep = dac.fk_magnetization_bound(g, 0.0, spec, samples=50, rng=stream(31, 10),
                                      sweeps=2)
     assert rep.ratio_bound == pytest.approx(2 / 9, abs=1e-12)
@@ -259,7 +266,7 @@ def test_fk_bound_two_path_matches_enumeration():
     p_open = w_open / (w_open + w_closed)
     exact_ratio = (p_open * (4 + 4) + (1 - p_open) * (1 + 1)) / (
         p_open * (2 + 2) + (1 - p_open) * (1 + 1))
-    spec = graphs.SubsetSpec.uniform_k(1)
+    spec = graphs.UniformK(1)
     rep = dac.fk_magnetization_bound(g, beta, spec, samples=4000,
                                      rng=stream(31, 11), sweeps=3)
     assert abs(rep.ratio_bound - 0.5 * exact_ratio) <= 3 * rep.ratio_se
@@ -269,11 +276,11 @@ def test_fk_bound_dominates_mc_clue_small_torus():
     # the full pipeline at desk scale: MC clue of the average vs the bound
     g = graphs.torus(2, 3)
     beta = 0.5
-    spec = graphs.SubsetSpec.uniform_k(2)
+    spec = graphs.UniformK(2)
     rng = stream(31, 12)
     bound = dac.fk_magnetization_bound(g, beta, spec, samples=150, rng=rng, sweeps=10)
     table = exact_table(IsingMeasure(beta), g)
-    exact = clue.expected_clue(table, Observable.magnetization(), spec, g)
+    exact = clue.expected_clue(table, Magnetization(), spec, g)
     assert exact <= bound.ratio_bound + 3 * bound.ratio_se
 
 
@@ -291,7 +298,7 @@ def test_spectral_bound_equals_joint_conditional_variance():
     fc = fv - table.expectation(fv)
     var_f = table.variance(fc)
     for k in (1, 2, 3):
-        spec = graphs.SubsetSpec.uniform_k(k)
+        spec = graphs.UniformK(k)
         rep = dac.dac_clue_upper_bound(fc, bond_table, spec, g)
         # oracle: E over (U, N) of E[ E[f | sigma_U, N]^2 ]
         total = 0.0

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spinlab import _bits, graphs
 from spinlab.rng import stream
+from test_block_dyn import _chains
 
 
 def test_cycle_structure():
@@ -75,7 +76,7 @@ def test_graph_json_roundtrip():
 
 def test_fixed_subset_deterministic():
     g = graphs.cycle(5)
-    spec = graphs.SubsetSpec.fixed(_bits.indices_to_mask([0, 2], 5))
+    spec = graphs.Fixed(_bits.indices_to_mask([0, 2], 5))
     rng = stream(1, 0)
     for _ in range(5):
         assert _bits.mask_to_indices(graphs.sample_subset(spec, g, rng)).tolist() == [0, 2]
@@ -83,24 +84,28 @@ def test_fixed_subset_deterministic():
 
 def test_bernoulli_p1_full():
     g = graphs.cycle(5)
-    mask = graphs.sample_subset(graphs.SubsetSpec.bernoulli(1.0), g, stream(1, 1))
+    mask = graphs.sample_subset(graphs.Bernoulli(1.0), g, stream(1, 1))
     assert mask.all()
 
 
 def test_uniform_k_too_large_rejected():
     g = graphs.cycle(5)
     with pytest.raises(ValueError):
-        graphs.sample_subset(graphs.SubsetSpec.uniform_k(6), g, stream(1, 2))
+        graphs.sample_subset(graphs.UniformK(6), g, stream(1, 2))
 
 
 @pytest.mark.parametrize("spec", [
-    graphs.SubsetSpec.uniform_k(6),
-    graphs.SubsetSpec.uniform_k(99),
-    graphs.SubsetSpec.uniform_k(-1),
-    graphs.SubsetSpec.bernoulli(1.5),
-    graphs.SubsetSpec.bernoulli(-0.1),
-    graphs.SubsetSpec.bernoulli([0.2, 0.2, 0.2, 0.2, 1.01]),
-    graphs.SubsetSpec.bernoulli(float("nan")),
+    graphs.UniformK(6),
+    graphs.UniformK(99),
+    graphs.UniformK(-1),
+    graphs.Bernoulli(1.5),
+    graphs.Bernoulli(-0.1),
+    graphs.Bernoulli([0.2, 0.2, 0.2, 0.2, 1.01]),
+    graphs.Bernoulli(float("nan")),
+    graphs.UnionOfKCopies(graphs.UniformK(2), 0),
+    graphs.Fixed([1, 0, 1]),
+    graphs.UniformTranslate([1, 0, 1]),
+    graphs.Explicit([([1, 0, 1], 1.0)]),
 ], ids=lambda spec: spec.to_json())
 def test_invalid_spec_rejected_everywhere(spec):
     g = graphs.cycle(5)
@@ -115,7 +120,7 @@ def test_invalid_spec_rejected_everywhere(spec):
 def test_uniform_translate_preserves_cardinality():
     g = graphs.torus(2, 4)
     base = _bits.indices_to_mask([0, 1, 5], 16)
-    spec = graphs.SubsetSpec.uniform_translate(base)
+    spec = graphs.UniformTranslate(base)
     rng = stream(1, 3)
     for _ in range(50):
         assert graphs.sample_subset(spec, g, rng).sum() == 3
@@ -146,18 +151,18 @@ def test_membership_matches_revealment(case):
     draws = 100_000
     if case == "tiled":
         g = graphs.torus(1, 16)
-        spec = graphs.SubsetSpec.tiled(5)
+        spec = graphs.Tiled(5)
     else:
         g = graphs.torus(2, 3)
         spec = {
-            "fixed": graphs.SubsetSpec.fixed(_bits.indices_to_mask([1, 4, 7], 9)),
-            "bernoulli": graphs.SubsetSpec.bernoulli(0.37),
-            "uniform_k": graphs.SubsetSpec.uniform_k(3),
-            "uniform_translate": graphs.SubsetSpec.uniform_translate(
+            "fixed": graphs.Fixed(_bits.indices_to_mask([1, 4, 7], 9)),
+            "bernoulli": graphs.Bernoulli(0.37),
+            "uniform_k": graphs.UniformK(3),
+            "uniform_translate": graphs.UniformTranslate(
                 _bits.indices_to_mask([0, 1], 9)),
-            "union": graphs.SubsetSpec.union_of_k_copies(
-                graphs.SubsetSpec.uniform_k(2), 3),
-            "explicit": graphs.SubsetSpec.explicit([
+            "union": graphs.UnionOfKCopies(
+                graphs.UniformK(2), 3),
+            "explicit": graphs.Explicit([
                 (_bits.indices_to_mask([0], 9), 0.25),
                 (_bits.indices_to_mask([1, 2], 9), 0.75),
             ]),
@@ -171,28 +176,28 @@ def test_membership_matches_revealment(case):
 
 def test_tiled_revealment_values():
     g1 = graphs.torus(1, 16)
-    vec, delta = graphs.revealment(graphs.SubsetSpec.tiled(5), g1)
+    vec, delta = graphs.revealment(graphs.Tiled(5), g1)
     assert delta == pytest.approx(3 / 8)
     assert np.allclose(vec, 3 / 8)
     g2 = graphs.torus(2, 40)
-    vec2, delta2 = graphs.revealment(graphs.SubsetSpec.tiled(5), g2)
+    vec2, delta2 = graphs.revealment(graphs.Tiled(5), g2)
     assert delta2 == pytest.approx(1 - (5 / 8) ** 2)
     assert delta2 == pytest.approx(0.609375)
 
 
 def test_uniform_k_revealment():
     g = graphs.torus(2, 3)
-    vec, delta = graphs.revealment(graphs.SubsetSpec.uniform_k(2), g)
+    vec, delta = graphs.revealment(graphs.UniformK(2), g)
     assert np.allclose(vec, 2 / 9)
     g8 = graphs.custom(8, [[0, 1]])
-    vec8, delta8 = graphs.revealment(graphs.SubsetSpec.uniform_k(2), g8)
+    vec8, delta8 = graphs.revealment(graphs.UniformK(2), g8)
     assert delta8 == pytest.approx(0.25)
 
 
 def test_union_revealment_exact():
     g = graphs.torus(2, 3)
-    inner = graphs.SubsetSpec.bernoulli(0.2)
-    spec = graphs.SubsetSpec.union_of_k_copies(inner, 3)
+    inner = graphs.Bernoulli(0.2)
+    spec = graphs.UnionOfKCopies(inner, 3)
     vec, delta = graphs.revealment(spec, g)
     assert np.allclose(vec, 1 - 0.8**3)
     assert delta <= 3 * 0.2 + 1e-12
@@ -232,67 +237,55 @@ def test_tiled_complement_boxes_on_free_boundary_box():
 def test_tiled_rejects_oversized_blocks():
     g = graphs.torus(2, 8)
     with pytest.raises(ValueError):
-        graphs.sample_subset(graphs.SubsetSpec.tiled(6), g, stream(0, 0))
+        graphs.sample_subset(graphs.Tiled(6), g, stream(0, 0))
 
 
 def test_tiled_membership_probability_unaffected_by_clipping():
     # side not divisible by the period: pointwise membership is still exact
     g = graphs.torus(2, 10)
-    spec = graphs.SubsetSpec.tiled(4)
+    spec = graphs.Tiled(4)
     vec, _ = graphs.revealment(spec, g)
     emp = _empirical_membership(spec, g, 100_000, 77)
     se = np.sqrt(vec * (1 - vec) / 100_000)
     assert np.all(np.abs(emp - vec) <= 4 * se)
 
 
-def test_axis_only_variant_runs():
-    # compatibility flag: samples and revealment agree empirically, nothing
-    # asserted about its geometry
-    g = graphs.torus(2, 16)
-    spec = graphs.SubsetSpec.tiled(5, axis_only=True)
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_chains())
+@example((graphs.cycle(4), None, graphs.Tiled(1), np.random.default_rng(1)))
+@example((graphs.cycle(6), None, graphs.UnionOfKCopies(graphs.Tiled(2), 2),
+          np.random.default_rng(2)))
+def test_spec_kind_json_support_and_sampling(chain):
+    # every kind, explicit and unions included: JSON round trip, the support
+    # as a law, and membership from support and from samples vs revealment
+    g, _, spec, rng = chain
+    n = g.n_vertices
+    back = graphs.SubsetSpec.from_json(spec.to_json(), n)
+    assert type(back) is type(spec) and back.to_json() == spec.to_json()
+    support = graphs.subset_support(spec, g)
+    bits = [b for b, _ in support]
+    assert bits == sorted(set(bits))
+    assert sum(p for _, p in support) == pytest.approx(1.0, abs=1e-12)
     vec, delta = graphs.revealment(spec, g)
-    emp = _empirical_membership(spec, g, 60_000, 78)
-    se = np.sqrt(np.maximum(vec * (1 - vec), 1e-12) / 60_000)
-    assert np.all(np.abs(emp - vec) <= 4 * se + 1e-9)
-
-
-def test_subset_support_probabilities():
-    g = graphs.cycle(5)
-    for spec in (
-        graphs.SubsetSpec.uniform_k(2),
-        graphs.SubsetSpec.bernoulli(0.3),
-        graphs.SubsetSpec.uniform_translate(_bits.indices_to_mask([0, 1], 5)),
-        graphs.SubsetSpec.union_of_k_copies(graphs.SubsetSpec.uniform_k(1), 2),
-    ):
-        support = graphs.subset_support(spec, g)
-        total = sum(p for _, p in support)
-        assert total == pytest.approx(1.0, abs=1e-12)
-        vec, _ = graphs.revealment(spec, g)
-        # support-based membership equals the closed-form revealment
-        acc = np.zeros(5)
-        for bits, prob in support:
-            acc += prob * _bits.bits_to_mask(bits, 5)
-        assert np.allclose(acc, vec, atol=1e-12)
+    acc = np.zeros(n)
+    for b, prob in support:
+        acc += prob * _bits.bits_to_mask(b, n)
+    assert np.abs(acc - vec).max() <= 1e-12
+    assert delta == vec.max()
+    draws = 2000
+    emp = np.zeros(n)
+    for _ in range(draws):
+        emp += graphs.sample_subset(spec, g, rng)
+    emp /= draws
+    # 4 standard errors, plus one draw for the discreteness of rare members
+    se = np.sqrt(vec * (1 - vec) / draws)
+    assert np.all(np.abs(emp - vec) <= 4 * se + 1 / draws)
 
 
 def test_subset_support_cap():
     g = graphs.torus(2, 5)
     with pytest.raises(ValueError):
-        graphs.subset_support(graphs.SubsetSpec.uniform_k(12), g, cap=1000)
-
-
-def test_spec_json_roundtrip():
-    n = 9
-    specs = [
-        graphs.SubsetSpec.fixed(_bits.indices_to_mask([1, 3], n)),
-        graphs.SubsetSpec.bernoulli(0.4),
-        graphs.SubsetSpec.uniform_k(3),
-        graphs.SubsetSpec.tiled(5),
-        graphs.SubsetSpec.union_of_k_copies(graphs.SubsetSpec.uniform_k(1), 4),
-    ]
-    for spec in specs:
-        back = graphs.SubsetSpec.from_json(spec.to_json(), n)
-        assert back.to_json() == spec.to_json()
+        graphs.subset_support(graphs.UniformK(12), g, cap=1000)
 
 
 def test_mask_serialization():

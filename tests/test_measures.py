@@ -8,10 +8,16 @@ from hypothesis import strategies as st
 from spinlab import _bits, graphs, measures
 from spinlab.measures import (
     CurieWeissMeasure,
+    Custom,
     DacMeasure,
+    Indicator,
     IsingMeasure,
-    Observable,
+    Magnetization,
+    Majority,
+    Parity,
     ProductMeasure,
+    SingleSpin,
+    TotalSum,
     exact_table,
     walsh_transform,
 )
@@ -58,23 +64,23 @@ def test_translation_invariant_marginals():
 
 
 def test_observable_eval_examples():
-    m = Observable.magnetization()
+    m = Magnetization()
     assert m.evaluate(np.array([1, 1, -1, -1])) == 0.0
-    maj = Observable.majority()
+    maj = Majority()
     assert maj.evaluate(np.array([1, -1])) == -1.0  # tie
-    par = Observable.parity([1, 2])
+    par = Parity([1, 2])
     assert par.evaluate(np.array([1, -1, 1, 1])) == -1.0
-    assert Observable.single_spin(2).evaluate(np.array([1, 1, -1])) == -1.0
-    assert Observable.total_sum().evaluate(np.array([1, 1, -1])) == 1.0
+    assert SingleSpin(2).evaluate(np.array([1, 1, -1])) == -1.0
+    assert TotalSum().evaluate(np.array([1, 1, -1])) == 1.0
 
 
 def test_observable_tables_match_eval():
     n = 4
     observables = [
-        Observable.magnetization(), Observable.majority(),
-        Observable.parity([0, 3]), Observable.single_spin(1),
-        Observable.total_sum(), Observable.indicator([3, 7]),
-        Observable.custom(lambda c: float(c[0] * c[1])),
+        Magnetization(), Majority(),
+        Parity([0, 3]), SingleSpin(1),
+        TotalSum(), Indicator([3, 7]),
+        Custom(lambda c: float(c[0] * c[1])),
     ]
     for obs in observables:
         vals = obs.table_values(n)
@@ -129,7 +135,7 @@ def brute_walsh(values, n):
 
 
 def test_walsh_single_spin():
-    vals = Observable.single_spin(0).table_values(3)
+    vals = SingleSpin(0).table_values(3)
     coef = walsh_transform(vals, 3)
     expected = np.zeros(8)
     expected[0b001] = 1.0
@@ -143,7 +149,7 @@ def test_walsh_constant():
 
 
 def test_walsh_majority3_against_enumeration():
-    vals = Observable.majority().table_values(3)
+    vals = Majority().table_values(3)
     coef = walsh_transform(vals, 3)
     oracle = brute_walsh(vals, 3)
     assert np.allclose(coef, oracle, atol=1e-12)
@@ -173,10 +179,10 @@ def test_walsh_matches_enumeration_random():
 def test_spectral_sample_deterministic_cases():
     rng = stream(6, 0)
     draws = measures.spectral_sample_product(
-        Observable.single_spin(0), 3, rng, size=50)
+        SingleSpin(0), 3, rng, size=50)
     assert np.all(draws == 0b001)
     draws = measures.spectral_sample_product(
-        Observable.parity([0, 1, 2]), 3, rng, size=50)
+        Parity([0, 1, 2]), 3, rng, size=50)
     assert np.all(draws == 0b111)
     with pytest.raises(ValueError):
         measures.spectral_sample_product(np.ones(8), 3, rng)
@@ -184,7 +190,7 @@ def test_spectral_sample_deterministic_cases():
 
 def test_spectral_sample_frequencies():
     n = 3
-    vals = Observable.majority().table_values(n)
+    vals = Majority().table_values(n)
     coef = walsh_transform(vals, n)
     law = coef**2 / (coef**2).sum()
     rng = stream(6, 1)
@@ -202,7 +208,7 @@ def test_clue_via_spectrum_mc_matches_exact():
     n, ubits = 3, 0b011
     g = graphs.custom(n, [])
     t = exact_table(ProductMeasure(), g)
-    vals = Observable.majority().table_values(n)
+    vals = Majority().table_values(n)
     exact = clue_exact(t, vals, ubits)
     rng = stream(6, 2)
     draws = measures.spectral_sample_product(vals, n, rng, size=60_000)
@@ -237,7 +243,7 @@ def test_product_clue_bound_transitive_functions():
     n = 8
     g = graphs.cycle(n)
     t = exact_table(ProductMeasure(), g)
-    for obs in (Observable.majority(), Observable.parity(range(n))):
+    for obs in (Majority(), Parity(range(n))):
         vals = obs.table_values(n)
         for ubits in range(1 << n):
             size = bin(ubits).count("1")
@@ -352,7 +358,7 @@ def test_ffiid_needs_four_sites():
 
 
 def test_vector_dump_roundtrip(tmp_path):
-    coef = walsh_transform(Observable.majority().table_values(3), 3)
+    coef = walsh_transform(Majority().table_values(3), 3)
     path = tmp_path / "coef.bin"
     measures.dump_vector(path, coef, 3, kind="walsh")
     back, n, kind = measures.load_vector(path)
