@@ -282,6 +282,39 @@ def test_spec_kind_json_support_and_sampling(chain):
     assert np.all(np.abs(emp - vec) <= 4 * se + 1 / draws)
 
 
+def test_subset_support_probabilities():
+    g = graphs.cycle(5)
+    for spec in (
+        graphs.UniformK(2),
+        graphs.Bernoulli(0.3),
+        graphs.UniformTranslate(_bits.indices_to_mask([0, 1], 5)),
+        graphs.UnionOfKCopies(graphs.UniformK(1), 2),
+    ):
+        support = graphs.subset_support(spec, g)
+        total = sum(p for _, p in support)
+        assert total == pytest.approx(1.0, abs=1e-12)
+        vec, _ = graphs.revealment(spec, g)
+        # support-based membership equals the closed-form revealment
+        acc = np.zeros(5)
+        for bits, prob in support:
+            acc += prob * _bits.bits_to_mask(bits, 5)
+        assert np.allclose(acc, vec, atol=1e-12)
+
+
+def test_spec_json_roundtrip():
+    n = 9
+    specs = [
+        graphs.Fixed(_bits.indices_to_mask([1, 3], n)),
+        graphs.Bernoulli(0.4),
+        graphs.UniformK(3),
+        graphs.Tiled(5),
+        graphs.UnionOfKCopies(graphs.UniformK(1), 4),
+    ]
+    for spec in specs:
+        back = graphs.SubsetSpec.from_json(spec.to_json(), n)
+        assert back.to_json() == spec.to_json()
+
+
 def test_subset_support_cap():
     g = graphs.torus(2, 5)
     with pytest.raises(ValueError):
