@@ -29,7 +29,7 @@ from .graphs import (
     subset_support,
     tiled_complement_mask,
 )
-from .ising import IsingParams, conditional_exact_resample, sw_chain
+from .ising import IsingParams, conditional_exact_resample, heat_bath, sw_chain
 from .measures import ProbabilityTable
 
 #: Memory the boundary keys and block masses may take (bytes).
@@ -386,33 +386,20 @@ def _coupled_block_resample(
     """Redraw one block in two coupled copies with identical randomness.
 
     Tiny blocks use an exact conditional draw through a shared uniform;
-    larger blocks run the heat-bath grand coupling (shared uniforms, index
-    order). Equal boundaries yield equal redraws by construction.
+    larger blocks run the pair as two replicas of the coupled heat-bath
+    kernel. Equal boundaries yield equal redraws by construction.
     """
     if len(block) <= exact_cap:
         u = rng.random()
         x_cfg[block] = conditional_exact_resample(graph, params, x_cfg, block, u)[block]
         y_cfg[block] = conditional_exact_resample(graph, params, y_cfg, block, u)[block]
         return
-    nbrs = graph.neighbor_lists()
-    degmax = max(len(nbrs[int(v)]) for v in block)
-    from .ising import _heat_bath_tables
-
-    p_plus = _heat_bath_tables(params, degmax)
-    xs = x_cfg.tolist()
-    ys = y_cfg.tolist()
-    block_list = [int(v) for v in block]
-    for _ in range(sweeps):
-        us = rng.random(len(block_list))
-        for i, v in enumerate(block_list):
-            mx = my = 0
-            for u_ in nbrs[v]:
-                mx += xs[u_]
-                my += ys[u_]
-            xs[v] = 1 if us[i] < p_plus[mx + degmax] else -1
-            ys[v] = 1 if us[i] < p_plus[my + degmax] else -1
-    x_cfg[block] = np.asarray(xs, dtype=np.int8)[block]
-    y_cfg[block] = np.asarray(ys, dtype=np.int8)[block]
+    frozen = np.ones(graph.n_vertices, dtype=bool)
+    frozen[block] = False
+    pair = heat_bath(np.stack([x_cfg, y_cfg]), graph, params, sweeps, rng,
+                     frozen=frozen, coupled=True)
+    x_cfg[block] = pair[0, block]
+    y_cfg[block] = pair[1, block]
 
 
 def path_coupling_rate(
@@ -439,7 +426,7 @@ def path_coupling_rate(
     d = graph.kind_params["d"]
     params = IsingParams(beta=beta, J=1.0) if beta > 0 else None
     etas = np.empty(trials)
-    nbrs = graph.neighbor_lists()
+    nbrs = graph.geometry.lists
     chain = sw_chain(graph, params, rng, warmup_steps) if beta > 0 else None
     for t in range(trials):
         if beta > 0:

@@ -778,6 +778,8 @@ def _validate_params(name: str, overrides: dict) -> tuple[Recipe, dict]:
     if name not in RECIPES:
         raise KeyError(f"unknown recipe {name!r}")
     rec = RECIPES[name]
+    if not isinstance(overrides, dict):
+        raise TypeError("the config must be a JSON object of parameter overrides")
     params = dict(rec.defaults)
     for key, value in overrides.items():
         if key == "budget_seconds":
@@ -789,6 +791,13 @@ def _validate_params(name: str, overrides: dict) -> tuple[Recipe, dict]:
         g = graphs.build_graph(params["graph"])
         if "spec" in params:
             graphs.revealment(graphs.SubsetSpec.from_json(params["spec"], g.n_vertices), g)
+    if "spec_k" in params:
+        # fk-bound runs on the side x side torus, dac-bounds on n-vertex graphs
+        if "side" in params:
+            g = graphs.torus(2, params["side"])
+        else:
+            g = graphs.custom(params["n"], [[i, i + 1] for i in range(params["n"] - 1)])
+        graphs.revealment(graphs.UniformK(params["spec_k"]), g)
     return rec, params
 
 

@@ -346,8 +346,10 @@ def clue_mc(
 ) -> ClueEstimate:
     """Nested-variance estimator of the explained-variance fraction.
 
-    For each outer group, draw a full configuration, freeze the observed
-    spins, and repeatedly resample the complement; the between-group mean
+    Draw one full configuration per outer group, freeze the observed
+    spins, and resample the complement of all groups together `inner`
+    times (`sampler.resample_free` takes the groups as the rows of one
+    array); the between-group mean
     square minus (within mean square)/inner removes the O(1/inner) bias of
     the naive conditional-mean variance. The ratio is clamped to [0, 1] and
     its standard error comes from a replica bootstrap over outer groups.
@@ -358,12 +360,10 @@ def clue_mc(
         raise ValueError("need at least 2 outer groups")
     frozen_mask = np.asarray(frozen_mask, dtype=bool)
     ys = np.empty((outer, inner))
-    for g in range(outer):
-        full = sampler.draw_full(rng)
-        cfg = full
-        for j in range(inner):
-            cfg = sampler.resample_free(cfg, frozen_mask, rng)
-            ys[g, j] = f.evaluate(cfg)
+    cfgs = np.stack([sampler.draw_full(rng) for _ in range(outer)])
+    for j in range(inner):
+        cfgs = sampler.resample_free(cfgs, frozen_mask, rng)
+        ys[:, j] = [f.evaluate(cfg) for cfg in cfgs]
 
     def ratio(groups: np.ndarray) -> float:
         means = groups.mean(axis=1)

@@ -3,7 +3,9 @@
 Vertex indexing on tori and boxes is row-major over coordinates
 (``numpy.unravel_index`` with C order), so masks are portable across runs.
 Subset masks are boolean numpy arrays over vertices; the exact layer converts
-them to integer bitmasks via :mod:`spinlab._bits`.
+them to integer bitmasks via :mod:`spinlab._bits`. Each graph builds its
+`Geometry` (padded neighbour rows and a proper vertex colouring) once, on
+first use of `Graph.geometry`.
 
 A law of the random observation set U is a `SubsetSpec`: one frozen
 dataclass per kind (`Fixed`, `Bernoulli`, `UniformK`, `UniformTranslate`,
@@ -14,6 +16,7 @@ exact revealment, support enumeration and JSON document. `sample_subset`,
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -127,11 +130,13 @@ class Graph:
         raise ValueError(f"graph kind {self.kind!r} has no translation group")
 
     def neighbor_lists(self) -> list[list[int]]:
-        nbrs: list[list[int]] = [[] for _ in range(self.n_vertices)]
-        for u, v in self.edges:
-            nbrs[int(u)].append(int(v))
-            nbrs[int(v)].append(int(u))
-        return nbrs
+        """Neighbours of each vertex in ascending order (a fresh copy)."""
+        return [list(row) for row in self.geometry.lists]
+
+    @functools.cached_property
+    def geometry(self) -> "Geometry":
+        """Neighbour arrays and vertex colouring, built once per graph."""
+        return Geometry.of(self)
 
     def to_json(self) -> str:
         doc = {
@@ -158,6 +163,47 @@ class Graph:
                 else None
             ),
         )
+
+
+@dataclass(frozen=True, eq=False)
+class Geometry:
+    """The neighbour structure of a graph in the forms the samplers use.
+
+    `nbrs[v]` lists the neighbours of v in ascending order, padded with the
+    sentinel n up to the maximum degree, so that a configuration extended by
+    one zero column sums any vertex's neighbourhood in one gather. `lists`
+    holds the same rows unpadded, for scalar loops. `classes` is a greedy
+    proper colouring in index order: no edge joins two vertices of one
+    class, and even tori and even cycles get exactly two classes.
+    """
+
+    nbrs: np.ndarray  # (n, max degree) int64
+    lists: list[list[int]]
+    classes: tuple[np.ndarray, ...]
+
+    @property
+    def max_degree(self) -> int:
+        return self.nbrs.shape[1]
+
+    @staticmethod
+    def of(graph: Graph) -> "Geometry":
+        n = graph.n_vertices
+        ends = np.concatenate([graph.edges, graph.edges[:, ::-1]])
+        ends = ends[np.lexsort((ends[:, 1], ends[:, 0]))]
+        degree = np.bincount(ends[:, 0], minlength=n)
+        nbrs = np.full((n, int(degree.max(initial=0))), n, dtype=np.int64)
+        first = np.cumsum(degree) - degree
+        nbrs[ends[:, 0], np.arange(len(ends)) - first[ends[:, 0]]] = ends[:, 1]
+        lists = [row[:d] for row, d in zip(nbrs.tolist(), degree.tolist())]
+        colour = [0] * n
+        for v, row in enumerate(lists):
+            used = {colour[u] for u in row if u < v}
+            colour[v] = next(c for c in itertools.count() if c not in used)
+        colour = np.asarray(colour, dtype=np.int64)
+        classes = tuple(
+            np.flatnonzero(colour == c) for c in range(int(colour.max(initial=-1)) + 1)
+        )
+        return Geometry(nbrs, lists, classes)
 
 
 def _materialize_shifts(graph: Graph) -> np.ndarray | None:
@@ -310,9 +356,8 @@ def component_labels(
 
     if vmask is not None:
         labels = np.where(vmask, labels, -1)
-        k = len(np.unique(labels[vmask])) if vmask.any() else 0
-    else:
-        k = len(np.unique(labels))
+    # Each active component has exactly one root: its smallest vertex.
+    k = int(np.count_nonzero(labels == np.arange(n)))
     return labels, k
 
 

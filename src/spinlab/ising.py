@@ -133,8 +133,8 @@ def glauber_sweep(
     if rng is None:
         raise ValueError("no random stream attached to the chain")
     n = graph.n_vertices
-    nbrs = _cached_neighbors(graph)
-    degmax = max((len(x) for x in nbrs), default=0)
+    nbrs = graph.geometry.lists
+    degmax = graph.geometry.max_degree
     p_plus = _heat_bath_tables(params, degmax)
     cfg = state.config.tolist()
     if frozen is not None:
@@ -160,12 +160,49 @@ def glauber_sweep(
     return state
 
 
-def _cached_neighbors(graph: Graph) -> list[list[int]]:
-    cached = graph.__dict__.get("_neighbor_cache")
-    if cached is None:
-        cached = graph.neighbor_lists()
-        graph.__dict__["_neighbor_cache"] = cached
-    return cached
+def heat_bath(
+    cfgs: np.ndarray,
+    graph: Graph,
+    params: IsingParams,
+    sweeps: int,
+    rng: np.random.Generator,
+    frozen: np.ndarray | None = None,
+    coupled: bool = False,
+) -> np.ndarray:
+    """Heat-bath sweeps of R replicas at once, in place on the (R, n) int8
+    array `cfgs`, which is also returned.
+
+    A sweep redraws the colour classes of `graph.geometry` in turn; no edge
+    joins two sites of one class, so a class is redrawn at once from its
+    conditional law given the rest. Sites in `frozen` are never touched.
+    With `coupled=True` all replicas share one row of uniforms per class:
+    the identical-randomness grand coupling, under which equal replicas stay
+    equal and, since J > 0, ordered replicas stay ordered.
+    """
+    cfgs = np.asarray(cfgs)
+    n = graph.n_vertices
+    if cfgs.dtype != np.int8 or cfgs.ndim != 2 or cfgs.shape[1] != n:
+        raise ValueError(f"heat_bath needs an (R, {n}) int8 array")
+    geom = graph.geometry
+    degmax = geom.max_degree
+    # P[+1 | neighbour sum m] at index m, negative m counting from the end
+    p_plus = np.roll(_heat_bath_tables(params, degmax), -degmax)
+    plan = []  # (sites, neighbour slots by degree, shape of one draw of uniforms)
+    for sites in geom.classes:
+        if frozen is not None:
+            sites = sites[~np.asarray(frozen, dtype=bool)[sites]]
+        if len(sites):
+            shape = len(sites) if coupled else (len(cfgs), len(sites))
+            plan.append((sites, geom.nbrs[sites].T.copy(), shape))
+    work = np.zeros((len(cfgs), n + 1), dtype=np.int8)  # column n: the sentinel 0
+    work[:, :n] = cfgs
+    up, down = np.int8(1), np.int8(-1)
+    for _ in range(sweeps):
+        for sites, slots, shape in plan:
+            m = work.take(slots, axis=1).sum(axis=1)
+            work[:, sites] = np.where(rng.random(shape) < p_plus[m], up, down)
+    cfgs[:] = work[:, :n]
+    return cfgs
 
 
 @dataclass
@@ -218,9 +255,10 @@ def swendsen_wang_step(
 
 def edwards_sokal_color(bonds: BondConfig, rng: np.random.Generator) -> np.ndarray:
     """Assign one fair +-1 coin per cluster; spins are constant on clusters."""
-    reps, inverse = np.unique(bonds.labels, return_inverse=True)
-    coins = rng.choice(np.array([-1, 1], dtype=np.int8), size=len(reps))
-    return coins[inverse]
+    labels = bonds.labels
+    roots = labels == np.arange(len(labels))  # one per cluster, in label order
+    coins = rng.choice(np.array([-1, 1], dtype=np.int8), size=int(roots.sum()))
+    return coins[np.cumsum(roots)[labels] - 1]
 
 
 def sw_chain(
@@ -289,19 +327,17 @@ def conditional_exact_resample(
     if m > 16:
         raise ValueError("exact conditional resampling capped at 16 free spins")
     cfg = np.asarray(config, dtype=np.int8).copy()
-    pos = {int(v): i for i, v in enumerate(free)}
-    free_set = set(pos)
-    internal = []
-    fields = np.zeros(m)
-    for u, v in graph.edges:
-        u, v = int(u), int(v)
-        if u in free_set and v in free_set:
-            internal.append((pos[u], pos[v]))
-        elif u in free_set:
-            fields[pos[u]] += params.J * cfg[v]
-        elif v in free_set:
-            fields[pos[v]] += params.J * cfg[u]
-    fields += params.h
+    n = graph.n_vertices
+    nbrs = graph.geometry.nbrs[free]
+    pos = np.full(n + 1, -1, dtype=np.int64)
+    pos[free] = np.arange(m)
+    outside = np.append(cfg, np.int8(0))  # the sentinel and free sites add 0
+    outside[free] = 0
+    fields = params.J * outside[nbrs].sum(axis=1) + params.h
+    # internal edges u < v in the order of graph.edges
+    rows, cols = np.nonzero((pos[nbrs] >= 0) & (nbrs > free[:, None]))
+    order = np.lexsort((nbrs[rows, cols], free[rows]))
+    internal = zip(rows[order].tolist(), pos[nbrs[rows, cols]][order].tolist())
     sub_idx = np.arange(1 << m, dtype=np.uint64)
     energy = np.zeros(1 << m)
     spins = [(2.0 * ((sub_idx >> np.uint64(i)) & np.uint64(1)).astype(float) - 1.0)
@@ -343,15 +379,16 @@ class ConditionalGibbsSampler:
         return sw_chain(self.graph, self.params, rng, self.sw_burnin)
 
     def resample_free(
-        self, config: np.ndarray, frozen_mask: np.ndarray, rng: np.random.Generator
+        self, configs: np.ndarray, frozen_mask: np.ndarray, rng: np.random.Generator
     ) -> np.ndarray:
+        """Redraw the free spins of every row of the (R, n) array `configs`
+        by heat-bath sweeps, returning a new (R, n) array."""
+        frozen_mask = np.asarray(frozen_mask, dtype=bool)
         n_free = int((~frozen_mask).sum())
         sweeps = (
             self.sweeps_between
             if self.sweeps_between is not None
             else 50 * max(n_free, 1)
         )
-        state = ChainState(np.asarray(config, dtype=np.int8).copy(), 0, rng)
-        glauber_sweep(state, self.graph, self.params, frozen=frozen_mask,
-                      sweeps=sweeps, rng=rng)
-        return state.config
+        cfgs = np.array(configs, dtype=np.int8, ndmin=2)
+        return heat_bath(cfgs, self.graph, self.params, sweeps, rng, frozen=frozen_mask)

@@ -77,6 +77,17 @@ def test_exit_codes(tmp_path):
         out = tmp_path / f"bad{i}"
         assert main(["eigenclue-verify", "--config", str(bad), "--out", str(out)]) == 2
         assert not (out / "summary.json").exists()
+    # a config that is not an object, and subset sizes the recipe's graph cannot hold
+    for i, (name, doc) in enumerate([
+        ("cw-guess", [1]),
+        ("fk-bound", {"spec_k": 99}),
+        ("dac-bounds", {"spec_k": 99}),
+    ]):
+        bad = tmp_path / f"bad-recipe{i}.json"
+        bad.write_text(json.dumps(doc))
+        out = tmp_path / f"bad-recipe{i}"
+        assert main([name, "--config", str(bad), "--out", str(out)]) == 2
+        assert not out.exists()
 
 
 def test_seed_determinism(tmp_path):

@@ -348,10 +348,11 @@ class ProductSampler:
     def draw_full(self, rng):
         return rng.choice(np.array([-1, 1], dtype=np.int8), size=self.n)
 
-    def resample_free(self, config, frozen_mask, rng):
-        out = np.asarray(config).copy()
+    def resample_free(self, configs, frozen_mask, rng):
+        out = np.array(configs, ndmin=2)
         free = ~frozen_mask
-        out[free] = rng.choice(np.array([-1, 1], dtype=np.int8), size=int(free.sum()))
+        out[:, free] = rng.choice(np.array([-1, 1], dtype=np.int8),
+                                  size=(len(out), int(free.sum())))
         return out
 
 

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinlab import _bits, graphs, ising, measures
 from spinlab.measures import IsingMeasure, exact_table
@@ -303,3 +305,156 @@ def test_random_scan_mode_reaches_stationarity():
         counts[_bits.config_to_index(state.config)] += 1
     tv = 0.5 * np.abs(counts / counts.sum() - t.p).sum()
     assert tv < 0.03
+
+
+# -- replica heat-bath kernel ----------------------------------------------------
+
+
+@st.composite
+def _graphs(draw):
+    kind = draw(st.sampled_from(["cycle", "torus", "complete", "custom"]))
+    if kind == "cycle":
+        return graphs.cycle(draw(st.integers(3, 9)))
+    if kind == "torus":
+        return graphs.torus(2, draw(st.integers(3, 6)))
+    if kind == "complete":
+        return graphs.complete(draw(st.integers(1, 6)))
+    n = draw(st.integers(1, 8))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return graphs.custom(n, edges)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(_graphs(), st.floats(0.0, 1.5), st.floats(0.1, 2.0), st.floats(-0.5, 0.5),
+       st.integers(1, 4), st.integers(0, 2**32 - 1))
+def test_heat_bath_kernel_properties(g, beta, J, h, replicas, seed):
+    n = g.n_vertices
+    geom = g.geometry
+    # neighbour rows match the edge list, padded with the sentinel n
+    lists = [[] for _ in range(n)]
+    for u, v in g.edges.tolist():
+        lists[u].append(v)
+        lists[v].append(u)
+    assert geom.lists == [sorted(row) for row in lists]
+    for row, padded in zip(geom.lists, geom.nbrs.tolist()):
+        assert padded == row + [n] * (geom.max_degree - len(row))
+    # the colouring is a proper partition into classes
+    colour = np.full(n, -1)
+    for c, sites in enumerate(geom.classes):
+        assert (colour[sites] == -1).all()
+        colour[sites] = c
+    assert (colour >= 0).all()
+    assert not np.any(colour[g.edges[:, 0]] == colour[g.edges[:, 1]])
+    even = (g.kind == "cycle" and n % 2 == 0) or (
+        g.kind == "torus" and g.kind_params["side"] % 2 == 0)
+    if even:
+        assert len(geom.classes) == 2
+
+    par = ising.IsingParams(beta, J=J, h=h)
+    rng = np.random.default_rng(seed)
+    frozen = rng.random(n) < 0.4
+    cfgs = rng.choice(np.array([-1, 1], dtype=np.int8), size=(replicas, n))
+    before = cfgs.copy()
+    out = ising.heat_bath(cfgs, g, par, 3, rng, frozen=frozen)
+    assert out is cfgs and out.dtype == np.int8
+    assert np.array_equal(cfgs[:, frozen], before[:, frozen])
+    assert np.isin(cfgs, [-1, 1]).all()
+    # coupled mode: equal copies stay equal, ordered copies stay ordered
+    x = before[0]
+    equal = np.stack([x, x])
+    ising.heat_bath(equal, g, par, 3, rng, frozen=frozen, coupled=True)
+    assert np.array_equal(equal[0], equal[1])
+    below = np.where(rng.random(n) < 0.5, np.int8(-1), x)
+    pair = np.stack([x, below])
+    ising.heat_bath(pair, g, par, 3, rng, frozen=frozen, coupled=True)
+    assert (pair[0] >= pair[1]).all()
+    assert np.array_equal(pair[:, frozen], np.stack([x, below])[:, frozen])
+
+
+@pytest.mark.parametrize("g, beta, J, frozen_sites, n_classes", [
+    (graphs.cycle(6), 0.4, 1.0, [0, 3], 2),
+    (graphs.complete(5), 0.8, 0.2, [], 5),
+    (graphs.cycle(5), 0.4, 1.0, [], 3),
+])
+def test_heat_bath_replica_law_matches_table(g, beta, J, frozen_sites, n_classes):
+    assert len(g.geometry.classes) == n_classes
+    n = g.n_vertices
+    replicas = 60_000
+    rng = stream(6, n)
+    frozen = _bits.indices_to_mask(frozen_sites, n)
+    start = np.array([1, 1, -1, -1, 1, 1, -1][:n], dtype=np.int8)
+    cfgs = rng.choice(np.array([-1, 1], dtype=np.int8), size=(replicas, n))
+    cfgs[:, frozen] = start[frozen]
+    ising.heat_bath(cfgs, g, ising.IsingParams(beta, J=J), 40, rng, frozen=frozen)
+    target = exact_table(IsingMeasure(beta, J=J), g).p
+    idx = _bits.config_indices(n)
+    fbits = _bits.mask_to_bits(frozen)
+    sel = (idx & np.uint64(fbits)).astype(np.int64) == _bits.config_to_index(start) & fbits
+    target = np.where(sel, target, 0.0) / target[sel].sum()
+    index = ((cfgs > 0).astype(np.int64) << np.arange(n)).sum(axis=1)
+    freq = np.bincount(index, minlength=1 << n) / replicas
+    assert 0.5 * np.abs(freq - target).sum() <= 0.02
+
+
+def test_resample_free_redraws_rows():
+    g = graphs.torus(2, 4)
+    sampler = ising.ConditionalGibbsSampler(g, ising.IsingParams(0.3), sweeps_between=5)
+    frozen = _bits.indices_to_mask([0, 5], 16)
+    cfgs = np.ones((3, 16), dtype=np.int8)
+    out = sampler.resample_free(cfgs, frozen, stream(6, 99))
+    assert out.shape == (3, 16) and out is not cfgs
+    assert (cfgs == 1).all() and (out[:, frozen] == 1).all()
+    with pytest.raises(ValueError):
+        ising.heat_bath(np.ones((2, 15), dtype=np.int8), g, ising.IsingParams(0.3), 1,
+                        stream(6, 98))
+
+
+def _exact_resample_by_edge_loop(graph, params, config, free, u):
+    """Reference: fields and internal edges from a loop over graph.edges."""
+    m = len(free)
+    pos = {int(v): i for i, v in enumerate(free)}
+    internal, fields = [], np.zeros(m)
+    for a, b in graph.edges.tolist():
+        if a in pos and b in pos:
+            internal.append((pos[a], pos[b]))
+        elif a in pos:
+            fields[pos[a]] += params.J * config[b]
+        elif b in pos:
+            fields[pos[b]] += params.J * config[a]
+    fields += params.h
+    spins = 2.0 * ((np.arange(1 << m)[:, None] >> np.arange(m)) & 1) - 1.0
+    energy = -params.J * sum((spins[:, i] * spins[:, j] for i, j in internal),
+                             np.zeros(1 << m)) - spins @ fields
+    logw = -params.beta * energy
+    cdf = np.cumsum(np.exp(logw - logw.max()))
+    pick = int(np.searchsorted(cdf / cdf[-1], u, side="right"))
+    out = np.asarray(config, dtype=np.int8).copy()
+    out[free] = [1 if (pick >> i) & 1 else -1 for i in range(m)]
+    return out
+
+
+def test_conditional_exact_resample_matches_edge_loop():
+    rng = stream(6, 7)
+    for g in (graphs.torus(2, 6), graphs.cycle(7), graphs.complete(6)):
+        par = ising.IsingParams(0.45, J=1.0, h=0.0)
+        for _ in range(20):
+            cfg = rng.choice(np.array([-1, 1], dtype=np.int8), size=g.n_vertices)
+            free = rng.choice(g.n_vertices, size=int(rng.integers(1, 6)), replace=False)
+            u = rng.random()
+            got = ising.conditional_exact_resample(g, par, cfg, free, u)
+            assert np.array_equal(got, _exact_resample_by_edge_loop(g, par, cfg, free, u))
+
+
+def test_cluster_coins_match_unique_labelling():
+    g = graphs.torus(2, 9)  # 81 vertices, 162 edges: the compiled labelling path
+    rng = stream(6, 8)
+    for p in (0.2, 0.5, 0.8):
+        bonds = ising.BondConfig(g, rng.random(g.n_edges) < p)
+        reps, inverse = np.unique(bonds.labels, return_inverse=True)
+        assert bonds.k == len(reps)
+        state = rng.bit_generator.state
+        coins = ising.edwards_sokal_color(bonds, rng)
+        rng.bit_generator.state = state
+        ref = rng.choice(np.array([-1, 1], dtype=np.int8), size=len(reps))[inverse]
+        assert np.array_equal(coins, ref)
