@@ -6,7 +6,7 @@ Usage::
 
 Exit codes: 0 all assertions pass, 1 assertion failure, 2 usage error.
 Outputs are deterministic functions of (config, seed) and never contain
-wall-clock data, so reruns and different thread counts are byte-identical.
+wall-clock data, so reruns are byte-identical.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import _bits, block_dyn, clue as clue_mod, curie_weiss as cw, dac, graphs, ising, measures
-from .rng import parallel_map, stream
+from .rng import stream
 
 
 # ---------------------------------------------------------------------------
@@ -109,10 +109,27 @@ class Recipe:
     name: str
     claim: str
     defaults: dict
-    run: object  # callable(params, seed, writer, budget, threads) -> list[Assertion]
+    run: object  # callable(params, seed, writer, budget) -> list[Assertion]
 
 
 RECIPES: dict[str, Recipe] = {}
+
+
+def _chunk_sizes(total: int, chunks: int) -> list[int]:
+    """Split `total` draws into n = min(chunks, total) fixed chunks, the
+    first total % n of them one draw larger.
+
+    Chunk i draws from its own stream, so the split, not the run, fixes the
+    output; the spread of the chunk means gives a batch-means standard
+    error that stays honest under within-chunk correlation.
+    """
+    if not all(isinstance(v, int) and not isinstance(v, bool) for v in (total, chunks)):
+        raise TypeError(f"chunks and the draw count must be integers, got {chunks!r}, {total!r}")
+    if chunks < 1 or total < 1:
+        raise ValueError(f"chunks and the draw count must be >= 1, got {chunks}, {total}")
+    n = min(chunks, total)
+    base, extra = divmod(total, n)
+    return [base + (i < extra) for i in range(n)]
 
 
 def recipe(name: str, claim: str, defaults: dict):
@@ -134,7 +151,7 @@ def recipe(name: str, claim: str, defaults: dict):
     "observation count, and the information share obeys the entropy bound.",
     {"n": 2000, "betas": [0.5, 1.0, 1.5], "ks": [10, 20, 50, 100, 200, 500]},
 )
-def run_cw_clue(params, seed, writer, budget, threads):
+def run_cw_clue(params, seed, writer, budget):
     n = params["n"]
     writer.table("cw_clue", [
         "n", "beta", "k", "clue_m", "clue_maj", "iclue_maj",
@@ -171,7 +188,7 @@ def run_cw_clue(params, seed, writer, budget, threads):
     "second-moment bound with a nonnegative normalizer gap.",
     {"ns": [100, 1000, 10000], "betas": [0.5, 1.0]},
 )
-def run_cw_entropy(params, seed, writer, budget, threads):
+def run_cw_entropy(params, seed, writer, budget):
     writer.table("cw_entropy", [
         "n", "beta", "entropy_bits", "deficit_bits", "d_bits",
         "moment_bound_bits", "gap_bits",
@@ -202,7 +219,7 @@ def run_cw_entropy(params, seed, writer, budget, threads):
     "exactly computed success probability.",
     {"n": 2000, "betas": [0.5, 1.5], "ks": [1, 10, 50, 200]},
 )
-def run_cw_guess(params, seed, writer, budget, threads):
+def run_cw_guess(params, seed, writer, budget):
     writer.table("cw_guess", ["n", "beta", "k", "success"])
     checks = []
     for beta in params["betas"]:
@@ -221,7 +238,7 @@ def run_cw_guess(params, seed, writer, budget, threads):
     "squared second moment.",
     {"ns": [2000, 4000, 8000], "betas": [0.5, 1.0]},
 )
-def run_en_moments(params, seed, writer, budget, threads):
+def run_en_moments(params, seed, writer, budget):
     writer.table("en_moments", [
         "n", "beta", "second_moment_nm2", "sqrtn_m2", "fourth_ratio",
     ])
@@ -256,7 +273,7 @@ def run_en_moments(params, seed, writer, budget, threads):
         "trials": 100,
     },
 )
-def run_eigenclue(params, seed, writer, budget, threads):
+def run_eigenclue(params, seed, writer, budget):
     g = graphs.build_graph(params["graph"])
     table = measures.exact_table(measures.IsingMeasure(params["beta"]), g)
     spec = graphs.SubsetSpec.from_json(params["spec"], g.n_vertices)
@@ -285,7 +302,7 @@ def run_eigenclue(params, seed, writer, budget, threads):
         "events": 20,
     },
 )
-def run_dirichlet_cheeger(params, seed, writer, budget, threads):
+def run_dirichlet_cheeger(params, seed, writer, budget):
     g = graphs.build_graph(params["graph"])
     table = measures.exact_table(measures.IsingMeasure(params["beta"]), g)
     spec = graphs.SubsetSpec.from_json(params["spec"], g.n_vertices)
@@ -331,7 +348,7 @@ def run_dirichlet_cheeger(params, seed, writer, budget, threads):
         "warmup_steps": 60, "resample_sweeps": 40, "thin": 3, "chunks": 16,
     },
 )
-def run_tiled_coupling(params, seed, writer, budget, threads):
+def run_tiled_coupling(params, seed, writer, budget):
     g = graphs.torus(params["d"], params["side"])
     writer.table("tiled_coupling", ["beta", "L", "eta1_mean", "eta1_se", "trials"])
     checks = []
@@ -341,28 +358,15 @@ def run_tiled_coupling(params, seed, writer, budget, threads):
         if budget.exceeded():
             checks.append(Assertion("budget", "budget", f"stopped before L={L}"))
             return checks
-        trials = params["trials"]
-
-        def one_chunk(args, L=L):
-            chunk_idx, count = args
-            rng = stream(seed, L, chunk_idx)
+        parts = []
+        for i, count in enumerate(_chunk_sizes(params["trials"], params["chunks"])):
             rep = block_dyn.path_coupling_rate(
-                g, beta, L, count, rng,
+                g, beta, L, count, stream(seed, L, i),
                 warmup_steps=params["warmup_steps"],
                 resample_sweeps=params["resample_sweeps"],
                 thin=params["thin"],
             )
-            return rep.eta1_mean, rep.eta1_se, count
-
-        # Work is split into a fixed chunk count (not the thread count), so
-        # outputs are identical however many workers run them. Each chunk
-        # runs its own chain; the batch-means spread across chunks gives an
-        # honest standard error even with within-chunk correlation.
-        n_chunks = min(params["chunks"], trials)
-        base = trials // n_chunks
-        sizes = [base + (1 if i < trials % n_chunks else 0) for i in range(n_chunks)]
-        chunks = [(i, c) for i, c in enumerate(sizes) if c > 0]
-        parts = parallel_map(one_chunk, chunks, threads)
+            parts.append((rep.eta1_mean, rep.eta1_se, count))
         total = sum(c for _, _, c in parts)
         mean = sum(m * c for m, _, c in parts) / total
         if len(parts) > 1:
@@ -422,7 +426,7 @@ def _random_dac_instance(params, rng):
     "matches literal member enumeration.",
     {"instances": 20, "n": 5, "extra_edges": 3, "bond_support": 6},
 )
-def run_dac_identities(params, seed, writer, budget, threads):
+def run_dac_identities(params, seed, writer, budget):
     checks = []
     writer.table("dac_identities", [
         "instance", "e_f_formula", "e_f_direct", "e_fg_formula", "e_fg_direct",
@@ -478,21 +482,17 @@ def _class_members(rep_bits: int, bonds, n: int):
     "form exactly.",
     {"instances": 50, "n": 6, "extra_edges": 2, "bond_support": 5, "spec_k": 2},
 )
-def run_dac_bounds(params, seed, writer, budget, threads):
+def run_dac_bounds(params, seed, writer, budget):
     checks = []
     writer.table("dac_bounds", [
         "instance", "exact", "spectral", "theorem", "cluster_ratio",
     ])
-
-    def one(inst):
+    spec = graphs.UniformK(params["spec_k"])
+    for inst in range(params["instances"]):
         g, bond_table, fv = _random_dac_instance(params, stream(seed, 8, inst))
-        spec = graphs.UniformK(params["spec_k"])
         rep = dac.dac_clue_upper_bound(fv, bond_table, spec, g)
         repm = dac.dac_clue_upper_bound(
             measures.Magnetization(), bond_table, spec, g)
-        return inst, rep, repm
-
-    for inst, rep, repm in parallel_map(one, range(params["instances"]), threads):
         writer.row("dac_bounds", inst, rep.exact_expected_clue, rep.spectral_bound,
                    rep.theorem_bound, rep.cluster_ratio_bound)
         checks.append(check(
@@ -523,7 +523,7 @@ def run_dac_bounds(params, seed, writer, budget, threads):
         "outer": 20, "inner": 12, "sw_burnin": 25, "inner_sweeps": 600,
     },
 )
-def run_fk_bound(params, seed, writer, budget, threads):
+def run_fk_bound(params, seed, writer, budget):
     g = graphs.torus(2, params["side"])
     spec = graphs.UniformK(params["spec_k"])
     writer.table("fk_bound", [
@@ -543,17 +543,14 @@ def run_fk_bound(params, seed, writer, budget, threads):
             g, ising.IsingParams(beta),
             sw_burnin=params["sw_burnin"], sweeps_between=params["inner_sweeps"],
         )
-
-        def one_draw(r, beta=beta, sampler=sampler, bi=bi):
+        values = np.empty(params["u_draws"])
+        for r in range(params["u_draws"]):
             rng = stream(seed, 21, bi, r)
             mask = graphs.sample_subset(spec, g, rng)
-            est = clue_mod.clue_mc(
+            values[r] = clue_mod.clue_mc(
                 sampler, measures.Magnetization(), mask,
                 outer=params["outer"], inner=params["inner"], rng=rng, bootstrap=50,
-            )
-            return est.value
-
-        values = np.array(parallel_map(one_draw, range(params["u_draws"]), threads))
+            ).value
         mc = float(values.mean())
         se = float(values.std(ddof=1) / math.sqrt(len(values)))
         writer.row("fk_bound", beta, mc, se, bound.ratio_bound, bound.ratio_se,
@@ -596,7 +593,7 @@ def _integrated_autocorr(x: np.ndarray) -> float:
         "bootstrap": 200,
     },
 )
-def run_sublattice(params, seed, writer, budget, threads):
+def run_sublattice(params, seed, writer, budget):
     side = params["side"]
     beta = params["beta"] if params["beta"] is not None else ising.BETA_C_2D
     g = graphs.torus(2, side)
@@ -630,7 +627,7 @@ def run_sublattice(params, seed, writer, budget, threads):
             m_sub[s][i] = cfg[sub_idx[s]].mean()
     tau = _integrated_autocorr(m_full)
     ess = N / tau
-    boot = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(31,))))
+    boot = stream(seed, 31)
     writer.table("sublattice", ["mesh", "sublattice_size", "corr", "corr_se"])
     results = []
     for s in params["meshes"]:
@@ -672,18 +669,15 @@ def run_sublattice(params, seed, writer, budget, threads):
         "chunks": 8,
     },
 )
-def run_supercrit(params, seed, writer, budget, threads):
+def run_supercrit(params, seed, writer, budget):
     g = graphs.torus(2, params["side"])
     n = g.n_vertices
     par = ising.IsingParams(params["beta"])
-    N = params["samples"]
-
-    def one_chunk(args):
-        chunk_idx, count = args
-        rng = stream(seed, 40, chunk_idx)
+    rows = []
+    for i, count in enumerate(_chunk_sizes(params["samples"], params["chunks"])):
+        rng = stream(seed, 40, i)
         cfg = None
-        rows = []
-        for i in range(count):
+        for _ in range(count):
             bonds = ising.fk_sample(
                 g, par, rng,
                 sweeps=params["sw_burnin"] if cfg is None else params["thin"],
@@ -699,14 +693,6 @@ def run_supercrit(params, seed, writer, budget, threads):
             rows.append((
                 float(bonds.cluster_sizes().max()), float(cfg.sum()), guess_hit,
             ))
-        return rows
-
-    # Fixed chunk count keeps outputs independent of the worker count.
-    n_chunks = min(params["chunks"], N)
-    base = N // n_chunks
-    sizes = [base + (1 if i < N % n_chunks else 0) for i in range(n_chunks)]
-    chunks = [(i, c) for i, c in enumerate(sizes) if c > 0]
-    rows = [r for part in parallel_map(one_chunk, chunks, threads) for r in part]
     giants = np.array([r[0] for r in rows])
     sums = np.array([r[1] for r in rows])
     hits = [r[2] for r in rows if r[2] is not None]
@@ -736,7 +722,7 @@ def run_supercrit(params, seed, writer, budget, threads):
     "branch, whose frequency matches 2^(1-cycle length).",
     {"n_half": 3, "draws": 20000},
 )
-def run_ffiid_demo(params, seed, writer, budget, threads):
+def run_ffiid_demo(params, seed, writer, budget):
     n = 2 * params["n_half"]
     rng = stream(seed, 50)
     draws = params["draws"]
@@ -782,8 +768,6 @@ def _validate_params(name: str, overrides: dict) -> tuple[Recipe, dict]:
         raise TypeError("the config must be a JSON object of parameter overrides")
     params = dict(rec.defaults)
     for key, value in overrides.items():
-        if key == "budget_seconds":
-            continue
         if key not in rec.defaults:
             raise KeyError(f"unknown parameter {key!r} for recipe {rec.name}")
         params[key] = value
@@ -798,6 +782,12 @@ def _validate_params(name: str, overrides: dict) -> tuple[Recipe, dict]:
         else:
             g = graphs.custom(params["n"], [[i, i + 1] for i in range(params["n"] - 1)])
         graphs.revealment(graphs.UniformK(params["spec_k"]), g)
+    if "chunks" in params:
+        # tiled-coupling splits its trials, supercrit-giant its samples
+        _chunk_sizes(params["trials" if "trials" in params else "samples"], params["chunks"])
+    if "u_draws" in params and not (isinstance(params["u_draws"], int) and params["u_draws"] >= 2):
+        raise ValueError(f"u_draws must be an integer >= 2 for a standard error, "
+                         f"got {params['u_draws']!r}")
     return rec, params
 
 
@@ -807,14 +797,13 @@ def run_recipe(
     seed: int,
     outdir: Path,
     fmt: str = "csv",
-    threads: int = 1,
     budget_seconds: float = 600.0,
 ) -> dict:
     rec, params = _validate_params(name, overrides)
     outdir.mkdir(parents=True, exist_ok=True)
     writer = OutputWriter(outdir, fmt)
-    budget = Budget(float(overrides.get("budget_seconds", budget_seconds)))
-    assertions = rec.run(params, seed, writer, budget, threads)
+    budget = Budget(budget_seconds)
+    assertions = rec.run(params, seed, writer, budget)
     files = writer.flush()
     status = "pass"
     if any(a.status == "fail" for a in assertions):
@@ -855,7 +844,6 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--out", type=Path, default=None)
     parser.add_argument("--format", choices=["csv", "json"], default="csv")
-    parser.add_argument("--threads", type=int, default=1)
     parser.add_argument("--budget-seconds", type=float, default=600.0)
     try:
         args = parser.parse_args(argv)
@@ -867,6 +855,9 @@ def main(argv=None) -> int:
         return 0
     if not args.recipe or args.out is None:
         print("error: recipe and --out are required", file=sys.stderr)
+        return 2
+    if args.seed < 0:
+        print(f"error: --seed must be >= 0, got {args.seed}", file=sys.stderr)
         return 2
     overrides = {}
     if args.config is not None:
@@ -884,7 +875,7 @@ def main(argv=None) -> int:
     try:
         summary = run_recipe(
             args.recipe, overrides, args.seed, args.out, args.format,
-            args.threads, args.budget_seconds,
+            args.budget_seconds,
         )
     except KeyError as exc:
         print(f"error: {exc}", file=sys.stderr)

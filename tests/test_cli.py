@@ -82,11 +82,24 @@ def test_exit_codes(tmp_path):
         ("cw-guess", [1]),
         ("fk-bound", {"spec_k": 99}),
         ("dac-bounds", {"spec_k": 99}),
+        ("tiled-coupling", {"chunks": 0}),
+        ("tiled-coupling", {"chunks": -2}),
+        ("supercrit-giant", {"chunks": 2.5}),
+        ("tiled-coupling", {"trials": 0}),
+        ("supercrit-giant", {"samples": 0}),
+        ("fk-bound", {"u_draws": 1}),
+        ("fk-bound", {"u_draws": 3.0}),
+        ("cw-guess", {"budget_seconds": 5}),
     ]):
         bad = tmp_path / f"bad-recipe{i}.json"
         bad.write_text(json.dumps(doc))
         out = tmp_path / f"bad-recipe{i}"
         assert main([name, "--config", str(bad), "--out", str(out)]) == 2
+        assert not out.exists()
+    # a negative seed and the removed --threads flag are usage errors
+    for i, flags in enumerate([["--seed", "-1"], ["--threads", "2"]]):
+        out = tmp_path / f"bad-flag{i}"
+        assert main(["ffiid-demo", "--out", str(out)] + flags) == 2
         assert not out.exists()
 
 
@@ -100,14 +113,6 @@ def test_seed_determinism(tmp_path):
     c = (tmp_path / "c" / "dac_identities.csv").read_bytes()
     assert a == b
     assert a != c
-
-
-def test_thread_count_does_not_change_bytes(tmp_path):
-    params = {"side": 16, "Ls": [3], "trials": 40, "warmup_steps": 10}
-    run_recipe("tiled-coupling", params, 5, tmp_path / "t1", threads=1)
-    run_recipe("tiled-coupling", params, 5, tmp_path / "t8", threads=8)
-    assert (tmp_path / "t1" / "tiled_coupling.csv").read_bytes() == \
-        (tmp_path / "t8" / "tiled_coupling.csv").read_bytes()
 
 
 def test_budget_status(tmp_path):
