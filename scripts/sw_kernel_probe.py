@@ -1,0 +1,85 @@
+"""Time one Swendsen-Wang step per path: the union-find `swendsen_wang_step`
+against the replica kernel `swendsen_wang`, on the graphs where `sw_chain`
+chooses between them, plus the large single chain and replica batch that
+the recipes run.
+
+    PYTHONPATH=src python3 scripts/sw_kernel_probe.py [--repeat 5]
+
+Prints one JSON object: microseconds per step (per step of all replicas for
+the kernel), the best of `--repeat` timeit runs, with one BLAS thread.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import timeit
+
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+import numpy as np  # noqa: E402
+
+from spinlab import graphs, ising  # noqa: E402
+
+BETA = 0.4
+
+
+def per_step_us(fn, steps: int, repeat: int) -> float:
+    fn()  # warm caches (graph geometry, imports)
+    return min(timeit.repeat(fn, number=1, repeat=repeat)) / steps * 1e6
+
+
+def time_step_path(g, steps, repeat):
+    rng = np.random.default_rng(0)
+    par = ising.IsingParams(BETA)
+    cfg = rng.choice(np.array([-1, 1], dtype=np.int8), size=g.n_vertices)
+
+    def run():
+        c = cfg
+        for _ in range(steps):
+            _, c = ising.swendsen_wang_step(c, g, par, rng)
+
+    return per_step_us(run, steps, repeat)
+
+
+def time_kernel(g, replicas, steps, repeat):
+    rng = np.random.default_rng(0)
+    par = ising.IsingParams(BETA)
+    cfgs = rng.choice(np.array([-1, 1], dtype=np.int8), size=(replicas, g.n_vertices))
+    return per_step_us(lambda: ising.swendsen_wang(cfgs, g, par, steps, rng), steps, repeat)
+
+
+def main():
+    ap = argparse.ArgumentParser()
+    ap.add_argument("--repeat", type=int, default=5)
+    args = ap.parse_args()
+    crossover = {}
+    for name, g in [("cycle(5)", graphs.cycle(5)), ("torus 3x3", graphs.torus(2, 3)),
+                    ("cycle(16)", graphs.cycle(16)), ("torus 4x4", graphs.torus(2, 4)),
+                    ("cycle(32)", graphs.cycle(32)), ("torus 5x5", graphs.torus(2, 5)),
+                    ("torus 6x6", graphs.torus(2, 6)), ("torus 8x8", graphs.torus(2, 8)),
+                    ("complete(40)", graphs.complete(40))]:
+        crossover[name] = {
+            "n": g.n_vertices, "m": g.n_edges,
+            "step_us": round(time_step_path(g, 2000, args.repeat), 1),
+            "kernel_R1_us": round(time_kernel(g, 1, 2000, args.repeat), 1),
+        }
+    t60 = graphs.torus(2, 60)
+    t8 = graphs.torus(2, 8)
+    batches = {
+        "torus 60x60, R=1": {
+            "step_us": round(time_step_path(t60, 200, args.repeat), 1),
+            "kernel_us": round(time_kernel(t60, 1, 200, args.repeat), 1),
+        },
+        "torus 8x8, R=100": {
+            "step_us_x100": round(100 * time_step_path(t8, 2000, args.repeat), 1),
+            "kernel_us": round(time_kernel(t8, 100, 200, args.repeat), 1),
+        },
+    }
+    print(json.dumps({"beta": BETA, "sw_step_max_bonds": ising.SW_STEP_MAX_BONDS,
+                      "crossover_R1": crossover, "batches": batches}, indent=1))
+
+
+if __name__ == "__main__":
+    main()

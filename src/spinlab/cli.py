@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import numbers
 import sys
 import time
 from dataclasses import dataclass, field
@@ -599,9 +600,7 @@ def run_sublattice(params, seed, writer, budget):
     g = graphs.torus(2, side)
     par = ising.IsingParams(beta)
     rng = stream(seed, 30)
-    cfg = rng.choice(np.array([-1, 1], dtype=np.int8), size=g.n_vertices)
-    for _ in range(params["burnin"]):
-        _, cfg = ising.swendsen_wang_step(cfg, g, par, rng)
+    cfg = ising.sw_chain(g, par, rng, params["burnin"])
     coords = np.unravel_index(np.arange(side * side), (side, side))
     sub_idx = {
         s: np.flatnonzero((coords[0] % s == 0) & (coords[1] % s == 0))
@@ -620,8 +619,7 @@ def run_sublattice(params, seed, writer, budget):
             m_full = m_full[:N]
             m_sub = {s: v[:N] for s, v in m_sub.items()}
             break
-        for _ in range(params["thin"]):
-            _, cfg = ising.swendsen_wang_step(cfg, g, par, rng)
+        cfg = ising.sw_chain(g, par, rng, params["thin"], cfg)
         m_full[i] = cfg.mean()
         for s in params["meshes"]:
             m_sub[s][i] = cfg[sub_idx[s]].mean()
@@ -758,11 +756,14 @@ def run_ffiid_demo(params, seed, writer, budget):
 # driver
 
 
-def _validate_params(name: str, overrides: dict) -> tuple[Recipe, dict]:
+def _validate_params(name: str, overrides: dict, seed: int) -> tuple[Recipe, dict]:
     """Resolve the recipe and its parameters, building any graph and subset
-    spec they describe, so that bad configs fail before any output."""
+    spec they describe, so that bad configs and seeds fail before any
+    output."""
     if name not in RECIPES:
         raise KeyError(f"unknown recipe {name!r}")
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ValueError(f"the seed must be an integer >= 0, got {seed!r}")
     rec = RECIPES[name]
     if not isinstance(overrides, dict):
         raise TypeError("the config must be a JSON object of parameter overrides")
@@ -788,6 +789,14 @@ def _validate_params(name: str, overrides: dict) -> tuple[Recipe, dict]:
     if "u_draws" in params and not (isinstance(params["u_draws"], int) and params["u_draws"] >= 2):
         raise ValueError(f"u_draws must be an integer >= 2 for a standard error, "
                          f"got {params['u_draws']!r}")
+    if "draws" in params and not (isinstance(params["draws"], int) and params["draws"] >= 1):
+        raise ValueError(f"draws must be an integer >= 1, got {params['draws']!r}")
+    if "ks" in params:
+        # cw-clue and cw-guess observe k of n spins; the guess needs k >= 1
+        for k in params["ks"]:
+            if not (isinstance(k, int) and 1 <= k <= params["n"]):
+                raise ValueError(f"each k must be an integer in [1, n={params['n']!r}], "
+                                 f"got {k!r}")
     return rec, params
 
 
@@ -799,7 +808,7 @@ def run_recipe(
     fmt: str = "csv",
     budget_seconds: float = 600.0,
 ) -> dict:
-    rec, params = _validate_params(name, overrides)
+    rec, params = _validate_params(name, overrides, seed)
     outdir.mkdir(parents=True, exist_ok=True)
     writer = OutputWriter(outdir, fmt)
     budget = Budget(budget_seconds)
@@ -856,9 +865,6 @@ def main(argv=None) -> int:
     if not args.recipe or args.out is None:
         print("error: recipe and --out are required", file=sys.stderr)
         return 2
-    if args.seed < 0:
-        print(f"error: --seed must be >= 0, got {args.seed}", file=sys.stderr)
-        return 2
     overrides = {}
     if args.config is not None:
         try:
@@ -867,7 +873,7 @@ def main(argv=None) -> int:
             print(f"error: cannot read config: {exc}", file=sys.stderr)
             return 2
     try:
-        _validate_params(args.recipe, overrides)
+        _validate_params(args.recipe, overrides, args.seed)
     except (KeyError, TypeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -360,7 +360,7 @@ def clue_mc(
         raise ValueError("need at least 2 outer groups")
     frozen_mask = np.asarray(frozen_mask, dtype=bool)
     ys = np.empty((outer, inner))
-    cfgs = np.stack([sampler.draw_full(rng) for _ in range(outer)])
+    cfgs = sampler.draw_full(rng, outer)
     for j in range(inner):
         cfgs = sampler.resample_free(cfgs, frozen_mask, rng)
         ys[:, j] = [f.evaluate(cfg) for cfg in cfgs]

@@ -142,8 +142,22 @@ def cw_relative_entropy(n: int, beta: float) -> CwRelativeEntropyReport:
     return CwRelativeEntropyReport(d, bound, gap)
 
 
+#: Bytes of the (observed sum, remaining sum) grid above which the exact
+#: clue, iclue and guess engines refuse to build it.
+CW_GRID_BYTES_CAP = 1 << 30
+
+#: Peak bytes per grid cell of the callers of `_observed_grid` (measured:
+#: n = 8000, k = 4000 took 665 MB).
+_GRID_CELL_BYTES = 41
+
+
 def _observed_grid(n: int, beta: float, k: int):
     """Log-weights of (observed sum a over k spins, remaining sum b)."""
+    est = _GRID_CELL_BYTES * (k + 1) * (n - k + 1)
+    if est > CW_GRID_BYTES_CAP:
+        raise ValueError(
+            f"the Curie-Weiss grid for n={n}, k={k} needs about {est} bytes, "
+            f"over the cap of {CW_GRID_BYTES_CAP}")
     a = np.arange(-k, k + 1, 2, dtype=np.int64)
     b = np.arange(-(n - k), n - k + 1, 2, dtype=np.int64)
     log_ca = _log_binom(k, (k + a) // 2)

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import _bits
 from .graphs import Graph, SubsetSpec, revealment, subset_support
-from .ising import BondConfig, IsingParams, fk_sample
+from .ising import BondConfig, IsingParams, fk_clusters, swendsen_wang
 from .measures import DacMeasure, Magnetization, exact_table, subset_sums, values_of, walsh_transform
 
 
@@ -357,18 +357,22 @@ def fk_magnetization_bound(
     bootstrap: int = 200,
 ) -> FkBoundReport:
     """Monte Carlo cluster moments for the reconstruction bound on the
-    average magnetization; both right-hand-side forms with bootstrap SEs."""
+    average magnetization; both right-hand-side forms with bootstrap SEs.
+
+    The `samples` independent cluster chains of `sweeps` steps each run as
+    the replicas of one `swendsen_wang` call, followed by one bond draw
+    whose labelling gives every replica's cluster sizes."""
     params = IsingParams(beta=beta, J=1.0)
     _, delta = revealment(spec, graph)
-    sum1 = np.empty(samples)
-    sum2 = np.empty(samples)
-    maxc = np.empty(samples)
-    for i in range(samples):
-        bonds = fk_sample(graph, params, rng, sweeps)
-        sizes = bonds.cluster_sizes().astype(float)
-        sum1[i] = sizes.sum()
-        sum2[i] = (sizes**2).sum()
-        maxc[i] = sizes.max()
+    if sweeps < 1:
+        raise ValueError("need at least one step")
+    cfgs = rng.choice(np.array([-1, 1], dtype=np.int8), size=(samples, graph.n_vertices))
+    swendsen_wang(cfgs, graph, params, sweeps, rng)
+    labels = fk_clusters(cfgs, graph, params, rng)
+    sizes = np.bincount(labels.ravel())[labels].astype(float)
+    sum1 = sizes.sum(axis=1)
+    sum2 = (sizes**2).sum(axis=1)
+    maxc = sizes.max(axis=1)
     ratio = delta * sum2.mean() / sum1.mean()
     boot_rng = np.random.Generator(np.random.Philox(
         np.random.SeedSequence(int(rng.integers(2**63)))

@@ -4,8 +4,8 @@ Vertex indexing on tori and boxes is row-major over coordinates
 (``numpy.unravel_index`` with C order), so masks are portable across runs.
 Subset masks are boolean numpy arrays over vertices; the exact layer converts
 them to integer bitmasks via :mod:`spinlab._bits`. Each graph builds its
-`Geometry` (padded neighbour rows and a proper vertex colouring) once, on
-first use of `Graph.geometry`.
+`Geometry` (padded neighbour rows, their edge indices and a proper vertex
+colouring) once, on first use of `Graph.geometry`.
 
 A law of the random observation set U is a `SubsetSpec`: one frozen
 dataclass per kind (`Fixed`, `Bernoulli`, `UniformK`, `UniformTranslate`,
@@ -172,12 +172,16 @@ class Geometry:
     `nbrs[v]` lists the neighbours of v in ascending order, padded with the
     sentinel n up to the maximum degree, so that a configuration extended by
     one zero column sums any vertex's neighbourhood in one gather. `lists`
-    holds the same rows unpadded, for scalar loops. `classes` is a greedy
-    proper colouring in index order: no edge joins two vertices of one
-    class, and even tori and even cycles get exactly two classes.
+    holds the same rows unpadded, for scalar loops. `slot_edge[v, j]` is
+    the index in `graph.edges` of the edge from v to `nbrs[v, j]`, and m
+    (the edge count) on padding, so a bond mask extended by one closed
+    column opens the slots of its edges in one gather. `classes` is a
+    greedy proper colouring in index order: no edge joins two vertices of
+    one class, and even tori and even cycles get exactly two classes.
     """
 
     nbrs: np.ndarray  # (n, max degree) int64
+    slot_edge: np.ndarray  # (n, max degree) int64
     lists: list[list[int]]
     classes: tuple[np.ndarray, ...]
 
@@ -187,13 +191,17 @@ class Geometry:
 
     @staticmethod
     def of(graph: Graph) -> "Geometry":
-        n = graph.n_vertices
+        n, m = graph.n_vertices, graph.n_edges
         ends = np.concatenate([graph.edges, graph.edges[:, ::-1]])
-        ends = ends[np.lexsort((ends[:, 1], ends[:, 0]))]
+        order = np.lexsort((ends[:, 1], ends[:, 0]))
+        ends = ends[order]
         degree = np.bincount(ends[:, 0], minlength=n)
         nbrs = np.full((n, int(degree.max(initial=0))), n, dtype=np.int64)
+        slot_edge = np.full(nbrs.shape, m, dtype=np.int64)
         first = np.cumsum(degree) - degree
-        nbrs[ends[:, 0], np.arange(len(ends)) - first[ends[:, 0]]] = ends[:, 1]
+        slot = (ends[:, 0], np.arange(len(ends)) - first[ends[:, 0]])
+        nbrs[slot] = ends[:, 1]
+        slot_edge[slot] = order % m  # ends lists every edge twice
         lists = [row[:d] for row, d in zip(nbrs.tolist(), degree.tolist())]
         colour = [0] * n
         for v, row in enumerate(lists):
@@ -203,7 +211,7 @@ class Geometry:
         classes = tuple(
             np.flatnonzero(colour == c) for c in range(int(colour.max(initial=-1)) + 1)
         )
-        return Geometry(nbrs, lists, classes)
+        return Geometry(nbrs, slot_edge, lists, classes)
 
 
 def _materialize_shifts(graph: Graph) -> np.ndarray | None:

@@ -1,6 +1,14 @@
 """Ising Gibbs measures on finite graphs: Hamiltonian, heat-bath dynamics,
 Swendsen-Wang, FK bond sampling, and cluster coloring.
 
+Both samplers come as a replica kernel over an (R, n) int8 array and as a
+scalar single-chain path. `heat_bath` redraws one colour class of all
+replicas at a time; `glauber_sweep` loops over sites. `swendsen_wang`
+labels the clusters of all R copies with one scipy call on a symmetric
+CSR matrix read off `Graph.geometry`; `swendsen_wang_step` (union-find,
+`BondConfig`) stays the path of `sw_chain` on graphs of at most
+`SW_STEP_MAX_BONDS` edges, where it is faster for one chain.
+
 Weights are exp(-beta * H) with H = -J * sum_edges s_u s_v - h * sum_v s_v.
 Under this convention the bond-opening probability that makes cluster
 coloring reproduce the Gibbs measure is 1 - exp(-2 beta J); the two-point
@@ -15,6 +23,8 @@ import struct
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 from . import _bits
 from .graphs import Graph, component_labels
@@ -205,6 +215,102 @@ def heat_bath(
     return cfgs
 
 
+#: Largest edge count on which `sw_chain` runs the union-find
+#: `swendsen_wang_step`. Its cost grows with the open bonds, while the
+#: replica kernel `swendsen_wang` costs a nearly fixed 50-90 us per call on
+#: small graphs. Timed by scripts/sw_kernel_probe.py, the step path wins
+#: up to about 20 edges (cycle(16), the 3x3 torus) and the kernel from
+#: about 30 (the 4x4 and 5x5 tori). The graphs that the recipes and
+#: tests run have at most 18 or at least 128 edges.
+SW_STEP_MAX_BONDS = 24
+
+#: Working bytes of one `swendsen_wang` step above which it refuses to run.
+SW_BYTES_CAP = 1 << 29
+
+
+def _cluster_labeller(graph: Graph, replicas: int, params: IsingParams):
+    """Returns `label(cfgs, rng) -> (labels, k)`, which draws the bond layer
+    of every row of a (replicas, n) configuration array from one uniform
+    array and labels the clusters of the disjoint union of the rows with one
+    scipy call. Row r is vertices r*n .. r*n + n - 1 of one symmetric CSR
+    matrix whose rows are the open slots of `graph.geometry`'s padded
+    neighbour rows, so there is no COO matrix, no sort and no transpose.
+    The strong components of a symmetric matrix are its connected
+    components, and asking for them spares scipy the transpose of its
+    undirected search. scipy numbers them in the order of their smallest
+    vertex, the numbering `edwards_sokal_color` uses."""
+    if params.h != 0.0:
+        raise ValueError("cluster moves need zero external field")
+    geom = graph.geometry
+    n, m, degmax = graph.n_vertices, graph.n_edges, geom.max_degree
+    size = replicas * n
+    # column indices (int32) + open mask + CSR indices and data per slot;
+    # uniform, comparisons and mask per bond; labels, row pointers and coins
+    est = 17 * size * degmax + 13 * replicas * m + 24 * size
+    if est > SW_BYTES_CAP:
+        raise ValueError(
+            f"swendsen_wang on {replicas} x {n} sites needs about {est} bytes "
+            f"per step, over the cap of {SW_BYTES_CAP}")
+    ends = graph.edges.T
+    slot_edge = geom.slot_edge.ravel()
+    offsets = n * np.arange(replicas, dtype=np.int32)[:, None]
+    cols = (geom.nbrs.ravel().astype(np.int32) + offsets).ravel()
+    is_open = np.zeros((replicas, m + 1), dtype=bool)  # column m: the padding slot
+    p_bond = params.p_bond
+
+    def label(cfgs: np.ndarray, rng: np.random.Generator) -> tuple[np.ndarray, int]:
+        np.logical_and(cfgs[:, ends[0]] == cfgs[:, ends[1]],
+                       rng.random((replicas, m)) < p_bond, out=is_open[:, :m])
+        open_slots = is_open.take(slot_edge, axis=1).ravel()
+        indptr = np.zeros(size + 1, dtype=np.int32)
+        if degmax:
+            indptr[1:] = np.cumsum(open_slots, dtype=np.int32)[degmax - 1::degmax]
+        indices = np.compress(open_slots, cols)
+        mat = csr_matrix((np.ones(len(indices)), indices, indptr), shape=(size, size))
+        k, labels = connected_components(mat, directed=True, connection="strong")
+        return labels, k
+
+    return label
+
+
+def swendsen_wang(
+    cfgs: np.ndarray,
+    graph: Graph,
+    params: IsingParams,
+    steps: int,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """Swendsen-Wang steps of R independent replicas at once, in place on
+    the (R, n) int8 array `cfgs`, which is also returned.
+
+    A step draws every bond of every replica from one (R, m) uniform array,
+    labels the clusters of all replicas with one scipy call (clusters never
+    cross replicas) and gives each cluster one fair coin from one uniform
+    per cluster. `sw_chain` uses this kernel above `SW_STEP_MAX_BONDS`.
+    """
+    cfgs = np.asarray(cfgs)
+    n = graph.n_vertices
+    if cfgs.dtype != np.int8 or cfgs.ndim != 2 or cfgs.shape[1] != n:
+        raise ValueError(f"swendsen_wang needs an (R, {n}) int8 array")
+    label = _cluster_labeller(graph, len(cfgs), params)
+    up, down = np.int8(1), np.int8(-1)
+    for _ in range(steps):
+        labels, k = label(cfgs, rng)
+        coins = np.where(rng.random(k) < 0.5, up, down)
+        cfgs[:] = coins[labels].reshape(cfgs.shape)
+    return cfgs
+
+
+def fk_clusters(
+    cfgs: np.ndarray, graph: Graph, params: IsingParams, rng: np.random.Generator
+) -> np.ndarray:
+    """Draw the Edwards-Sokal bond layer of every row of the (R, n) array
+    `cfgs` and return the (R, n) cluster labels; no two rows share a label."""
+    cfgs = np.asarray(cfgs, dtype=np.int8)
+    labels, _ = _cluster_labeller(graph, len(cfgs), params)(cfgs, rng)
+    return labels.reshape(cfgs.shape)
+
+
 @dataclass
 class BondConfig:
     """Open-edge subset of a graph with its cluster labelling."""
@@ -231,9 +337,6 @@ class BondConfig:
     def cluster_members(self) -> dict[int, np.ndarray]:
         reps = np.unique(self.labels)
         return {int(r): np.flatnonzero(self.labels == r) for r in reps}
-
-    def to_json(self) -> str:
-        return json.dumps(sorted(int(i) for i in np.flatnonzero(self.open_edges)))
 
 
 def swendsen_wang_step(
@@ -268,12 +371,16 @@ def sw_chain(
     steps: int,
     config: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Run `steps` cluster updates and return the final configuration."""
+    """Run `steps` cluster updates of one chain and return the final
+    configuration: `swendsen_wang_step` on graphs of at most
+    `SW_STEP_MAX_BONDS` edges, the replica kernel with R = 1 above."""
     cfg = (
         rng.choice(np.array([-1, 1], dtype=np.int8), size=graph.n_vertices)
         if config is None
         else np.asarray(config, dtype=np.int8).copy()
     )
+    if graph.n_edges > SW_STEP_MAX_BONDS:
+        return swendsen_wang(cfg[None], graph, params, steps, rng)[0]
     for _ in range(steps):
         _, cfg = swendsen_wang_step(cfg, graph, params, rng)
     return cfg
@@ -375,8 +482,12 @@ class ConditionalGibbsSampler:
         self.sw_burnin = sw_burnin
         self.sweeps_between = sweeps_between
 
-    def draw_full(self, rng: np.random.Generator) -> np.ndarray:
-        return sw_chain(self.graph, self.params, rng, self.sw_burnin)
+    def draw_full(self, rng: np.random.Generator, count: int) -> np.ndarray:
+        """`count` independent full draws as a (count, n) array: cluster
+        chains from uniform starts, run as replicas of one kernel call."""
+        cfgs = rng.choice(np.array([-1, 1], dtype=np.int8),
+                          size=(count, self.graph.n_vertices))
+        return swendsen_wang(cfgs, self.graph, self.params, self.sw_burnin, rng)
 
     def resample_free(
         self, configs: np.ndarray, frozen_mask: np.ndarray, rng: np.random.Generator

@@ -90,6 +90,8 @@ def test_exit_codes(tmp_path):
         ("fk-bound", {"u_draws": 1}),
         ("fk-bound", {"u_draws": 3.0}),
         ("cw-guess", {"budget_seconds": 5}),
+        ("ffiid-demo", {"draws": 0}),
+        ("cw-guess", {"ks": [0]}),
     ]):
         bad = tmp_path / f"bad-recipe{i}.json"
         bad.write_text(json.dumps(doc))
@@ -101,6 +103,13 @@ def test_exit_codes(tmp_path):
         out = tmp_path / f"bad-flag{i}"
         assert main(["ffiid-demo", "--out", str(out)] + flags) == 2
         assert not out.exists()
+
+
+def test_negative_seed_rejected_before_output(tmp_path):
+    out = tmp_path / "out"
+    with pytest.raises(ValueError):
+        run_recipe("ffiid-demo", {}, -1, out)
+    assert not out.exists()
 
 
 def test_seed_determinism(tmp_path):

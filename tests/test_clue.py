@@ -345,8 +345,8 @@ class ProductSampler:
     def __init__(self, n):
         self.n = n
 
-    def draw_full(self, rng):
-        return rng.choice(np.array([-1, 1], dtype=np.int8), size=self.n)
+    def draw_full(self, rng, count):
+        return rng.choice(np.array([-1, 1], dtype=np.int8), size=(count, self.n))
 
     def resample_free(self, configs, frozen_mask, rng):
         out = np.array(configs, ndmin=2)

@@ -176,3 +176,10 @@ def test_input_validation():
         cw.cw_exact_clue(10, 0.5, 11)
     with pytest.raises(ValueError):
         cw.cw_majority_guess_success(10, 0.5, 0)
+
+
+def test_grid_guard_raises_before_allocating():
+    n = 10**6  # a dense k = n/2 grid would need about 10 TB
+    for call in (cw.cw_exact_clue, cw.cw_iclue, cw.cw_majority_guess_success):
+        with pytest.raises(ValueError, match="bytes"):
+            call(n, 0.5, n // 2)

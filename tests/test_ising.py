@@ -286,12 +286,6 @@ def test_checkpoint_roundtrip():
     assert np.array_equal(a, b)
 
 
-def test_bond_config_json():
-    g = graphs.cycle(4)
-    bonds = ising.BondConfig(g, np.array([True, False, True, False]))
-    assert bonds.to_json() == "[0, 2]"
-
-
 def test_random_scan_mode_reaches_stationarity():
     g = graphs.cycle(5)
     beta = 0.35
@@ -458,3 +452,85 @@ def test_cluster_coins_match_unique_labelling():
         rng.bit_generator.state = state
         ref = rng.choice(np.array([-1, 1], dtype=np.int8), size=len(reps))[inverse]
         assert np.array_equal(coins, ref)
+
+
+# -- replica Swendsen-Wang kernel ------------------------------------------------
+
+
+@st.composite
+def _custom_with_isolated(draw):
+    n = draw(st.integers(1, 9))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return graphs.custom(n + 1, edges)  # vertex n has no edge
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(_custom_with_isolated(), st.floats(0.0, 2.0), st.integers(2, 4),
+       st.integers(0, 2**32 - 1))
+def test_sw_kernel_labelling_matches_component_labels(g, beta, replicas, seed):
+    n, m = g.n_vertices, g.n_edges
+    geom = g.geometry
+    for v, row in enumerate(geom.lists):
+        for j, e in enumerate(geom.slot_edge[v].tolist()):
+            if j < len(row):
+                assert sorted(g.edges[e].tolist()) == sorted([v, row[j]])
+            else:
+                assert e == m
+    par = ising.IsingParams(beta)
+    rng = np.random.default_rng(seed)
+    cfgs = rng.choice(np.array([-1, 1], dtype=np.int8), size=(replicas, n))
+    state = rng.bit_generator.state
+    labels = ising.fk_clusters(cfgs, g, par, rng)
+    rng.bit_generator.state = state
+    mono = cfgs[:, g.edges[:, 0]] == cfgs[:, g.edges[:, 1]]
+    opens = mono & (rng.random((replicas, m)) < par.p_bond)
+    assert labels.shape == (replicas, n)
+    for r in range(replicas):
+        # no cluster crosses two copies
+        for s in range(r):
+            assert not set(labels[r].tolist()) & set(labels[s].tolist())
+        # each copy is partitioned exactly as component_labels partitions it
+        ref, k = graphs.component_labels(n, g.edges, edge_mask=opens[r])
+        assert len(set(zip(labels[r].tolist(), ref.tolist()))) == k
+        assert len(set(labels[r].tolist())) == k
+    # clusters are numbered 0, 1, ... in the order of their smallest site
+    values, first = np.unique(labels.ravel(), return_index=True)
+    assert np.array_equal(values, np.arange(len(values)))
+    assert np.all(np.diff(first) > 0)
+    # one kernel step under the same stream colours those clusters
+    rng.bit_generator.state = state
+    out = ising.swendsen_wang(cfgs, g, par, 1, rng)
+    assert out is cfgs and out.dtype == np.int8 and np.isin(cfgs, [-1, 1]).all()
+    for r in range(replicas):
+        for c in set(labels[r].tolist()):
+            assert len(set(cfgs[r][labels[r] == c].tolist())) == 1
+
+
+def test_sw_kernel_rejects_bad_input_before_allocating():
+    g = graphs.complete(200)
+    par = ising.IsingParams(0.01)
+    with pytest.raises(ValueError, match="bytes"):
+        ising.swendsen_wang(np.ones((1000, 200), dtype=np.int8), g, par, 1, stream(7, 0))
+    with pytest.raises(ValueError):
+        ising.swendsen_wang(np.ones((2, 199), dtype=np.int8), g, par, 1, stream(7, 0))
+    with pytest.raises(ValueError):
+        ising.swendsen_wang(np.ones((2, 200), dtype=np.int8), g,
+                            ising.IsingParams(0.01, h=0.1), 1, stream(7, 0))
+
+
+@pytest.mark.parametrize("g, beta, J", [
+    (graphs.cycle(6), 0.4, 1.0),
+    (graphs.complete(5), 0.8, 0.2),
+    (graphs.torus(2, 3), 0.5, 1.0),
+])
+def test_sw_kernel_replica_law_matches_table(g, beta, J):
+    n = g.n_vertices
+    replicas = 60_000
+    rng = stream(7, n)
+    cfgs = rng.choice(np.array([-1, 1], dtype=np.int8), size=(replicas, n))
+    ising.swendsen_wang(cfgs, g, ising.IsingParams(beta, J=J), 30, rng)
+    target = exact_table(IsingMeasure(beta, J=J), g).p
+    index = ((cfgs > 0).astype(np.int64) << np.arange(n)).sum(axis=1)
+    freq = np.bincount(index, minlength=1 << n) / replicas
+    assert 0.5 * np.abs(freq - target).sum() <= 0.02
