@@ -58,7 +58,8 @@ def main():
     for name, g in [("cycle(5)", graphs.cycle(5)), ("torus 3x3", graphs.torus(2, 3)),
                     ("cycle(16)", graphs.cycle(16)), ("torus 4x4", graphs.torus(2, 4)),
                     ("cycle(32)", graphs.cycle(32)), ("torus 5x5", graphs.torus(2, 5)),
-                    ("torus 6x6", graphs.torus(2, 6)), ("torus 8x8", graphs.torus(2, 8)),
+                    ("torus 6x6", graphs.torus(2, 6)), ("torus 7x7", graphs.torus(2, 7)),
+                    ("torus 8x8", graphs.torus(2, 8)),
                     ("complete(40)", graphs.complete(40))]:
         crossover[name] = {
             "n": g.n_vertices, "m": g.n_edges,

@@ -10,6 +10,11 @@ from __future__ import annotations
 
 import numpy as np
 
+#: The two spin values as int8, read-only; `rng.choice(SPINS, size)` draws
+#: fair spins.
+SPINS = np.array([-1, 1], dtype=np.int8)
+SPINS.flags.writeable = False
+
 
 def config_indices(n: int) -> np.ndarray:
     """All configuration indices 0 .. 2^n - 1 as uint64."""

@@ -12,7 +12,6 @@ maximal expected explained-variance fraction over all observables.
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass
@@ -200,18 +199,6 @@ def spectrum(op: BlockOperator) -> SpectrumReport:
             )
     rel = math.inf if lam2 >= 1.0 else 1.0 / (1.0 - lam2)
     return SpectrumReport(lam2, lam2, gap, rel, f2)
-
-
-def spectrum_report_json(report: SpectrumReport) -> str:
-    return json.dumps(
-        {
-            "lambda_2": report.lambda_2,
-            "lambda_star": report.lambda_star,
-            "gap": report.gap,
-            "relaxation_time": report.relaxation_time,
-        },
-        sort_keys=True,
-    )
 
 
 def dirichlet_form(op: BlockOperator, f) -> float:
@@ -433,7 +420,7 @@ def path_coupling_rate(
             chain = sw_chain(graph, params, rng, thin, chain)
             x = chain.copy()
         else:
-            x = rng.choice(np.array([-1, 1], dtype=np.int8), size=graph.n_vertices)
+            x = rng.choice(_bits.SPINS, size=graph.n_vertices)
         v = int(rng.integers(graph.n_vertices))
         anchor = rng.integers(L + 3, size=d)
         removed = tiled_complement_mask(graph, L, anchor)

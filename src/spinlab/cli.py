@@ -722,21 +722,15 @@ def run_supercrit(params, seed, writer, budget):
 )
 def run_ffiid_demo(params, seed, writer, budget):
     n = 2 * params["n_half"]
-    rng = stream(seed, 50)
     draws = params["draws"]
-    error_count = 0
-    forbidden_off_error = 0
-    for _ in range(draws):
-        sigma, omega = measures.sample_ffiid_parity_cycle(
-            params["n_half"], rng, return_source=True)
-        alternating = bool(np.all(omega != np.roll(omega, -1)))
-        error_count += alternating
-        if not alternating:
-            trip = sigma * np.roll(sigma, -1)
-            # pattern -+- or +-+ at position i means sign flips at i and i+1
-            flips = trip == -1
-            if np.any(flips & np.roll(flips, -1)):
-                forbidden_off_error += 1
+    sigma, omega = measures.sample_ffiid_parity_cycle(
+        params["n_half"], stream(seed, 50), draws, return_source=True)
+    alternating = np.all(omega != np.roll(omega, -1, axis=1), axis=1)
+    error_count = int(np.count_nonzero(alternating))
+    # pattern -+- or +-+ at position i means sign flips at i and i+1
+    flips = sigma * np.roll(sigma, -1, axis=1) == -1
+    forbidden = np.any(flips & np.roll(flips, -1, axis=1), axis=1)
+    forbidden_off_error = int(np.count_nonzero(forbidden & ~alternating))
     p_err = 2.0 ** (1 - n)
     se = math.sqrt(p_err * (1 - p_err) / draws)
     freq = error_count / draws
@@ -786,11 +780,14 @@ def _validate_params(name: str, overrides: dict, seed: int) -> tuple[Recipe, dic
     if "chunks" in params:
         # tiled-coupling splits its trials, supercrit-giant its samples
         _chunk_sizes(params["trials" if "trials" in params else "samples"], params["chunks"])
-    if "u_draws" in params and not (isinstance(params["u_draws"], int) and params["u_draws"] >= 2):
-        raise ValueError(f"u_draws must be an integer >= 2 for a standard error, "
-                         f"got {params['u_draws']!r}")
-    if "draws" in params and not (isinstance(params["draws"], int) and params["draws"] >= 1):
-        raise ValueError(f"draws must be an integer >= 1, got {params['draws']!r}")
+    # u_draws and fk_samples feed ddof=1 standard errors, fk_samples a bootstrap
+    for key, low in (("u_draws", 2), ("fk_samples", 2), ("fk_sweeps", 1), ("draws", 1),
+                     ("n_half", 2)):
+        value = params.get(key, low)  # a recipe without the key passes
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+            raise ValueError(f"{key} must be an integer >= {low}, got {value!r}")
+    if "n_half" in params:
+        measures.check_ffiid_size(params["n_half"], params["draws"])
     if "ks" in params:
         # cw-clue and cw-guess observe k of n spins; the guess needs k >= 1
         for k in params["ks"]:

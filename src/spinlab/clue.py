@@ -5,7 +5,6 @@ operators and entropy inequalities built on it.
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass
@@ -31,16 +30,6 @@ class ClueEstimate:
     standard_error: float | None = None
     outer_samples: int = 0
     inner_samples: int = 0
-
-    def to_json(self, seed=None) -> str:
-        doc = {
-            "value": self.value,
-            "se": self.standard_error,
-            "outer": self.outer_samples,
-            "inner": self.inner_samples,
-            "seed": seed,
-        }
-        return json.dumps(doc, sort_keys=True)
 
 
 def clue_exact(table: ProbabilityTable, f, subset) -> float:

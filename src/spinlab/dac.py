@@ -366,7 +366,7 @@ def fk_magnetization_bound(
     _, delta = revealment(spec, graph)
     if sweeps < 1:
         raise ValueError("need at least one step")
-    cfgs = rng.choice(np.array([-1, 1], dtype=np.int8), size=(samples, graph.n_vertices))
+    cfgs = rng.choice(_bits.SPINS, size=(samples, graph.n_vertices))
     swendsen_wang(cfgs, graph, params, sweeps, rng)
     labels = fk_clusters(cfgs, graph, params, rng)
     sizes = np.bincount(labels.ravel())[labels].astype(float)

@@ -344,14 +344,14 @@ def component_labels(
                 parent[x], x = root, parent[x]
             return root
 
-        for u, v in edges:
-            ru, rv = find(int(u)), find(int(v))
+        for u, v in edges.tolist():
+            ru, rv = find(u), find(v)
             if ru != rv:
                 if ru < rv:
                     parent[rv] = ru
                 else:
                     parent[ru] = rv
-        labels = np.fromiter((find(v) for v in range(n)), dtype=np.int64, count=n)
+        labels = np.array([find(v) for v in range(n)], dtype=np.int64)
     else:
         mat = coo_matrix(
             (np.ones(edges.shape[0], dtype=np.int8), (edges[:, 0], edges[:, 1])),
@@ -787,11 +787,3 @@ def subset_support(
     """
     spec._check(graph)
     return _merged(spec._support(graph, cap), cap)
-
-
-def mask_to_json(mask: np.ndarray) -> str:
-    return json.dumps(_bits.mask_to_indices(mask).tolist())
-
-
-def mask_from_json(text: str, n: int) -> np.ndarray:
-    return _bits.indices_to_mask(json.loads(text), n)

@@ -84,7 +84,7 @@ class ChainState:
 
     @staticmethod
     def random(graph: Graph, rng: np.random.Generator) -> "ChainState":
-        cfg = rng.choice(np.array([-1, 1], dtype=np.int8), size=graph.n_vertices)
+        cfg = rng.choice(_bits.SPINS, size=graph.n_vertices)
         return ChainState(cfg, 0, rng)
 
     def checkpoint_bytes(self) -> bytes:
@@ -217,12 +217,16 @@ def heat_bath(
 
 #: Largest edge count on which `sw_chain` runs the union-find
 #: `swendsen_wang_step`. Its cost grows with the open bonds, while the
-#: replica kernel `swendsen_wang` costs a nearly fixed 50-90 us per call on
-#: small graphs. Timed by scripts/sw_kernel_probe.py, the step path wins
-#: up to about 20 edges (cycle(16), the 3x3 torus) and the kernel from
-#: about 30 (the 4x4 and 5x5 tori). The graphs that the recipes and
-#: tests run have at most 18 or at least 128 edges.
-SW_STEP_MAX_BONDS = 24
+#: replica kernel `swendsen_wang` costs a nearly fixed amount per call on
+#: small graphs. scripts/sw_kernel_probe.py timed both on a shared 2-core
+#: x86-64 host with one BLAS thread, once quiet and once under load from
+#: other tenants (step / kernel, us per step):
+#:   cycle(5), 5 edges       16 / 29 quiet    31 / 62 loaded
+#:   7x7 torus, 98 edges     29 / 32 quiet    51 / 81 loaded
+#:   8x8 torus, 128 edges    34 / 33 quiet    88 / 88 loaded
+#: so the two tie between about 96 and 128 edges. The graphs that the
+#: recipes and tests run have at most 18 or at least 128 edges.
+SW_STEP_MAX_BONDS = 96
 
 #: Working bytes of one `swendsen_wang` step above which it refuses to run.
 SW_BYTES_CAP = 1 << 29
@@ -360,7 +364,8 @@ def edwards_sokal_color(bonds: BondConfig, rng: np.random.Generator) -> np.ndarr
     """Assign one fair +-1 coin per cluster; spins are constant on clusters."""
     labels = bonds.labels
     roots = labels == np.arange(len(labels))  # one per cluster, in label order
-    coins = rng.choice(np.array([-1, 1], dtype=np.int8), size=int(roots.sum()))
+    # the index draw of rng.choice([-1, 1], k), without its argument checks
+    coins = _bits.SPINS[rng.integers(0, 2, size=np.count_nonzero(roots))]
     return coins[np.cumsum(roots)[labels] - 1]
 
 
@@ -375,7 +380,7 @@ def sw_chain(
     configuration: `swendsen_wang_step` on graphs of at most
     `SW_STEP_MAX_BONDS` edges, the replica kernel with R = 1 above."""
     cfg = (
-        rng.choice(np.array([-1, 1], dtype=np.int8), size=graph.n_vertices)
+        rng.choice(_bits.SPINS, size=graph.n_vertices)
         if config is None
         else np.asarray(config, dtype=np.int8).copy()
     )
@@ -485,8 +490,7 @@ class ConditionalGibbsSampler:
     def draw_full(self, rng: np.random.Generator, count: int) -> np.ndarray:
         """`count` independent full draws as a (count, n) array: cluster
         chains from uniform starts, run as replicas of one kernel call."""
-        cfgs = rng.choice(np.array([-1, 1], dtype=np.int8),
-                          size=(count, self.graph.n_vertices))
+        cfgs = rng.choice(_bits.SPINS, size=(count, self.graph.n_vertices))
         return swendsen_wang(cfgs, self.graph, self.params, self.sw_burnin, rng)
 
     def resample_free(

@@ -10,11 +10,15 @@ An `Observable` is one frozen dataclass per kind (`TotalSum`,
 `Custom`), each giving its value on one configuration and on all 2^n.
 Functions that accept "an Observable or a 2^n value vector" turn either
 into a checked vector with `values_of`.
+
+`sample_ffiid_parity_cycle` is a factor-of-IID demo measure on a cycle: it
+returns a batch of draws as one (count, n) array from one `rng.choice`
+call, the same stream as `count` single draws, and refuses batches over
+`FFIID_BYTES_CAP` before drawing.
 """
 
 from __future__ import annotations
 
-import struct
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -98,45 +102,6 @@ class ProbabilityTable:
     def entropy_bits(self) -> float:
         pos = self.p[self.p > 0]
         return float(-(pos * np.log2(pos)).sum())
-
-    def to_csv(self, path):
-        dump_vector_csv(path, self.p, value_column="probability")
-
-    def to_binary(self, path):
-        dump_vector(path, self.p, self.n, kind="table")
-
-    @staticmethod
-    def from_binary(path) -> "ProbabilityTable":
-        values, n, kind = load_vector(path)
-        if kind != "table":
-            raise ValueError(f"expected a table dump, found {kind!r}")
-        return ProbabilityTable(n, values)
-
-
-def dump_vector_csv(path, values, value_column="value"):
-    """(index, value) rows; used for tables and coefficient vectors."""
-    with open(path, "w") as fh:
-        fh.write(f"index,{value_column}\n")
-        for i, q in enumerate(values):
-            fh.write(f"{i},{float(q)!r}\n")
-
-
-def dump_vector(path, values, n: int, kind: str = "vector"):
-    """Compact dump: little-endian float64 payload with an (n, kind) header."""
-    kind_bytes = kind.encode()[:16].ljust(16, b"\0")
-    header = struct.pack("<4sBxxxI16s", b"SPNT", 1, n, kind_bytes)
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(np.asarray(values, dtype="<f8").tobytes())
-
-
-def load_vector(path) -> tuple[np.ndarray, int, str]:
-    with open(path, "rb") as fh:
-        magic, version, n, kind_bytes = struct.unpack("<4sBxxxI16s", fh.read(28))
-        if magic != b"SPNT" or version != 1:
-            raise ValueError("unrecognized dump")
-        values = np.frombuffer(fh.read(), dtype="<f8")
-    return values, n, kind_bytes.rstrip(b"\0").decode()
 
 
 # -- measure descriptions ----------------------------------------------------
@@ -457,27 +422,52 @@ def clue_from_spectrum(values: np.ndarray, n: int, subset_bits: int) -> float:
 # -- demo measure: first-repeated-pair scan on a cycle -----------------------
 
 
-def sample_ffiid_parity_cycle(
-    n_half: int, rng: np.random.Generator, return_source: bool = False
-):
-    """Spin at i is the value of the first equal adjacent pair scanning
-    forward from i on the cycle of length 2*n_half; a fully alternating
-    source falls back to copying the source bits.
-    """
+#: Bytes of one `sample_ffiid_parity_cycle` call above which it refuses to draw.
+FFIID_BYTES_CAP = 1 << 30
+
+#: Bytes per (draw, site) cell. The measured peak of a call plus
+#: `run_ffiid_demo`'s row reductions is 9: the int64 indices behind
+#: `rng.choice` and the int8 source rows.
+_FFIID_CELL_BYTES = 16
+
+
+def check_ffiid_size(n_half: int, count: int) -> None:
+    """Raise `ValueError` unless `count` draws on the cycle of length
+    2*n_half are possible and fit under `FFIID_BYTES_CAP`."""
     if n_half < 2:
         raise ValueError("need a cycle of length >= 4")
+    est = _FFIID_CELL_BYTES * count * 2 * n_half
+    if est > FFIID_BYTES_CAP:
+        raise ValueError(
+            f"{count} draws on a cycle of {2 * n_half} sites need about {est} "
+            f"bytes, over the cap of {FFIID_BYTES_CAP}")
+
+
+def sample_ffiid_parity_cycle(
+    n_half: int, rng: np.random.Generator, count: int, return_source: bool = False
+):
+    """`count` independent draws, one per row of a (count, 2*n_half) int8
+    array. Spin i of a row is the value of the first equal adjacent pair
+    scanning forward from i on the cycle; a fully alternating source row
+    falls back to copying the source bits.
+
+    The source rows come from one `rng.choice` call, which consumes the
+    stream exactly as `count` successive single-row draws would. One
+    backwards pass over the doubled cycle resolves every row at once: after
+    visiting site j, `nearest` holds each row's pair value at or after j.
+    """
+    check_ffiid_size(n_half, count)
     n = 2 * n_half
-    omega = rng.choice(np.array([-1, 1], dtype=np.int8), size=n)
-    pair_start = omega == np.roll(omega, -1)  # omega[i] == omega[i+1]
-    if not pair_start.any():
-        sigma = omega.copy()
-    else:
-        starts = np.flatnonzero(pair_start)
-        sigma = np.empty(n, dtype=np.int8)
-        for i in range(n):
-            # first pair start at or after i, cyclically
-            j = starts[np.searchsorted(starts, i) % len(starts)]
-            sigma[i] = omega[j]
+    omega = rng.choice(_bits.SPINS, size=(count, n))
+    pair_start = omega == np.roll(omega, -1, axis=1)  # omega[i] == omega[i+1]
+    sigma = np.empty_like(omega)
+    nearest = omega[:, 0].copy()
+    for j in range(2 * n - 1, -1, -1):
+        np.copyto(nearest, omega[:, j % n], where=pair_start[:, j % n])
+        if j < n:
+            sigma[:, j] = nearest
+    alternating = ~pair_start.any(axis=1)
+    sigma[alternating] = omega[alternating]
     if return_source:
         return sigma, omega
     return sigma

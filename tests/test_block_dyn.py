@@ -232,14 +232,6 @@ def test_one_step_simulation_matches_matrix_rows():
         assert tv <= 0.02
 
 
-def test_spectrum_report_json():
-    g = graphs.custom(1, [])
-    t = exact_table(ProductMeasure(), g)
-    op = block_dyn.block_operator(t, delta_spec(1, [0], 0.25), g)
-    doc = block_dyn.spectrum_report_json(block_dyn.spectrum(op))
-    assert '"lambda_2": 0.25' in doc
-
-
 # -- path coupling ---------------------------------------------------------------
 
 

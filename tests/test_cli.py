@@ -89,8 +89,14 @@ def test_exit_codes(tmp_path):
         ("supercrit-giant", {"samples": 0}),
         ("fk-bound", {"u_draws": 1}),
         ("fk-bound", {"u_draws": 3.0}),
+        ("fk-bound", {"fk_samples": 0}),
+        ("fk-bound", {"fk_samples": 1}),
+        ("fk-bound", {"fk_sweeps": 0}),
         ("cw-guess", {"budget_seconds": 5}),
         ("ffiid-demo", {"draws": 0}),
+        ("ffiid-demo", {"n_half": 1}),
+        ("ffiid-demo", {"draws": True}),
+        ("ffiid-demo", {"draws": 10**12}),
         ("cw-guess", {"ks": [0]}),
     ]):
         bad = tmp_path / f"bad-recipe{i}.json"

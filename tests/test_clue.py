@@ -397,8 +397,3 @@ def test_clue_mc_matches_mean_field_oracle():
         outer=70, inner=10, rng=stream(17, 11))
     assert abs(est.value - exact) <= 3 * max(est.standard_error, 1e-3)
 
-
-def test_clue_estimate_json():
-    est = clue.ClueEstimate(0.5, 0.01, 10, 5)
-    doc = est.to_json(seed=7)
-    assert '"seed": 7' in doc and '"value": 0.5' in doc

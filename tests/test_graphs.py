@@ -320,9 +320,3 @@ def test_subset_support_cap():
     with pytest.raises(ValueError):
         graphs.subset_support(graphs.UniformK(12), g, cap=1000)
 
-
-def test_mask_serialization():
-    mask = _bits.indices_to_mask([2, 5, 6], 9)
-    text = graphs.mask_to_json(mask)
-    assert text == "[2, 5, 6]"
-    assert np.array_equal(graphs.mask_from_json(text, 9), mask)

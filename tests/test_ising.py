@@ -203,6 +203,22 @@ def test_edwards_sokal_examples():
     assert len(vals) == 2
 
 
+def test_edwards_sokal_coins_match_rng_choice():
+    # the coins are the draw of rng.choice([-1, 1], k), one per cluster in
+    # label order, and leave the stream where that call leaves it
+    g = graphs.cycle(8)
+    for seed in range(20):
+        open_edges = stream(seed, 0).random(g.n_edges) < 0.5
+        bonds = ising.BondConfig(g, open_edges)
+        rng, twin = stream(seed, 1), stream(seed, 1)
+        cfg = ising.edwards_sokal_color(bonds, rng)
+        coins = twin.choice(np.array([-1, 1], dtype=np.int8), bonds.k)
+        roots = np.flatnonzero(bonds.labels == np.arange(g.n_vertices))
+        assert cfg.dtype == np.int8 and cfg[roots].tolist() == coins.tolist()
+        assert np.array_equal(cfg, cfg[bonds.labels])
+        assert rng.random() == twin.random()
+
+
 def test_edwards_sokal_law_on_path():
     # coloring a stationary bond layer reproduces the spin measure
     g = graphs.custom(2, [[0, 1]])

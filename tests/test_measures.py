@@ -284,29 +284,6 @@ def test_dac_table_brute_force():
     assert np.allclose(table.p, oracle, atol=1e-12)
 
 
-# -- serialization ---------------------------------------------------------------
-
-
-def test_table_binary_roundtrip(tmp_path):
-    g = graphs.cycle(5)
-    t = exact_table(IsingMeasure(0.4), g)
-    path = tmp_path / "table.bin"
-    t.to_binary(path)
-    t2 = measures.ProbabilityTable.from_binary(path)
-    assert t2.n == 5
-    assert np.allclose(t2.p, t.p, atol=0)
-
-
-def test_table_csv(tmp_path):
-    g = graphs.custom(2, [])
-    t = exact_table(ProductMeasure(), g)
-    path = tmp_path / "table.csv"
-    t.to_csv(path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "index,probability"
-    assert len(lines) == 5
-
-
 # -- scan-rule demo measure -----------------------------------------------------
 
 
@@ -338,32 +315,42 @@ def test_scan_rule_alternating_error_branch():
 
 
 def test_ffiid_parity_cycle_matches_oracle():
-    rng = stream(9, 0)
+    sigma, omega = measures.sample_ffiid_parity_cycle(3, stream(9, 0), 300, return_source=True)
+    assert sigma.shape == omega.shape == (300, 6)
     hit_error = False
-    for rep in range(300):
-        sigma, omega = measures.sample_ffiid_parity_cycle(3, rng, return_source=True)
-        assert sigma.tolist() == scan_oracle(omega).tolist()
-        alternating = bool(np.all(omega != np.roll(omega, -1)))
+    for s_row, o_row in zip(sigma, omega):
+        assert s_row.tolist() == scan_oracle(o_row).tolist()
+        alternating = bool(np.all(o_row != np.roll(o_row, -1)))
         hit_error |= alternating
         if not alternating:
             # -+- and +-+ cannot occur off the error branch
-            flips = sigma * np.roll(sigma, -1) == -1
+            flips = s_row * np.roll(s_row, -1) == -1
             assert not np.any(flips & np.roll(flips, -1))
     assert hit_error  # cycle of 6: error branch has probability 1/32
 
 
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(2, 8), st.integers(1, 200), st.integers(0, 10**6))
+def test_ffiid_batch_matches_oracle_and_single_draws(n_half, count, seed):
+    sigma, omega = measures.sample_ffiid_parity_cycle(
+        n_half, stream(seed, 0), count, return_source=True)
+    assert sigma.shape == omega.shape == (count, 2 * n_half)
+    assert sigma.dtype == omega.dtype == np.int8
+    twin = stream(seed, 0)
+    for s_row, o_row in zip(sigma, omega):
+        assert s_row.tolist() == scan_oracle(o_row).tolist()
+        s_one, o_one = measures.sample_ffiid_parity_cycle(n_half, twin, 1, return_source=True)
+        assert s_one[0].tolist() == s_row.tolist() and o_one[0].tolist() == o_row.tolist()
+
+
 def test_ffiid_needs_four_sites():
     with pytest.raises(ValueError):
-        measures.sample_ffiid_parity_cycle(1, stream(9, 1))
+        measures.sample_ffiid_parity_cycle(1, stream(9, 1), 1)
 
 
-def test_vector_dump_roundtrip(tmp_path):
-    coef = walsh_transform(Majority().table_values(3), 3)
-    path = tmp_path / "coef.bin"
-    measures.dump_vector(path, coef, 3, kind="walsh")
-    back, n, kind = measures.load_vector(path)
-    assert n == 3 and kind == "walsh"
-    assert np.array_equal(back, coef)
-    csv_path = tmp_path / "coef.csv"
-    measures.dump_vector_csv(csv_path, coef)
-    assert csv_path.read_text().splitlines()[0] == "index,value"
+def test_ffiid_byte_guard_raises_before_drawing():
+    rng = stream(9, 2)
+    with pytest.raises(ValueError, match="bytes"):
+        measures.sample_ffiid_parity_cycle(3, rng, 10**12)
+    # nothing was drawn: the stream is where a fresh one starts
+    assert rng.random() == stream(9, 2).random()
