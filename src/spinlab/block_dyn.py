@@ -115,6 +115,18 @@ class BlockOperator:
         return delta
 
 
+def check_operator_size(n: int, support) -> None:
+    """Raise `ValueError` unless the boundary keys and block masses of the
+    operator over `support` on n vertices fit under OPERATOR_BYTES_CAP."""
+    size = 1 << n
+    stored = sum(1 for bits, _ in support if bits != size - 1)
+    nbytes = 16 * size * stored
+    if nbytes > OPERATOR_BYTES_CAP:
+        raise ValueError(
+            f"block operator needs about {nbytes} bytes for {stored} subsets "
+            f"over {size} configurations (cap {OPERATOR_BYTES_CAP})")
+
+
 def block_operator(table: ProbabilityTable, spec: SubsetSpec, graph: Graph) -> BlockOperator:
     """Transition operator of the keep-subset / redraw-complement chain.
 
@@ -124,14 +136,8 @@ def block_operator(table: ProbabilityTable, spec: SubsetSpec, graph: Graph) -> B
     the chain reversible with mu stationary.
     """
     support = subset_support(spec, graph)
+    check_operator_size(table.n, support)
     size = 1 << table.n
-    stored = sum(1 for bits, _ in support if bits != size - 1)
-    nbytes = 16 * size * stored
-    if nbytes > OPERATOR_BYTES_CAP:
-        raise ValueError(
-            f"block operator needs about {nbytes} bytes for {stored} subsets "
-            f"over {size} configurations (cap {OPERATOR_BYTES_CAP})"
-        )
     always = size - 1
     for bits, prob in support:
         if prob > 0:
@@ -410,6 +416,8 @@ def path_coupling_rate(
     """
     if graph.kind != "torus" or graph.kind_params["d"] not in (2, 3):
         raise ValueError("path coupling runs on 2D or 3D tori")
+    if beta < 0:
+        raise ValueError(f"need beta >= 0, got {beta}")
     d = graph.kind_params["d"]
     params = IsingParams(beta=beta, J=1.0) if beta > 0 else None
     etas = np.empty(trials)

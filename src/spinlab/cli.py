@@ -30,16 +30,13 @@ from .rng import stream
 # infrastructure
 
 
+@dataclass
 class Budget:
-    def __init__(self, seconds: float):
-        self.seconds = seconds
-        self.start = time.monotonic()
-        self.hit = False
+    seconds: float
+    start: float = field(default_factory=time.monotonic)
 
     def exceeded(self) -> bool:
-        if not self.hit and time.monotonic() - self.start > self.seconds:
-            self.hit = True
-        return self.hit
+        return time.monotonic() - self.start > self.seconds
 
 
 @dataclass
@@ -47,9 +44,6 @@ class Assertion:
     name: str
     status: str  # pass | fail | budget
     detail: str = ""
-
-    def as_doc(self) -> dict:
-        return {"name": self.name, "status": self.status, "detail": self.detail}
 
 
 def check(name: str, ok: bool, detail: str = "") -> Assertion:
@@ -107,13 +101,30 @@ class OutputWriter:
 
 @dataclass
 class Recipe:
+    """A named experiment. A parameter's default fixes its type: an int takes
+    an integer (not a bool), a float a finite real, a list a non-empty list
+    of its first entry's type, a dict (`graph`, `spec`) a JSON object. Ints
+    lie in [1, inf) and reals in [0, inf) unless `ranges` declares (low,
+    high); `check(params)` raises on the cross-field and size limits."""
+
     name: str
     claim: str
     defaults: dict
     run: object  # callable(params, seed, writer, budget) -> list[Assertion]
+    ranges: dict
+    check: object  # callable(params) -> None
+
+    def bounds(self, key: str) -> tuple:
+        """(low, high) of an int or real parameter, or of its list entries."""
+        first = self.defaults[key]
+        first = first[0] if isinstance(first, list) else first
+        return self.ranges.get(key, (1, math.inf) if isinstance(first, int) else (0.0, math.inf))
 
 
 RECIPES: dict[str, Recipe] = {}
+
+UNIT = (0.0, 1.0)
+LATTICE_SIDE = (3, math.inf)  # graphs.torus needs side >= 3
 
 
 def _chunk_sizes(total: int, chunks: int) -> list[int]:
@@ -124,18 +135,14 @@ def _chunk_sizes(total: int, chunks: int) -> list[int]:
     output; the spread of the chunk means gives a batch-means standard
     error that stays honest under within-chunk correlation.
     """
-    if not all(isinstance(v, int) and not isinstance(v, bool) for v in (total, chunks)):
-        raise TypeError(f"chunks and the draw count must be integers, got {chunks!r}, {total!r}")
-    if chunks < 1 or total < 1:
-        raise ValueError(f"chunks and the draw count must be >= 1, got {chunks}, {total}")
     n = min(chunks, total)
     base, extra = divmod(total, n)
     return [base + (i < extra) for i in range(n)]
 
 
-def recipe(name: str, claim: str, defaults: dict):
+def recipe(name: str, claim: str, defaults: dict, ranges=None, check=lambda params: None):
     def wrap(fn):
-        RECIPES[name] = Recipe(name, claim, defaults, fn)
+        RECIPES[name] = Recipe(name, claim, defaults, fn, ranges or {}, check)
         return fn
 
     return wrap
@@ -145,12 +152,18 @@ def recipe(name: str, claim: str, defaults: dict):
 # mean-field recipes
 
 
+def _check_cw_grid(params):
+    for k in params["ks"]:
+        cw.check_grid_size(params["n"], k)
+
+
 @recipe(
     "cw-clue",
     "Exact mean-field reconstruction curves: explained-variance and "
     "information shares of majority/magnetization are monotone in the "
     "observation count, and the information share obeys the entropy bound.",
     {"n": 2000, "betas": [0.5, 1.0, 1.5], "ks": [10, 20, 50, 100, 200, 500]},
+    check=_check_cw_grid,
 )
 def run_cw_clue(params, seed, writer, budget):
     n = params["n"]
@@ -219,6 +232,7 @@ def run_cw_entropy(params, seed, writer, budget):
     "Majority of an observed sample predicts the global majority with the "
     "exactly computed success probability.",
     {"n": 2000, "betas": [0.5, 1.5], "ks": [1, 10, 50, 200]},
+    check=_check_cw_grid,
 )
 def run_cw_guess(params, seed, writer, budget):
     writer.table("cw_guess", ["n", "beta", "k", "success"])
@@ -262,6 +276,13 @@ def run_en_moments(params, seed, writer, budget):
 # block-dynamics recipes
 
 
+def _check_block_chain(params):
+    g = graphs.build_graph(params["graph"])
+    measures.check_exact_size(g.n_vertices)
+    spec = graphs.SubsetSpec.from_json(params["spec"], g.n_vertices)
+    block_dyn.check_operator_size(g.n_vertices, graphs.subset_support(spec, g))
+
+
 @recipe(
     "eigenclue-verify",
     "The second eigenvalue of the keep-subset/redraw chain equals the "
@@ -273,6 +294,7 @@ def run_en_moments(params, seed, writer, budget):
         "spec": {"kind": "uniform_k", "k": 2},
         "trials": 100,
     },
+    check=_check_block_chain,
 )
 def run_eigenclue(params, seed, writer, budget):
     g = graphs.build_graph(params["graph"])
@@ -302,6 +324,7 @@ def run_eigenclue(params, seed, writer, budget):
         "spec": {"kind": "uniform_k", "k": 2},
         "events": 20,
     },
+    check=_check_block_chain,
 )
 def run_dirichlet_cheeger(params, seed, writer, budget):
     g = graphs.build_graph(params["graph"])
@@ -339,6 +362,12 @@ def run_dirichlet_cheeger(params, seed, writer, budget):
     return checks
 
 
+def _check_tiling(params):
+    g = graphs.torus(params["d"], params["side"])
+    for L in params["Ls"]:
+        graphs.revealment(graphs.Tiled(L), g)
+
+
 @recipe(
     "tiled-coupling",
     "One-step contraction of the tiled block chain: a seeded disagreement "
@@ -348,6 +377,8 @@ def run_dirichlet_cheeger(params, seed, writer, budget):
         "side": 60, "d": 2, "beta": 0.3, "Ls": [5, 10, 15], "trials": 2400,
         "warmup_steps": 60, "resample_sweeps": 40, "thin": 3, "chunks": 16,
     },
+    {"side": LATTICE_SIDE, "d": (2, 3)},  # path coupling runs on 2D and 3D tori
+    _check_tiling,
 )
 def run_tiled_coupling(params, seed, writer, budget):
     g = graphs.torus(params["d"], params["side"])
@@ -420,12 +451,26 @@ def _random_dac_instance(params, rng):
     return g, sorted(agg.items()), rng.standard_normal(1 << n)
 
 
+def _check_dac_instance(params):
+    # extra edges join non-path pairs, and bond masks are int64: at most 63 edges
+    room = min((params["n"] - 1) * (params["n"] - 2) // 2, 64 - params["n"])
+    if params["extra_edges"] > room:
+        raise ValueError(f"a path on {params['n']} vertices has room for {room} extra edges")
+
+
+def _check_dac_bounds(params):
+    _check_dac_instance(params)
+    graphs.revealment(graphs.UniformK(params["spec_k"]), graphs.custom(params["n"], []))
+
+
 @recipe(
     "dac-identities",
     "Coloring-measure moment formulas match brute-force enumeration; each "
     "parity class collects exactly 2^(V-k) subsets; class feasibility "
     "matches literal member enumeration.",
     {"instances": 20, "n": 5, "extra_edges": 3, "bond_support": 6},
+    {"extra_edges": (0, math.inf)},
+    _check_dac_instance,
 )
 def run_dac_identities(params, seed, writer, budget):
     checks = []
@@ -482,6 +527,8 @@ def _class_members(rep_bits: int, bonds, n: int):
     "average magnetization the singleton stage equals the cluster-ratio "
     "form exactly.",
     {"instances": 50, "n": 6, "extra_edges": 2, "bond_support": 5, "spec_k": 2},
+    {"extra_edges": (0, math.inf)},
+    _check_dac_bounds,
 )
 def run_dac_bounds(params, seed, writer, budget):
     checks = []
@@ -523,6 +570,10 @@ def run_dac_bounds(params, seed, writer, budget):
         "fk_samples": 300, "fk_sweeps": 25, "u_draws": 10,
         "outer": 20, "inner": 12, "sw_burnin": 25, "inner_sweeps": 600,
     },
+    # ddof=1 standard errors over u_draws; fk_samples feeds a bootstrap too
+    {"side": LATTICE_SIDE, "u_draws": (2, math.inf), "fk_samples": (2, math.inf),
+     "outer": (2, math.inf), "inner": (2, math.inf)},
+    lambda p: graphs.revealment(graphs.UniformK(p["spec_k"]), graphs.torus(2, p["side"])),
 )
 def run_fk_bound(params, seed, writer, budget):
     g = graphs.torus(2, params["side"])
@@ -589,16 +640,16 @@ def _integrated_autocorr(x: np.ndarray) -> float:
     "almost perfectly with coarse sublattice averages, nonincreasing in "
     "the mesh.",
     {
-        "side": 64, "beta": None, "meshes": [2, 4, 8, 16], "samples": 1200,
+        "side": 64, "beta": ising.BETA_C_2D, "meshes": [2, 4, 8, 16], "samples": 1200,
         "thin": 3, "burnin": 300, "min_ess": 200, "corr_floor": 0.9,
         "bootstrap": 200,
     },
+    {"side": LATTICE_SIDE, "corr_floor": UNIT, "bootstrap": (2, math.inf)},
 )
 def run_sublattice(params, seed, writer, budget):
     side = params["side"]
-    beta = params["beta"] if params["beta"] is not None else ising.BETA_C_2D
     g = graphs.torus(2, side)
-    par = ising.IsingParams(beta)
+    par = ising.IsingParams(params["beta"])
     rng = stream(seed, 30)
     cfg = ising.sw_chain(g, par, rng, params["burnin"])
     coords = np.unravel_index(np.arange(side * side), (side, side))
@@ -638,7 +689,7 @@ def run_sublattice(params, seed, writer, budget):
         writer.row("sublattice", s, len(sub_idx[s]), c, se)
         results.append((s, c, se))
     writer.table("sublattice_summary", ["beta", "samples", "ess"])
-    writer.row("sublattice_summary", beta, N, ess)
+    writer.row("sublattice_summary", params["beta"], N, ess)
     checks = [] if budget_note is None else [budget_note]
     checks += [
         check("effective-samples", ess >= params["min_ess"], f"ess={ess!r}"),
@@ -666,6 +717,8 @@ def run_sublattice(params, seed, writer, budget):
         "pz_coefficient": 0.3, "pz_floor": 0.2, "sw_burnin": 200, "thin": 30,
         "chunks": 8,
     },
+    {"side": LATTICE_SIDE, "bern_p": UNIT, "giant_fraction": UNIT, "giant_floor": UNIT,
+     "guess_floor": UNIT, "pz_floor": UNIT},
 )
 def run_supercrit(params, seed, writer, budget):
     g = graphs.torus(2, params["side"])
@@ -719,6 +772,7 @@ def run_supercrit(params, seed, writer, budget):
     "alternation patterns appear only on the alternating-source error "
     "branch, whose frequency matches 2^(1-cycle length).",
     {"n_half": 3, "draws": 20000},
+    check=lambda p: measures.check_ffiid_size(p["n_half"], p["draws"]),
 )
 def run_ffiid_demo(params, seed, writer, budget):
     n = 2 * params["n_half"]
@@ -750,13 +804,29 @@ def run_ffiid_demo(params, seed, writer, budget):
 # driver
 
 
+def _check_value(value, default, low, high) -> None:
+    """Check one value against the type of its default and [low, high]."""
+    if isinstance(default, (list, dict)):  # a dict is a document that `check` builds
+        if not isinstance(value, type(default)) or not value:
+            raise TypeError(f"expected a non-empty {type(default).__name__}, got {value!r}")
+        for v in value if isinstance(value, list) else ():
+            _check_value(v, default[0], low, high)
+        return
+    if isinstance(default, int):
+        graphs._index(value)
+    elif isinstance(value, bool) or not (isinstance(value, numbers.Real) and abs(value) < math.inf):
+        raise TypeError(f"expected a finite real, got {value!r}")
+    if not low <= value <= high:
+        raise ValueError(f"{value!r} is outside [{low}, {high}]")
+
+
 def _validate_params(name: str, overrides: dict, seed: int) -> tuple[Recipe, dict]:
-    """Resolve the recipe and its parameters, building any graph and subset
-    spec they describe, so that bad configs and seeds fail before any
-    output."""
+    """Resolve the recipe and check its parameters against their
+    declarations and its `check`, so that bad configs and seeds fail before
+    any output."""
     if name not in RECIPES:
         raise KeyError(f"unknown recipe {name!r}")
-    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+    if graphs._index(seed) < 0:
         raise ValueError(f"the seed must be an integer >= 0, got {seed!r}")
     rec = RECIPES[name]
     if not isinstance(overrides, dict):
@@ -766,46 +836,22 @@ def _validate_params(name: str, overrides: dict, seed: int) -> tuple[Recipe, dic
         if key not in rec.defaults:
             raise KeyError(f"unknown parameter {key!r} for recipe {rec.name}")
         params[key] = value
-    if "graph" in params:
-        g = graphs.build_graph(params["graph"])
-        if "spec" in params:
-            graphs.revealment(graphs.SubsetSpec.from_json(params["spec"], g.n_vertices), g)
-    if "spec_k" in params:
-        # fk-bound runs on the side x side torus, dac-bounds on n-vertex graphs
-        if "side" in params:
-            g = graphs.torus(2, params["side"])
-        else:
-            g = graphs.custom(params["n"], [[i, i + 1] for i in range(params["n"] - 1)])
-        graphs.revealment(graphs.UniformK(params["spec_k"]), g)
-    if "chunks" in params:
-        # tiled-coupling splits its trials, supercrit-giant its samples
-        _chunk_sizes(params["trials" if "trials" in params else "samples"], params["chunks"])
-    # u_draws and fk_samples feed ddof=1 standard errors, fk_samples a bootstrap
-    for key, low in (("u_draws", 2), ("fk_samples", 2), ("fk_sweeps", 1), ("draws", 1),
-                     ("n_half", 2)):
-        value = params.get(key, low)  # a recipe without the key passes
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
-            raise ValueError(f"{key} must be an integer >= {low}, got {value!r}")
-    if "n_half" in params:
-        measures.check_ffiid_size(params["n_half"], params["draws"])
-    if "ks" in params:
-        # cw-clue and cw-guess observe k of n spins; the guess needs k >= 1
-        for k in params["ks"]:
-            if not (isinstance(k, int) and 1 <= k <= params["n"]):
-                raise ValueError(f"each k must be an integer in [1, n={params['n']!r}], "
-                                 f"got {k!r}")
+    for key, value in params.items():
+        try:
+            _check_value(value, rec.defaults[key], *rec.bounds(key))
+        except (TypeError, ValueError) as exc:
+            raise type(exc)(f"parameter {key!r}: {exc}") from None
+    rec.check(params)
     return rec, params
 
 
-def run_recipe(
-    name: str,
-    overrides: dict,
-    seed: int,
-    outdir: Path,
-    fmt: str = "csv",
-    budget_seconds: float = 600.0,
-) -> dict:
+def run_recipe(name: str, overrides: dict, seed: int, outdir: Path, fmt: str = "csv",
+               budget_seconds: float = 600.0) -> dict:
     rec, params = _validate_params(name, overrides, seed)
+    return _run_checked(rec, params, seed, outdir, fmt, budget_seconds)
+
+
+def _run_checked(rec, params, seed, outdir, fmt, budget_seconds) -> dict:
     outdir.mkdir(parents=True, exist_ok=True)
     writer = OutputWriter(outdir, fmt)
     budget = Budget(budget_seconds)
@@ -817,18 +863,18 @@ def run_recipe(
     elif any(a.status == "budget" for a in assertions):
         status = "budget"
     summary = {
-        "recipe": name,
+        "recipe": rec.name,
         "claim": rec.claim,
         "seed": seed,
         "params": params,
-        "assertions": [a.as_doc() for a in assertions],
+        "assertions": [dict(vars(a)) for a in assertions],
         "status": status,
         "outputs": files,
     }
     with open(outdir / "summary.json", "w") as fh:
         json.dump(summary, fh, sort_keys=True, indent=1)
     manifest = {
-        "recipe": name,
+        "recipe": rec.name,
         "format": fmt,
         "tables": {tname: writer.schemas[tname] for tname in writer.tables},
     }
@@ -870,19 +916,12 @@ def main(argv=None) -> int:
             print(f"error: cannot read config: {exc}", file=sys.stderr)
             return 2
     try:
-        _validate_params(args.recipe, overrides, args.seed)
+        rec, params = _validate_params(args.recipe, overrides, args.seed)
     except (KeyError, TypeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     started = time.monotonic()
-    try:
-        summary = run_recipe(
-            args.recipe, overrides, args.seed, args.out, args.format,
-            args.budget_seconds,
-        )
-    except KeyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    summary = _run_checked(rec, params, args.seed, args.out, args.format, args.budget_seconds)
     elapsed = time.monotonic() - started
     print(f"{args.recipe}: {summary['status']} "
           f"({len(summary['assertions'])} assertions, {elapsed:.1f}s)",

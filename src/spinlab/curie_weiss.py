@@ -151,13 +151,21 @@ CW_GRID_BYTES_CAP = 1 << 30
 _GRID_CELL_BYTES = 41
 
 
-def _observed_grid(n: int, beta: float, k: int):
-    """Log-weights of (observed sum a over k spins, remaining sum b)."""
+def check_grid_size(n: int, k: int) -> None:
+    """Raise `ValueError` unless k of n spins can be observed and their
+    (observed sum, remaining sum) grid fits under `CW_GRID_BYTES_CAP`."""
+    if not 0 <= k <= n:
+        raise ValueError(f"need 0 <= k <= n={n}, got k={k}")
     est = _GRID_CELL_BYTES * (k + 1) * (n - k + 1)
     if est > CW_GRID_BYTES_CAP:
         raise ValueError(
             f"the Curie-Weiss grid for n={n}, k={k} needs about {est} bytes, "
             f"over the cap of {CW_GRID_BYTES_CAP}")
+
+
+def _observed_grid(n: int, beta: float, k: int):
+    """Log-weights of (observed sum a over k spins, remaining sum b)."""
+    check_grid_size(n, k)
     a = np.arange(-k, k + 1, 2, dtype=np.int64)
     b = np.arange(-(n - k), n - k + 1, 2, dtype=np.int64)
     log_ca = _log_binom(k, (k + a) // 2)

@@ -138,32 +138,6 @@ class Graph:
         """Neighbour arrays and vertex colouring, built once per graph."""
         return Geometry.of(self)
 
-    def to_json(self) -> str:
-        doc = {
-            "n_vertices": self.n_vertices,
-            "kind": self.kind,
-            "kind_params": self.kind_params,
-            "edges": self.edges.tolist(),
-        }
-        if self.translations is not None:
-            doc["translations"] = self.translations.tolist()
-        return json.dumps(doc, sort_keys=True)
-
-    @staticmethod
-    def from_json(text: str) -> "Graph":
-        doc = json.loads(text)
-        return Graph(
-            n_vertices=doc["n_vertices"],
-            edges=np.asarray(doc["edges"], dtype=np.int64).reshape(-1, 2),
-            kind=doc["kind"],
-            kind_params=doc.get("kind_params", {}),
-            translations=(
-                np.asarray(doc["translations"], dtype=np.int64)
-                if "translations" in doc
-                else None
-            ),
-        )
-
 
 @dataclass(frozen=True, eq=False)
 class Geometry:

@@ -17,9 +17,7 @@ identity E[s_x s_y] = P[x connected to y] is verified in the tests.
 
 from __future__ import annotations
 
-import json
 import math
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -86,33 +84,6 @@ class ChainState:
     def random(graph: Graph, rng: np.random.Generator) -> "ChainState":
         cfg = rng.choice(_bits.SPINS, size=graph.n_vertices)
         return ChainState(cfg, 0, rng)
-
-    def checkpoint_bytes(self) -> bytes:
-        def encode(obj):
-            if isinstance(obj, np.ndarray):
-                return obj.tolist()
-            return int(obj)
-
-        state_blob = json.dumps(
-            self.rng.bit_generator.state if self.rng is not None else None,
-            sort_keys=True, default=encode,
-        ).encode()
-        head = struct.pack("<4sBxxxIQI", b"SPCK", 1, len(self.config),
-                           self.sweeps, len(state_blob))
-        return head + self.config.astype(np.int8).tobytes() + state_blob
-
-    @staticmethod
-    def from_checkpoint(blob: bytes) -> "ChainState":
-        magic, version, n, sweeps, blob_len = struct.unpack("<4sBxxxIQI", blob[:24])
-        if magic != b"SPCK" or version != 1:
-            raise ValueError("unrecognized checkpoint")
-        config = np.frombuffer(blob[24:24 + n], dtype=np.int8).copy()
-        state = json.loads(blob[24 + n:24 + n + blob_len].decode())
-        rng = None
-        if state is not None:
-            rng = np.random.Generator(np.random.Philox())
-            rng.bit_generator.state = state
-        return ChainState(config, sweeps, rng)
 
 
 def _heat_bath_tables(params: IsingParams, max_degree: int) -> list[float]:

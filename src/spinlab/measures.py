@@ -34,7 +34,7 @@ EXACT_CAP_HARD = 24
 TABLE_SUM_TOL = 1e-12
 
 
-def _check_cap(n: int, allow_large: bool):
+def check_exact_size(n: int, allow_large: bool = False) -> None:
     cap = EXACT_CAP_HARD if allow_large else EXACT_CAP_DEFAULT
     if n > cap:
         raise ValueError(
@@ -134,7 +134,7 @@ class DacMeasure:
 def exact_table(measure, graph: Graph, allow_large: bool = False) -> ProbabilityTable:
     """Enumerate the measure on the given graph as a ProbabilityTable."""
     n = graph.n_vertices
-    _check_cap(n, allow_large)
+    check_exact_size(n, allow_large)
     idx = _bits.config_indices(n)
 
     if isinstance(measure, ProductMeasure):
@@ -207,7 +207,7 @@ class Observable:
 
     def table_values(self, n: int, allow_large: bool = False) -> np.ndarray:
         """Values over all 2^n configurations."""
-        _check_cap(n, allow_large)
+        check_exact_size(n, allow_large)
         return self._table(_bits.config_indices(n), n)
 
 
@@ -357,7 +357,7 @@ def walsh_transform(values: np.ndarray, n: int) -> np.ndarray:
     """
     if len(values) != 1 << n:
         raise ValueError("value vector length mismatch")
-    _check_cap(n, allow_large=True)
+    check_exact_size(n, allow_large=True)
     coef = np.array(values, dtype=np.float64)
     for bit in range(n):
         shape = (1 << (n - bit - 1), 2, 1 << bit)

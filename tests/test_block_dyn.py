@@ -250,6 +250,14 @@ def test_path_coupling_requires_lattice():
         block_dyn.path_coupling_rate(graphs.torus(2, 6), 0.1, 5, 5, stream(23, 21))
 
 
+def test_path_coupling_rejects_negative_beta():
+    g = graphs.torus(2, 6)
+    with pytest.raises(ValueError):
+        block_dyn.path_coupling_rate(g, -0.1, 2, 5, stream(23, 22))
+    # beta = 0 stays the coin-flip path
+    assert block_dyn.path_coupling_rate(g, 0.0, 2, 5, stream(23, 22)).beta == 0.0
+
+
 def test_path_coupling_contraction_small():
     # moderate-size check that disagreement production shrinks with L
     g = graphs.torus(2, 26)

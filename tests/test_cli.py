@@ -1,8 +1,12 @@
+import importlib.util
 import json
+import math
+from pathlib import Path
 
 import pytest
 
-from spinlab.cli import RECIPES, main, run_recipe
+from spinlab.cli import RECIPES, _validate_params, main, run_recipe
+from test_acceptance import MINI_CONFIGS
 
 
 def test_all_recipes_registered():
@@ -98,6 +102,33 @@ def test_exit_codes(tmp_path):
         ("ffiid-demo", {"draws": True}),
         ("ffiid-demo", {"draws": 10**12}),
         ("cw-guess", {"ks": [0]}),
+        ("cw-guess", {"ks": [True]}),
+        ("cw-guess", {"betas": [True]}),
+        ("cw-guess", {"ks": []}),
+        ("cw-entropy", {"ns": [0]}),
+        ("cw-entropy", {"ns": [5.5]}),
+        ("cw-entropy", {"betas": ["x"]}),
+        ("cw-clue", {"betas": [-1]}),
+        ("cw-clue", {"n": 100000, "ks": [50000]}),  # Curie-Weiss grid bytes
+        ("eigenclue-verify", {"graph": {"type": "cycle", "n": 21}}),  # exact-table cap
+        ("eigenclue-verify", {"graph": {"type": "cycle", "n": 19}}),  # block-operator bytes
+        ("eigenclue-verify", {"trials": 0}),
+        ("eigenclue-verify", {"beta": "a"}),
+        ("dirichlet-cheeger", {"events": -3}),
+        ("tiled-coupling", {"Ls": [0]}),
+        ("tiled-coupling", {"Ls": [58]}),  # the tiling period L+3 exceeds the side
+        ("tiled-coupling", {"thin": 0}),
+        ("tiled-coupling", {"beta": -0.1}),
+        ("dac-identities", {"extra_edges": 7}),
+        ("dac-identities", {"n": 1}),
+        ("dac-identities", {"instances": -1}),
+        ("dac-identities", {"n": 12, "extra_edges": 55}),  # 66 edges: bond masks overflow int64
+        ("dac-bounds", {"bond_support": 0}),
+        ("fk-bound", {"betas": []}),
+        ("fk-bound", {"inner": 1}),
+        ("supercrit-giant", {"bern_p": 2}),
+        ("ising2d-sublattice", {"meshes": [0]}),
+        ("ising2d-sublattice", {"beta": "x"}),
     ]):
         bad = tmp_path / f"bad-recipe{i}.json"
         bad.write_text(json.dumps(doc))
@@ -109,6 +140,54 @@ def test_exit_codes(tmp_path):
         out = tmp_path / f"bad-flag{i}"
         assert main(["ffiid-demo", "--out", str(out)] + flags) == 2
         assert not out.exists()
+
+
+def test_every_declared_parameter_rejects_bad_values(tmp_path):
+    cases = 0
+    for name, rec in sorted(RECIPES.items()):
+        for key, default in rec.defaults.items():
+            if isinstance(default, dict):  # graph and spec documents: see test_exit_codes
+                continue
+            low, high = rec.bounds(key)
+            bad = [True, "x", low - 1] + ([high + 1] if high < math.inf else [])
+            for i, value in enumerate(bad):
+                cfg = tmp_path / f"{name}-{key}-{i}.json"
+                cfg.write_text(json.dumps({key: [value] if isinstance(default, list) else value}))
+                out = tmp_path / f"{name}-{key}-{i}"
+                rc = main([name, "--config", str(cfg), "--out", str(out)])
+                assert rc == 2, (name, key, value)
+                assert not out.exists()
+                cases += 1
+    assert cases > 3 * 60
+
+
+def _workload_configs():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "worker.py"
+    spec = importlib.util.spec_from_file_location("perfbench_worker", path)
+    worker = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(worker)
+    for scales in worker.WORKLOADS.values():
+        for config in scales.values():
+            yield from config["recipes"]
+
+
+def test_shipped_configs_pass_validation():
+    configs = [(name, {}) for name in RECIPES] + list(MINI_CONFIGS.items())
+    configs += list(_workload_configs())
+    assert len(configs) > 2 * len(RECIPES)
+    for name, overrides in configs:
+        _validate_params(name, overrides, 0)
+
+
+def test_dac_extra_edges_fill_the_room_and_no_more(tmp_path):
+    # a path on 5 vertices leaves 6 non-path pairs (asking for 7 used to hang),
+    # and int64 bond masks hold at most 63 edges
+    for i, (n, room) in enumerate([(5, 6), (12, 52)]):
+        params = {"instances": 1, "n": n, "extra_edges": room}
+        assert run_recipe("dac-identities", params, 0, tmp_path / f"ok{i}")["status"] == "pass"
+        with pytest.raises(ValueError):
+            run_recipe("dac-identities", {**params, "extra_edges": room + 1}, 0, tmp_path / "x")
+        assert not (tmp_path / "x").exists()
 
 
 def test_negative_seed_rejected_before_output(tmp_path):

@@ -63,14 +63,6 @@ def test_bad_translation_rejected():
         graphs.custom(3, [[0, 1]], translations=[[1, 2, 0]])
 
 
-def test_graph_json_roundtrip():
-    g = graphs.torus(2, 3)
-    g2 = graphs.Graph.from_json(g.to_json())
-    assert g2.n_vertices == g.n_vertices
-    assert np.array_equal(g2.edges, g.edges)
-    assert np.array_equal(g2.translations, g.translations)
-
-
 # -- subset sampling ----------------------------------------------------------
 
 

@@ -287,21 +287,6 @@ def test_conditional_exact_resample_distribution():
     assert np.abs(freq - cond).max() < 4 * math.sqrt(0.25 / n_samp) + 0.003
 
 
-def test_checkpoint_roundtrip():
-    g = graphs.cycle(6)
-    rng = stream(5, 1)
-    state = ising.ChainState.random(g, rng)
-    ising.glauber_sweep(state, g, ising.IsingParams(0.3), sweeps=7)
-    blob = state.checkpoint_bytes()
-    back = ising.ChainState.from_checkpoint(blob)
-    assert np.array_equal(back.config, state.config)
-    assert back.sweeps == 7
-    # restored stream continues identically
-    a = ising.glauber_sweep(state, g, ising.IsingParams(0.3), sweeps=3).config
-    b = ising.glauber_sweep(back, g, ising.IsingParams(0.3), sweeps=3).config
-    assert np.array_equal(a, b)
-
-
 def test_random_scan_mode_reaches_stationarity():
     g = graphs.cycle(5)
     beta = 0.35
