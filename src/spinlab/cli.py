@@ -180,10 +180,9 @@ def run_cw_clue(params, seed, writer, budget):
             if budget.exceeded():
                 checks.append(Assertion("budget", "budget", f"stopped at beta={beta}, k={k}"))
                 return checks
-            cm = cw.cw_exact_clue(n, beta, k, "magnetization")
-            cj = cw.cw_exact_clue(n, beta, k, "majority")
-            ic = cw.cw_iclue(n, beta, k)
-            gs = cw.cw_majority_guess_success(n, beta, k)
+            law = cw.cw_observed_law(n, beta, k)
+            cm, cj = law.clue("magnetization"), law.clue("majority")
+            ic, gs = law.iclue(), law.guess_success()
             writer.row("cw_clue", n, beta, k, cm, cj, ic.iclue, gs, deficit)
             monotone &= cm >= prev - 1e-12
             prev = cm
@@ -313,6 +312,13 @@ def run_eigenclue(params, seed, writer, budget):
     ]
 
 
+def _check_cheeger(params):
+    _check_block_chain(params)
+    if graphs.build_graph(params["graph"]).n_vertices < 2:
+        raise ValueError("dirichlet-cheeger needs n >= 2: its events hold 1 to "
+                         "2^(n-1) - 1 of the 2^n states")
+
+
 @recipe(
     "dirichlet-cheeger",
     "Every low-probability event's escape flux lower-bounds its "
@@ -324,7 +330,7 @@ def run_eigenclue(params, seed, writer, budget):
         "spec": {"kind": "uniform_k", "k": 2},
         "events": 20,
     },
-    check=_check_block_chain,
+    check=_check_cheeger,
 )
 def run_dirichlet_cheeger(params, seed, writer, budget):
     g = graphs.build_graph(params["graph"])

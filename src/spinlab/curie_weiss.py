@@ -6,6 +6,17 @@ normalization by log-sum-exp), so n up to 1e5 is fine. Total spin lives on
 the lattice {-n, -n+2, ..., n}; the Hamiltonian is
 H = -(1/n) * sum over pairs of s_x s_y, giving P[S=s] proportional to
 C(n,(n+s)/2) * exp(beta s^2 / (2n)).
+
+Reconstruction from k observed spins uses one grid per (n, beta, k): the
+log-weights of (observed sum a, remaining sum b), (k+1) x (n-k+1) cells.
+`cw_observed_law` builds it once, scales each row by its own maximum and
+exponentiates in place, and reduces it to four vectors over a: P[a],
+log P[a], E[S | a] and P[S > 0 | a]. The clue of the magnetization and of
+the majority, the information share and the majority-guess success are
+O(n) readouts of that `CwObservedLaw`; `cw_exact_clue`, `cw_iclue` and
+`cw_majority_guess_success` build a law and read one value. The grid costs
+`_GRID_CELL_BYTES` per cell at its peak and is refused above
+`CW_GRID_BYTES_CAP` before anything is allocated.
 """
 
 from __future__ import annotations
@@ -146,9 +157,13 @@ def cw_relative_entropy(n: int, beta: float) -> CwRelativeEntropyReport:
 #: clue, iclue and guess engines refuse to build it.
 CW_GRID_BYTES_CAP = 1 << 30
 
-#: Peak bytes per grid cell of the callers of `_observed_grid` (measured:
-#: n = 8000, k = 4000 took 665 MB).
-_GRID_CELL_BYTES = 41
+#: Peak bytes per grid cell of `cw_observed_law`: the float64 log-weights
+#: plus one float64 temporary while they are built. Measured with
+#: scripts/cw_grid_probe.py: n = 8000, k = 4000 (16 M cells) raised peak RSS
+#: by 244 MB over the post-import baseline, 16.0 bytes per cell, for the law
+#: and each of its readouts (the earlier one-grid-per-readout path took 40
+#: bytes per cell in `cw_exact_clue` and 66 in `cw_iclue`).
+_GRID_CELL_BYTES = 16
 
 
 def check_grid_size(n: int, k: int) -> None:
@@ -164,19 +179,19 @@ def check_grid_size(n: int, k: int) -> None:
 
 
 def _observed_grid(n: int, beta: float, k: int):
-    """Log-weights of (observed sum a over k spins, remaining sum b)."""
+    """Observed sums a over k spins, remaining sums b over the other n - k,
+    and the log-weight of each (a, b) cell, built in place."""
     check_grid_size(n, k)
     a = np.arange(-k, k + 1, 2, dtype=np.int64)
     b = np.arange(-(n - k), n - k + 1, 2, dtype=np.int64)
     log_ca = _log_binom(k, (k + a) // 2)
     log_cb = _log_binom(n - k, (n - k + b) // 2)
-    total = a[:, None] + b[None, :]
-    logw = (
-        log_ca[:, None]
-        + log_cb[None, :]
-        + beta * total.astype(float) ** 2 / (2.0 * n)
-    )
-    return a, b, total, logw
+    logw = np.add.outer(a.astype(float), b.astype(float))  # total spin a + b
+    np.square(logw, out=logw)
+    logw *= beta
+    logw /= 2.0 * n
+    logw += np.add.outer(log_ca, log_cb)
+    return a, b, logw
 
 
 def _target_values(total: np.ndarray, n: int, target: str) -> np.ndarray:
@@ -187,36 +202,9 @@ def _target_values(total: np.ndarray, n: int, target: str) -> np.ndarray:
     raise ValueError("target must be 'magnetization' or 'majority'")
 
 
-def cw_exact_clue(n: int, beta: float, k: int, target: str = "magnetization") -> float:
-    """Exact explained-variance fraction of the target given any k spins.
-
-    Exchangeability makes only |U| = k matter: condition on the observed
-    sum a, average the target over the remaining-sum law, and take the
-    variance ratio. Cost O(n k).
-    """
-    if not 0 <= k <= n:
-        raise ValueError("need 0 <= k <= n")
-    pmf = cw_magnetization_pmf(n, beta)
-    t_all = _target_values(pmf.s_values, n, target)
-    mean_t = float(pmf.probabilities @ t_all)
-    var_t = float(pmf.probabilities @ (t_all - mean_t) ** 2)
-    if var_t <= 0:
-        return 0.0
-    if k == 0:
-        return 0.0
-    if k == n:
-        return 1.0
-    a, b, total, logw = _observed_grid(n, beta, k)
-    t = _target_values(total, n, target)
-    row_max = logw.max(axis=1, keepdims=True)
-    w = np.exp(logw - row_max)
-    row_sum = w.sum(axis=1)
-    cond_mean = (w * t).sum(axis=1) / row_sum
-    log_pa = np.log(row_sum) + row_max[:, 0]
-    pa = np.exp(log_pa - logsumexp(log_pa))
-    overall = float(pa @ cond_mean)
-    var_cond = float(pa @ (cond_mean - overall) ** 2)
-    return min(max(var_cond / var_t, 0.0), 1.0)
+def _entropy_bits(x: np.ndarray) -> float:
+    x = x[x > 0]
+    return float(-(x * np.log2(x)).sum())
 
 
 @dataclass(frozen=True)
@@ -226,48 +214,103 @@ class CwIclueReport:
     bound: float  # (k/n) * (1 + D / H(target))
 
 
-def cw_iclue(n: int, beta: float, k: int) -> CwIclueReport:
-    """Mutual-information share I(majority; observed spins) / H(majority),
-    from the exact joint law of (sign of S, observed sum)."""
-    if not 0 <= k <= n:
-        raise ValueError("need 0 <= k <= n")
+@dataclass(frozen=True)
+class CwObservedLaw:
+    """Exact law of the observed sum a of any k of n spins, reduced to what
+    the readouts need of the total spin S given a.
+
+    Exchangeability makes only |U| = k matter, so every exact clue,
+    information share and guess success at (n, beta, k) is a sum over a of
+    these per-row vectors; `cw_observed_law` builds them from one grid.
+    """
+
+    pmf: CwMagnetizationPmf  # law of S
+    k: int
+    a: np.ndarray  # observed sums -k, -k+2, ..., k
+    p_a: np.ndarray  # P[a]
+    mean_s: np.ndarray  # E[S | a]
+    p_plus: np.ndarray  # P[S > 0 | a]
+    log_pa: np.ndarray  # log P[a]
+
+    def clue(self, target: str = "magnetization") -> float:
+        """Explained-variance fraction Var(E[t | a]) / Var(t) of the target
+        t: S/n for "magnetization", sign(S) (sign(0) = -1) for "majority"."""
+        n, p = self.pmf.n, self.pmf.probabilities
+        t_all = _target_values(self.pmf.s_values, n, target)
+        mean_t = float(p @ t_all)
+        var_t = float(p @ (t_all - mean_t) ** 2)
+        if var_t <= 0 or self.k == 0:
+            return 0.0
+        if self.k == n:
+            return 1.0
+        cond = self.mean_s / n if target == "magnetization" else 2.0 * self.p_plus - 1.0
+        overall = float(self.p_a @ cond)
+        var_cond = float(self.p_a @ (cond - overall) ** 2)
+        return min(max(var_cond / var_t, 0.0), 1.0)
+
+    def iclue(self) -> CwIclueReport:
+        """Mutual-information share I(majority; a) / H(majority), from the
+        joint law P[a] * (P[S <= 0 | a], P[S > 0 | a]); asserts the entropy
+        bound (k/n) * (1 + D / H(majority)) at 1e-9."""
+        pmf, k = self.pmf, self.k
+        n = pmf.n
+        p_plus = float(pmf.probabilities[pmf.s_values > 0].sum())
+        if p_plus <= 0.0 or p_plus >= 1.0:
+            raise ValueError("degenerate majority: zero entropy")
+        h_z = -(p_plus * math.log2(p_plus) + (1 - p_plus) * math.log2(1 - p_plus))
+        d_bits = cw_relative_entropy(n, pmf.beta).d_bits
+        bound = (k / n) * (1.0 + d_bits / h_z)
+        if k == 0:
+            return CwIclueReport(0.0, h_z, bound)
+        if k == n:
+            iclue = 1.0
+        else:
+            joint = self.p_a * np.stack([1.0 - self.p_plus, self.p_plus])
+            i_za = (_entropy_bits(joint.sum(axis=1)) + _entropy_bits(joint.sum(axis=0))
+                    - _entropy_bits(joint))
+            iclue = min(max(i_za / h_z, 0.0), 1.0)
+        if iclue > bound + 1e-9:
+            raise AssertionError(
+                f"information share {iclue} exceeded the entropy bound {bound}"
+            )
+        return CwIclueReport(iclue, h_z, bound)
+
+    def guess_success(self) -> float:
+        """P[ sign of a matches the sign of S ], both with sign(0) = -1."""
+        if self.k == self.pmf.n:
+            return 1.0
+        hit = np.where(self.a > 0, self.p_plus, 1.0 - self.p_plus)
+        return float(self.p_a @ hit)
+
+
+def cw_observed_law(n: int, beta: float, k: int) -> CwObservedLaw:
+    """The observed-sum law of k of n spins, from one (observed sum,
+    remaining sum) grid: each row is scaled by its own maximum and
+    exponentiated in place, then reduced to P[a], E[S | a] and P[S > 0 | a].
+    Cost O(n k) time and about `_GRID_CELL_BYTES` per grid cell."""
     pmf = cw_magnetization_pmf(n, beta)
-    sign_all = np.where(pmf.s_values > 0, 1.0, -1.0)
-    p_plus = float(pmf.probabilities[sign_all > 0].sum())
-    if p_plus <= 0.0 or p_plus >= 1.0:
-        raise ValueError("degenerate majority: zero entropy")
-    h_z = -(p_plus * math.log2(p_plus) + (1 - p_plus) * math.log2(1 - p_plus))
-    d_bits = cw_relative_entropy(n, beta).d_bits
-    bound = (k / n) * (1.0 + d_bits / h_z)
-    if k == 0:
-        return CwIclueReport(0.0, h_z, bound)
-    if k == n:
-        iclue = 1.0
-    else:
-        a, b, total, logw = _observed_grid(n, beta, k)
-        log_z = float(logsumexp(logw))
-        plus = total > 0
-        with np.errstate(divide="ignore"):
-            log_joint_plus = logsumexp(np.where(plus, logw, -np.inf), axis=1)
-            log_joint_minus = logsumexp(np.where(~plus, logw, -np.inf), axis=1)
-        joint = np.stack(
-            [np.exp(log_joint_minus - log_z), np.exp(log_joint_plus - log_z)]
-        )
-        pa = joint.sum(axis=0)
-        pz = joint.sum(axis=1)
-        pos = joint > 0
+    a, b, w = _observed_grid(n, beta, k)
+    row_max = w.max(axis=1)
+    w -= row_max[:, None]
+    np.exp(w, out=w)
+    row_sum = w.sum(axis=1)
+    mean_s = a + np.einsum("ij,j->i", w, b.astype(float)) / row_sum
+    p_plus = np.sum(w, axis=1, where=np.greater.outer(a, -b)) / row_sum  # a + b > 0
+    log_pa = np.log(row_sum) + row_max
+    log_pa -= logsumexp(log_pa)
+    return CwObservedLaw(pmf, k, a, np.exp(log_pa), mean_s, p_plus, log_pa)
 
-        def ent(x):
-            x = x[x > 0]
-            return float(-(x * np.log2(x)).sum())
 
-        i_za = ent(pz) + ent(pa) - ent(joint[pos])
-        iclue = min(max(i_za / h_z, 0.0), 1.0)
-    if iclue > bound + 1e-9:
-        raise AssertionError(
-            f"information share {iclue} exceeded the entropy bound {bound}"
-        )
-    return CwIclueReport(iclue, h_z, bound)
+def cw_exact_clue(n: int, beta: float, k: int, target: str = "magnetization") -> float:
+    """Exact explained-variance fraction of the target given any k spins
+    (`CwObservedLaw.clue`)."""
+    return cw_observed_law(n, beta, k).clue(target)
+
+
+def cw_iclue(n: int, beta: float, k: int) -> CwIclueReport:
+    """Mutual-information share I(majority; observed spins) / H(majority)
+    (`CwObservedLaw.iclue`)."""
+    return cw_observed_law(n, beta, k).iclue()
 
 
 def cw_majority_guess_success(n: int, beta: float, k: int) -> float:
@@ -275,14 +318,7 @@ def cw_majority_guess_success(n: int, beta: float, k: int) -> float:
     both signs use the tie convention sign(0) = -1."""
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= n")
-    if k == n:
-        return 1.0
-    a, b, total, logw = _observed_grid(n, beta, k)
-    agree = (a[:, None] > 0) == (total > 0)
-    log_z = float(logsumexp(logw))
-    with np.errstate(divide="ignore"):
-        log_hit = float(logsumexp(np.where(agree, logw, -np.inf)))
-    return math.exp(log_hit - log_z)
+    return cw_observed_law(n, beta, k).guess_success()
 
 
 def cw_threshold_k(

@@ -138,6 +138,13 @@ class Graph:
         """Neighbour arrays and vertex colouring, built once per graph."""
         return Geometry.of(self)
 
+    @functools.cached_property
+    def edge_list(self) -> list[list[int]]:
+        """`edges` as Python lists, built once per graph on first use, for
+        the scalar single-chain loops (graphs that only run the array
+        kernels never pay for it)."""
+        return self.edges.tolist()
+
 
 @dataclass(frozen=True, eq=False)
 class Geometry:

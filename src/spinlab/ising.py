@@ -3,11 +3,18 @@ Swendsen-Wang, FK bond sampling, and cluster coloring.
 
 Both samplers come as a replica kernel over an (R, n) int8 array and as a
 scalar single-chain path. `heat_bath` redraws one colour class of all
-replicas at a time; `glauber_sweep` loops over sites. `swendsen_wang`
-labels the clusters of all R copies with one scipy call on a symmetric
-CSR matrix read off `Graph.geometry`; `swendsen_wang_step` (union-find,
-`BondConfig`) stays the path of `sw_chain` on graphs of at most
-`SW_STEP_MAX_BONDS` edges, where it is faster for one chain.
+replicas at a time. `swendsen_wang` labels the clusters of all R copies
+with one scipy call on a symmetric CSR matrix read off `Graph.geometry`.
+
+The single-chain steps are for tiny graphs, where per-call overhead is
+most of the cost, so they rebuild nothing per call: both run over Python
+lists cached on the graph (`Graph.geometry.lists`, `Graph.edge_list`) and
+a list of uniforms, and the heat-bath table is memoised per parameters and
+degree. `glauber_sweep` loops over sites. `swendsen_wang_step` draws the
+bonds, union-finds, ranks the roots and colours in one pass and hands its
+labels to `BondConfig`; it is the path of `sw_chain` on graphs of at most
+`SW_STEP_MAX_BONDS` edges, where it is faster for one chain. The streams
+of both are pinned by SHA-256 digests in the tests.
 
 Weights are exp(-beta * H) with H = -J * sum_edges s_u s_v - h * sum_v s_v.
 Under this convention the bond-opening probability that makes cluster
@@ -17,6 +24,7 @@ identity E[s_x s_y] = P[x connected to y] is verified in the tests.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -86,13 +94,13 @@ class ChainState:
         return ChainState(cfg, 0, rng)
 
 
-def _heat_bath_tables(params: IsingParams, max_degree: int) -> list[float]:
-    """P[spin = +1 | neighbor sum m] indexed by m + max_degree."""
-    table = []
-    for m in range(-max_degree, max_degree + 1):
-        theta = params.beta * (params.J * m + params.h)
-        table.append(1.0 / (1.0 + math.exp(-2.0 * theta)))
-    return table
+@functools.lru_cache(maxsize=64)
+def _heat_bath_tables(params: IsingParams, max_degree: int) -> tuple[float, ...]:
+    """P[spin = +1 | neighbor sum m] indexed by m + max_degree; memoised,
+    since a single chain asks for the same table on every sweep."""
+    thetas = (params.beta * (params.J * m + params.h)
+              for m in range(-max_degree, max_degree + 1))
+    return tuple(1.0 / (1.0 + math.exp(-2.0 * theta)) for theta in thetas)
 
 
 def glauber_sweep(
@@ -119,7 +127,7 @@ def glauber_sweep(
     p_plus = _heat_bath_tables(params, degmax)
     cfg = state.config.tolist()
     if frozen is not None:
-        free = [v for v in range(n) if not frozen[v]]
+        free = [v for v, f in enumerate(np.asarray(frozen, dtype=bool).tolist()) if not f]
     else:
         free = list(range(n))
     n_free = len(free)
@@ -127,15 +135,15 @@ def glauber_sweep(
         state.sweeps += sweeps
         return state
     for _ in range(sweeps):
-        us = rng.random(n_free)
+        us = rng.random(n_free).tolist()
+        sites = free
         if random_scan:
-            order = rng.integers(0, n_free, size=n_free)
-        for i in range(n_free):
-            v = free[order[i]] if random_scan else free[i]
-            m = 0
+            sites = [free[i] for i in rng.integers(0, n_free, size=n_free).tolist()]
+        for v, u_draw in zip(sites, us):
+            m = degmax  # the table index of neighbour sum 0
             for u in nbrs[v]:
                 m += cfg[u]
-            cfg[v] = 1 if us[i] < p_plus[m + degmax] else -1
+            cfg[v] = 1 if u_draw < p_plus[m] else -1
         state.sweeps += 1
     state.config = np.asarray(cfg, dtype=np.int8)
     return state
@@ -186,15 +194,14 @@ def heat_bath(
     return cfgs
 
 
-#: Largest edge count on which `sw_chain` runs the union-find
-#: `swendsen_wang_step`. Its cost grows with the open bonds, while the
+#: Largest edge count on which `sw_chain` runs the single-pass
+#: `swendsen_wang_step`. Its cost grows with the edge count, while the
 #: replica kernel `swendsen_wang` costs a nearly fixed amount per call on
 #: small graphs. scripts/sw_kernel_probe.py timed both on a shared 2-core
-#: x86-64 host with one BLAS thread, once quiet and once under load from
-#: other tenants (step / kernel, us per step):
-#:   cycle(5), 5 edges       16 / 29 quiet    31 / 62 loaded
-#:   7x7 torus, 98 edges     29 / 32 quiet    51 / 81 loaded
-#:   8x8 torus, 128 edges    34 / 33 quiet    88 / 88 loaded
+#: x86-64 host with one BLAS thread, in two runs (step / kernel, us per step):
+#:   cycle(5), 5 edges       14 / 45    14 / 43
+#:   7x7 torus, 98 edges     44 / 46    44 / 47
+#:   8x8 torus, 128 edges    52 / 47    54 / 47
 #: so the two tie between about 96 and 128 edges. The graphs that the
 #: recipes and tests run have at most 18 or at least 128 edges.
 SW_STEP_MAX_BONDS = 96
@@ -320,14 +327,43 @@ def swendsen_wang_step(
     params: IsingParams,
     rng: np.random.Generator,
 ) -> tuple[BondConfig, np.ndarray]:
-    """One bond-then-color step; returns the bond layer and the new spins."""
+    """One bond-then-color step; returns the bond layer and the new spins.
+
+    It draws `rng.random(m)` for the bonds, then the coins of
+    `edwards_sokal_color`, and does the union-find, root ranking and
+    colouring in one pass over Python lists, so the returned `BondConfig`
+    carries the labels and cluster count that `component_labels` would give.
+    """
     if params.h != 0.0:
         raise ValueError("cluster moves need zero external field")
-    cfg = np.asarray(config, dtype=np.int8)
-    mono = cfg[graph.edges[:, 0]] == cfg[graph.edges[:, 1]]
-    opens = mono & (rng.random(graph.n_edges) < params.p_bond)
-    bonds = BondConfig(graph, opens)
-    new_cfg = edwards_sokal_color(bonds, rng)
+    spins = np.asarray(config, dtype=np.int8).tolist()
+    n, p_bond = graph.n_vertices, params.p_bond
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]  # path halving
+        return x
+
+    opens = []
+    for (u, v), draw in zip(graph.edge_list, rng.random(graph.n_edges).tolist()):
+        is_open = spins[u] == spins[v] and draw < p_bond
+        opens.append(is_open)
+        if is_open:
+            ru, rv = find(u), find(v)
+            if ru < rv:
+                parent[rv] = ru
+            elif rv < ru:
+                parent[ru] = rv
+    labels = [find(v) for v in range(n)]  # each root is its cluster's smallest vertex
+    rank = {}
+    for v, root in enumerate(labels):
+        if root == v:
+            rank[v] = len(rank)
+    coins = _bits.SPINS[rng.integers(0, 2, size=len(rank))].tolist()
+    new_cfg = np.array([coins[rank[root]] for root in labels], dtype=np.int8)
+    bonds = BondConfig(graph, np.array(opens, dtype=bool),
+                       np.array(labels, dtype=np.int64), len(rank))
     return bonds, new_cfg
 
 

@@ -115,6 +115,8 @@ def test_exit_codes(tmp_path):
         ("eigenclue-verify", {"trials": 0}),
         ("eigenclue-verify", {"beta": "a"}),
         ("dirichlet-cheeger", {"events": -3}),
+        ("dirichlet-cheeger", {"graph": {"type": "complete", "n": 1},
+                               "spec": {"kind": "uniform_k", "k": 1}}),  # no room for an event
         ("tiled-coupling", {"Ls": [0]}),
         ("tiled-coupling", {"Ls": [58]}),  # the tiling period L+3 exceeds the side
         ("tiled-coupling", {"thin": 0}),

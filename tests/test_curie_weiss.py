@@ -1,9 +1,13 @@
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinlab import _bits, clue, curie_weiss as cw, graphs, measures
+from spinlab.cli import main
 from spinlab.measures import CurieWeissMeasure, Magnetization, Majority, exact_table
 
 
@@ -158,6 +162,48 @@ def test_majority_guess_matches_exact_table():
     agree = (obs_sum > 0) == (s_all > 0)
     oracle = float(table.p @ agree)
     assert cw.cw_majority_guess_success(n, beta, k) == pytest.approx(oracle, abs=1e-10)
+
+
+def _guess_oracle(table, n, k):
+    """P[ sign of the sum of spins 0..k-1 matches the sign of S ] by
+    enumerating the table, with sign(0) = -1 on both sides."""
+    idx = _bits.config_indices(n)
+    obs_sum = sum(_bits.spins_of(idx, v) for v in range(k))
+    return float(table.p @ ((obs_sum > 0) == (_bits.total_spin(idx, n) > 0)))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(2, 12).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n - 1))),
+       st.floats(0.0, 2.0))
+def test_observed_law_readouts_match_enumeration(n_k, beta):
+    n, k = n_k
+    table = exact_table(CurieWeissMeasure(beta), graphs.complete(n))
+    ubits = (1 << k) - 1
+    law = cw.cw_observed_law(n, beta, k)
+    assert law.clue("magnetization") == pytest.approx(
+        clue.clue_exact(table, Magnetization(), ubits), abs=1e-9)
+    assert law.clue("majority") == pytest.approx(
+        clue.clue_exact(table, Majority(), ubits), abs=1e-9)
+    assert law.iclue().iclue == pytest.approx(
+        clue.iclue_exact(table, Majority(), ubits), abs=1e-9)
+    assert law.guess_success() == pytest.approx(_guess_oracle(table, n, k), abs=1e-9)
+    assert law.p_a.sum() == pytest.approx(1.0, abs=1e-12)
+    assert np.allclose(np.exp(law.log_pa), law.p_a, rtol=1e-12, atol=0)
+
+
+def test_cw_clue_recipe_builds_one_grid_per_point(tmp_path, monkeypatch):
+    calls = []
+    grid = cw._observed_grid
+
+    def counted(n, beta, k):
+        calls.append((n, beta, k))
+        return grid(n, beta, k)
+
+    monkeypatch.setattr(cw, "_observed_grid", counted)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n": 60, "betas": [0.5, 1.5], "ks": [5, 20, 59]}))
+    assert main(["cw-clue", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    assert sorted(calls) == [(60, b, k) for b in (0.5, 1.5) for k in (5, 20, 59)]
 
 
 def test_threshold_search_consistency():

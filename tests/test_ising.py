@@ -188,6 +188,69 @@ def test_fk_two_point_equals_connection_probability():
     assert abs(freq - exact) < 4 * se
 
 
+# SHA-256 of 2000 stacked int8 configurations of one chain per sampler, one
+# public call per step, recorded from the numpy-array versions of the scalar
+# kernels; a kernel that changes or reorders a draw changes its digest.
+_STREAM_DIGESTS = {
+    "glauber-cycle6":
+        "6616cd821b9970a7dc996289c04f5e63bd7bbfcda6f627728321e726dab799a7",
+    "glauber-complete5":
+        "05f79fe9c36d21422986fb284c441d9cf2e87e80393b157e35562430b0d6d829",
+    "glauber-cycle6-frozen":
+        "eefb478436b65903173cd40f64ae3f6eda6c6416a345bffd0818268b5d61cadb",
+    "glauber-cycle6-random-scan":
+        "f4656cb1d433cbc96ce83163f7311b55039d1f6e3ec801af2f799cd6c15057b3",
+    "sw-cycle5":
+        "5b70c2987ed3e1f520f84a6aaa03b1517005b2790e390299bbe2b48037219aea",
+}
+
+
+def _sampler_streams(steps=2000):
+    """name -> (steps, n) int8 array of the chain after each step."""
+    def glauber(g, params, seed, frozen=None, start=None, random_scan=False):
+        rng = stream(seed, 0)
+        cfg = rng.choice(_bits.SPINS, size=g.n_vertices) if start is None else start
+        state = ising.ChainState(np.array(cfg, dtype=np.int8), 0, rng)
+        out = np.empty((steps, g.n_vertices), dtype=np.int8)
+        for i in range(steps):
+            ising.glauber_sweep(state, g, params, frozen=frozen, random_scan=random_scan)
+            assert state.config.dtype == np.int8
+            out[i] = state.config
+        return out
+
+    def sw(g, params, seed):
+        rng = stream(seed, 0)
+        cfg = rng.choice(_bits.SPINS, size=g.n_vertices)
+        out = np.empty((steps, g.n_vertices), dtype=np.int8)
+        for i in range(steps):
+            bonds, cfg = ising.swendsen_wang_step(cfg, g, params, rng)
+            fresh = ising.BondConfig(g, bonds.open_edges)
+            assert cfg.dtype == np.int8
+            assert np.array_equal(bonds.labels, fresh.labels) and bonds.k == fresh.k
+            out[i] = cfg
+        return out
+
+    frozen = np.zeros(6, dtype=bool)
+    frozen[[0, 3]] = True
+    par = ising.IsingParams(0.4)
+    return {
+        "glauber-cycle6": glauber(graphs.cycle(6), par, 61),
+        "glauber-complete5": glauber(graphs.complete(5), ising.IsingParams(0.8, J=0.2), 62),
+        "glauber-cycle6-frozen": glauber(graphs.cycle(6), par, 63, frozen=frozen,
+                                         start=[1, 1, -1, -1, 1, 1]),
+        "glauber-cycle6-random-scan": glauber(graphs.cycle(6), par, 64, random_scan=True),
+        "sw-cycle5": sw(graphs.cycle(5), par, 65),
+    }
+
+
+def test_sampler_streams_match_recorded_digests():
+    import hashlib
+
+    digests = {name: hashlib.sha256(out.tobytes()).hexdigest()
+               for name, out in _sampler_streams().items()}
+    assert digests == _STREAM_DIGESTS
+
+
 def test_edwards_sokal_examples():
     g = graphs.custom(3, [[0, 1], [1, 2]])
     rng = stream(4, 0)
