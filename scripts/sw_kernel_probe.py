@@ -1,7 +1,10 @@
 """Time one Swendsen-Wang step per path: the union-find `swendsen_wang_step`
 against the replica kernel `swendsen_wang`, on the graphs where `sw_chain`
 chooses between them, plus the large single chain and replica batch that
-the recipes run.
+the recipes run, and one `graphs.component_labels` call (`labels`) on the
+graph sizes that call it: cycle(5), the 6-vertex path with 2 extra edges
+of `dac-bounds`, and the 16x16 and 60x60 tori, each with every edge open
+with probability 1/2.
 
     PYTHONPATH=src python3 scripts/sw_kernel_probe.py [--repeat 5]
 
@@ -50,6 +53,16 @@ def time_kernel(g, replicas, steps, repeat):
     return per_step_us(lambda: ising.swendsen_wang(cfgs, g, par, steps, rng), steps, repeat)
 
 
+def time_labels(g, calls, repeat):
+    opens = np.random.default_rng(0).random(g.n_edges) < 0.5
+
+    def run():
+        for _ in range(calls):
+            graphs.component_labels(g, opens)
+
+    return per_step_us(run, calls, repeat)
+
+
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--repeat", type=int, default=5)
@@ -78,8 +91,17 @@ def main():
             "kernel_us": round(time_kernel(t8, 100, 200, args.repeat), 1),
         },
     }
+    dac6 = graphs.custom(6, [[i, i + 1] for i in range(5)] + [[0, 3], [2, 5]])
+    labels = {
+        name: round(time_labels(g, calls, args.repeat), 1)
+        for name, g, calls in [("cycle(5)", graphs.cycle(5), 2000),
+                               ("dac path 6 + 2", dac6, 2000),
+                               ("torus 16x16", graphs.torus(2, 16), 500),
+                               ("torus 60x60", t60, 100)]
+    }
     print(json.dumps({"beta": BETA, "sw_step_max_bonds": ising.SW_STEP_MAX_BONDS,
-                      "crossover_R1": crossover, "batches": batches}, indent=1))
+                      "crossover_R1": crossover, "batches": batches,
+                      "labels_us": labels}, indent=1))
 
 
 if __name__ == "__main__":

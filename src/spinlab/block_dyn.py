@@ -357,13 +357,10 @@ def _tiled_blocks(graph: Graph, L: int, anchor) -> list[np.ndarray]:
     """Connected components of the removed set, on the actual graph (torus
     seams can merge clipped blocks into one component)."""
     removed = tiled_complement_mask(graph, L, anchor)
-    labels, _ = component_labels(
-        graph.n_vertices, graph.edges, vertex_mask=removed
-    )
-    comps: dict[int, list[int]] = {}
-    for v in np.flatnonzero(removed):
-        comps.setdefault(int(labels[v]), []).append(int(v))
-    return [np.asarray(c, dtype=np.int64) for _, c in sorted(comps.items())]
+    labels, _ = component_labels(graph, removed[graph.edges].all(axis=1))
+    members = np.flatnonzero(removed)  # never empty: L >= 1 and L + 3 <= side
+    members = members[np.argsort(labels[members], kind="stable")]
+    return np.split(members, np.flatnonzero(np.diff(labels[members])) + 1)
 
 
 def _coupled_block_resample(

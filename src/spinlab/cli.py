@@ -153,8 +153,14 @@ def recipe(name: str, claim: str, defaults: dict, ranges=None, check=lambda para
 
 
 def _check_cw_grid(params):
+    cw.check_pmf_size(params["n"])
     for k in params["ks"]:
         cw.check_grid_size(params["n"], k)
+
+
+def _check_cw_pmfs(params):
+    for n in params["ns"]:
+        cw.check_pmf_size(n)
 
 
 @recipe(
@@ -200,6 +206,7 @@ def run_cw_clue(params, seed, writer, budget):
     "relative entropy against fair coins and is dominated by the "
     "second-moment bound with a nonnegative normalizer gap.",
     {"ns": [100, 1000, 10000], "betas": [0.5, 1.0]},
+    check=_check_cw_pmfs,
 )
 def run_cw_entropy(params, seed, writer, budget):
     writer.table("cw_entropy", [
@@ -251,6 +258,7 @@ def run_cw_guess(params, seed, writer, budget):
     "known limits and the fourth moment never exceeds three times the "
     "squared second moment.",
     {"ns": [2000, 4000, 8000], "betas": [0.5, 1.0]},
+    check=_check_cw_pmfs,
 )
 def run_en_moments(params, seed, writer, budget):
     writer.table("en_moments", [
@@ -458,6 +466,7 @@ def _random_dac_instance(params, rng):
 
 
 def _check_dac_instance(params):
+    measures.check_exact_size(params["n"])
     # extra edges join non-path pairs, and bond masks are int64: at most 63 edges
     room = min((params["n"] - 1) * (params["n"] - 2) // 2, 64 - params["n"])
     if params["extra_edges"] > room:
@@ -498,7 +507,7 @@ def run_dac_identities(params, seed, writer, budget):
         ))
         # class-size law and feasibility semantics on one bond mask
         bond_bits = bond_table[rng.integers(len(bond_table))][0]
-        bonds = dac.clusters(g, _bits.bits_to_mask(bond_bits, g.n_edges))
+        bonds = ising.BondConfig(g, _bits.bits_to_mask(bond_bits, g.n_edges))
         checks.append(check(
             f"class-count-{inst}",
             dac.class_count(bonds) == 2 ** (n - bonds.k),

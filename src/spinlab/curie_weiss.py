@@ -16,7 +16,8 @@ the majority, the information share and the majority-guess success are
 O(n) readouts of that `CwObservedLaw`; `cw_exact_clue`, `cw_iclue` and
 `cw_majority_guess_success` build a law and read one value. The grid costs
 `_GRID_CELL_BYTES` per cell at its peak and is refused above
-`CW_GRID_BYTES_CAP` before anything is allocated.
+`CW_GRID_BYTES_CAP` before anything is allocated; the O(n) total-spin
+arrays likewise cost `_PMF_POINT_BYTES` per value under `CW_PMF_BYTES_CAP`.
 """
 
 from __future__ import annotations
@@ -54,9 +55,32 @@ class CwMagnetizationPmf:
         return float(self.probabilities @ (self.s_values.astype(float) ** r))
 
 
-def cw_magnetization_pmf(n: int, beta: float) -> CwMagnetizationPmf:
+#: Bytes of the O(n) total-spin arrays above which `cw_magnetization_pmf`
+#: refuses to build them.
+CW_PMF_BYTES_CAP = 1 << 30
+
+#: Peak bytes per total-spin value of a pmf and its heaviest readout
+#: (`cw_relative_entropy`, which also forms the entropy terms). Measured with
+#: scripts/cw_grid_probe.py pmf: at n = 4 000 000 peak RSS rose by 73.4 bytes
+#: per value for `cw_relative_entropy`, 72.4 for `cw_entropy` and 65.4 for
+#: `cw_moment`.
+_PMF_POINT_BYTES = 74
+
+
+def check_pmf_size(n: int) -> None:
+    """Raise `ValueError` unless n >= 1 and the total-spin arrays of n spins
+    and their readouts fit under `CW_PMF_BYTES_CAP`."""
     if n < 1:
         raise ValueError("need n >= 1")
+    est = _PMF_POINT_BYTES * (n + 1)
+    if est > CW_PMF_BYTES_CAP:
+        raise ValueError(
+            f"the Curie-Weiss pmf for n={n} needs about {est} bytes, "
+            f"over the cap of {CW_PMF_BYTES_CAP}")
+
+
+def cw_magnetization_pmf(n: int, beta: float) -> CwMagnetizationPmf:
+    check_pmf_size(n)
     if beta < 0:
         raise ValueError("need beta >= 0")
     s = np.arange(-n, n + 1, 2, dtype=np.int64)
@@ -101,8 +125,11 @@ def cw_entropy(n: int, beta: float) -> CwEntropyReport:
     O(1)); forming H first and subtracting would lose ~1e-8 absolute
     precision at n = 1e4 in double arithmetic.
     """
-    pmf = cw_magnetization_pmf(n, beta)
-    p = pmf.probabilities
+    return _entropy(cw_magnetization_pmf(n, beta))
+
+
+def _entropy(pmf: CwMagnetizationPmf) -> CwEntropyReport:
+    n, p = pmf.n, pmf.probabilities
     pos = p > 0
     m = (n + pmf.s_values) // 2
     log_counts = _log_binom(n, m)
@@ -132,20 +159,23 @@ def cw_relative_entropy(n: int, beta: float) -> CwRelativeEntropyReport:
     Satisfies D = n - H and D = moment_bound - gap with gap >= 0; both are
     asserted here at 1e-9.
     """
-    pmf = cw_magnetization_pmf(n, beta)
-    p = pmf.probabilities
+    return _relative_entropy(cw_magnetization_pmf(n, beta))
+
+
+def _relative_entropy(pmf: CwMagnetizationPmf) -> CwRelativeEntropyReport:
+    n, p = pmf.n, pmf.probabilities
     log2_ratio = (
         LOG2E * pmf.beta * pmf.s_values.astype(float) ** 2 / (2.0 * n)
         - pmf.log_z_ratio_bits
     )
     d = float(p @ log2_ratio)
-    bound = LOG2E * (beta / 2.0) * (pmf.moment_s(2) / n)
+    bound = LOG2E * (pmf.beta / 2.0) * (pmf.moment_s(2) / n)
     gap = pmf.log_z_ratio_bits
     if gap < -1e-12:
         raise AssertionError(f"normalizer ratio came out negative: {gap}")
     if abs(d - (bound - gap)) > 1e-9 * max(1.0, abs(d)):
         raise AssertionError("relative-entropy decomposition failed")
-    deficit = cw_entropy(n, beta).deficit_bits
+    deficit = _entropy(pmf).deficit_bits
     if abs(d - deficit) > 1e-9 * max(1.0, abs(d)):
         raise AssertionError(
             f"D = n - H identity failed: D={d!r}, n-H={deficit!r}"
@@ -258,7 +288,7 @@ class CwObservedLaw:
         if p_plus <= 0.0 or p_plus >= 1.0:
             raise ValueError("degenerate majority: zero entropy")
         h_z = -(p_plus * math.log2(p_plus) + (1 - p_plus) * math.log2(1 - p_plus))
-        d_bits = cw_relative_entropy(n, pmf.beta).d_bits
+        d_bits = _relative_entropy(pmf).d_bits
         bound = (k / n) * (1.0 + d_bits / h_z)
         if k == 0:
             return CwIclueReport(0.0, h_z, bound)

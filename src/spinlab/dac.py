@@ -5,6 +5,11 @@ A bond set N partitions the vertices into clusters; subsets of vertices are
 equivalent when they share all per-cluster intersection parities, and each
 equivalence class collects 2^(|V| - k(N)) subsets. Coefficients of classes
 are sums of plain Walsh coefficients over the class.
+
+The cluster layer is `ising.BondConfig(graph, open_edges)`: its k clusters
+are ranked by smallest vertex (`graphs.component_labels`), so cluster j is
+bit j of a parity profile and of a position in `BondConfig.colourings()`,
+and `BondConfig.cluster_masks[j]` is its vertex bitmask.
 """
 
 from __future__ import annotations
@@ -16,28 +21,13 @@ import numpy as np
 
 from . import _bits
 from .graphs import Graph, SubsetSpec, revealment, subset_support
-from .ising import BondConfig, IsingParams, fk_clusters, swendsen_wang
+from .ising import BondConfig, IsingParams, edwards_sokal_color, fk_clusters, swendsen_wang
 from .measures import DacMeasure, Magnetization, exact_table, subset_sums, values_of, walsh_transform
-
-
-def clusters(graph: Graph, open_edges) -> BondConfig:
-    """Label clusters of the open-edge subgraph; k and the class count
-    2^(n - k) are exposed by the result."""
-    return BondConfig(graph, np.asarray(open_edges, dtype=bool))
 
 
 def class_count(bonds: BondConfig) -> int:
     """Number of subsets in each parity class: 2^(|V| - k)."""
     return 1 << (bonds.graph.n_vertices - bonds.k)
-
-
-def _cluster_bit_masks(bonds: BondConfig) -> list[int]:
-    """Vertex bitmask of each cluster, ordered by smallest member."""
-    members = bonds.cluster_members()
-    return [
-        int(sum(1 << int(v) for v in verts))
-        for _, verts in sorted(members.items())
-    ]
 
 
 @dataclass
@@ -77,8 +67,7 @@ def dac_coefficients(f, bonds: BondConfig, allow_large: bool = False) -> DacCoef
     n = graph.n_vertices
     values = values_of(f, n, allow_large)
     coef = walsh_transform(values, n)
-    masks = _cluster_bit_masks(bonds)
-    k = len(masks)
+    masks, k = bonds.cluster_masks, bonds.k
     idx = _bits.config_indices(n)
     profile = np.zeros(1 << n, dtype=np.int64)
     for j, mask in enumerate(masks):
@@ -90,12 +79,7 @@ def dac_coefficients(f, bonds: BondConfig, allow_large: bool = False) -> DacCoef
     coeffs = np.bincount(profile, weights=coef, minlength=1 << k)
 
     # Conditional moments under uniform coloring of the clusters.
-    colorings = _bits.config_indices(k)
-    config_bits = np.zeros(1 << k, dtype=np.int64)
-    for j, mask in enumerate(masks):
-        chosen = ((colorings >> np.uint64(j)) & np.uint64(1)).astype(bool)
-        config_bits |= np.where(chosen, mask, 0)
-    sampled = values[config_bits]
+    sampled = values[bonds.colourings()]
     cond_mean = float(sampled.mean())
     cond_second = float((sampled**2).mean())
     if abs(coeffs[0] - cond_mean) > 1e-10 * max(1.0, abs(cond_mean)):
@@ -163,8 +147,6 @@ def dac_expectation(
     if rng is None:
         raise ValueError("sampled mode needs a stream")
     sampler = bond_table  # callable(rng) -> BondConfig
-    from .ising import edwards_sokal_color
-
     vals_f, vals_fg, direct_fs, direct_fgs = [], [], [], []
     for _ in range(replicas):
         bonds = sampler(rng)
@@ -209,7 +191,7 @@ def class_within(profile: int, bonds: BondConfig, subset_mask) -> bool:
     bits = _bits.mask_to_bits(np.asarray(subset_mask, dtype=bool)) if not isinstance(
         subset_mask, (int, np.integer)
     ) else int(subset_mask)
-    masks = _cluster_bit_masks(bonds)
+    masks = bonds.cluster_masks
     if profile >= (1 << len(masks)):
         raise ValueError("profile does not match this clustering")
     for j, mask in enumerate(masks):
@@ -278,10 +260,10 @@ def dac_clue_upper_bound(
         # Profile p fits inside U iff p avoids every cluster disjoint from U,
         # so the feasible mass is a subset sum over the good clusters.
         sq_subset_sums = subset_sums(sq, cf.k)
-        cluster_bits = cf.cluster_masks
+        masks = cf.cluster_masks
         for ubits, uprob in support:
             good = 0
-            for j, mask in enumerate(cluster_bits):
+            for j, mask in enumerate(masks):
                 if mask & ubits:
                     good |= 1 << j
             inside = float(sq_subset_sums[good]) - sq[0]
@@ -289,13 +271,11 @@ def dac_clue_upper_bound(
         if is_magnetization:
             # Per-vertex class probabilities weighted by membership
             # probability: the union-bound stage of the magnetization bound.
-            for mask in _cluster_bit_masks(bonds):
-                verts = _bits.mask_to_indices(_bits.bits_to_mask(mask, n))
-                csz = float(len(verts))
-                class_weight = (csz / n) ** 2
+            for j in range(cf.k):
+                verts = np.flatnonzero(bonds.labels == j)
+                class_weight = (len(verts) / n) ** 2
                 singleton += prob * class_weight * float(rev_vec[verts].sum())
         # Diagnostic: smallest odd cluster per class, weighted by the class law.
-        masks = _cluster_bit_masks(bonds)
         sizes_by_cluster = [bin(m).count("1") for m in masks]
         for p in range(len(sq)):
             if sq[p] <= 0:

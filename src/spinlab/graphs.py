@@ -7,6 +7,11 @@ them to integer bitmasks via :mod:`spinlab._bits`. Each graph builds its
 `Geometry` (padded neighbour rows, their edge indices and a proper vertex
 colouring) once, on first use of `Graph.geometry`.
 
+`component_labels(graph, open_edges)` is the one cluster labelling: it
+takes one bond layer (m,) or R of them (R, m) and ranks the clusters of
+their disjoint union 0..k-1 by smallest vertex, row r holding vertices
+r*n .. r*n + n - 1.
+
 A law of the random observation set U is a `SubsetSpec`: one frozen
 dataclass per kind (`Fixed`, `Bernoulli`, `UniformK`, `UniformTranslate`,
 `Tiled`, `UnionOfKCopies`, `Explicit`), each holding its own sampling,
@@ -25,7 +30,7 @@ from dataclasses import dataclass, field, fields
 from typing import ClassVar
 
 import numpy as np
-from scipy.sparse import coo_matrix
+from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 from . import _bits
@@ -291,63 +296,35 @@ def build_graph(spec: dict) -> Graph:
     raise ValueError(f"unknown graph type {kind!r}")
 
 
-def component_labels(
-    n: int,
-    edges: np.ndarray,
-    edge_mask: np.ndarray | None = None,
-    vertex_mask: np.ndarray | None = None,
-) -> tuple[np.ndarray, int]:
-    """Connected-component labels, canonical per component (smallest vertex).
+def component_labels(graph: Graph, open_edges) -> tuple[np.ndarray, int]:
+    """Clusters of the open-edge subgraphs of `graph`, as ranked labels.
 
-    Components are computed over the subgraph of active vertices and active
-    edges. Inactive vertices get label -1 and do not count toward k. Uses a
-    direct union-find sweep for small systems and scipy's compiled routine
-    for larger ones.
+    `open_edges` is a bool array of shape (m,) or (R, m), one bond layer per
+    row. The labels have shape (n,) or (R, n): row r holds vertices
+    r*n .. r*n + n - 1 of the disjoint union of the R layers, so no two rows
+    share a label, and the k clusters of the union are numbered 0..k-1 in the
+    order of their smallest vertex. The open slots of `Geometry.nbrs` (read
+    through `Geometry.slot_edge`) are the rows of one symmetric CSR matrix,
+    whose strong components are its connected components: scipy finds them
+    without the transpose of its undirected search and numbers them in that
+    order.
     """
-    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-    if edge_mask is not None:
-        edges = edges[np.asarray(edge_mask, dtype=bool)]
-    if vertex_mask is not None:
-        vmask = np.asarray(vertex_mask, dtype=bool)
-        keep = vmask[edges[:, 0]] & vmask[edges[:, 1]]
-        edges = edges[keep]
-    else:
-        vmask = None
-
-    if n <= 64 or edges.shape[0] <= 128:
-        parent = list(range(n))
-
-        def find(x):
-            root = x
-            while parent[root] != root:
-                root = parent[root]
-            while parent[x] != root:
-                parent[x], x = root, parent[x]
-            return root
-
-        for u, v in edges.tolist():
-            ru, rv = find(u), find(v)
-            if ru != rv:
-                if ru < rv:
-                    parent[rv] = ru
-                else:
-                    parent[ru] = rv
-        labels = np.array([find(v) for v in range(n)], dtype=np.int64)
-    else:
-        mat = coo_matrix(
-            (np.ones(edges.shape[0], dtype=np.int8), (edges[:, 0], edges[:, 1])),
-            shape=(n, n),
-        )
-        _, raw = connected_components(mat, directed=False)
-        mins = np.full(raw.max() + 1, n, dtype=np.int64)
-        np.minimum.at(mins, raw, np.arange(n))
-        labels = mins[raw]
-
-    if vmask is not None:
-        labels = np.where(vmask, labels, -1)
-    # Each active component has exactly one root: its smallest vertex.
-    k = int(np.count_nonzero(labels == np.arange(n)))
-    return labels, k
+    opens = np.asarray(open_edges, dtype=bool)
+    geom = graph.geometry
+    n, m, degmax = graph.n_vertices, graph.n_edges, geom.max_degree
+    rows = np.atleast_2d(opens)
+    size = len(rows) * n
+    is_open = np.zeros((len(rows), m + 1), dtype=bool)  # column m: the padding slot
+    is_open[:, :m] = rows
+    open_slots = is_open.take(geom.slot_edge.ravel(), axis=1).ravel()
+    indptr = np.zeros(size + 1, dtype=np.int32)
+    if degmax:
+        indptr[1:] = np.cumsum(open_slots, dtype=np.int32)[degmax - 1::degmax]
+    offsets = n * np.arange(len(rows), dtype=np.int32)[:, None]
+    indices = np.compress(open_slots, geom.nbrs.ravel().astype(np.int32) + offsets)
+    mat = csr_matrix((np.ones(len(indices)), indices, indptr), shape=(size, size))
+    k, labels = connected_components(mat, directed=True, connection="strong")
+    return labels.reshape(opens.shape[:-1] + (n,)), k
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,8 @@ import numpy as np
 from scipy.special import logsumexp
 
 from . import _bits
-from .graphs import Graph, component_labels
+from .graphs import Graph
+from .ising import BondConfig, IsingParams, hamiltonian_all
 
 EXACT_CAP_DEFAULT = 20
 EXACT_CAP_HARD = 24
@@ -156,8 +157,6 @@ def exact_table(measure, graph: Graph, allow_large: bool = False) -> Probability
         measure = IsingMeasure(beta=measure.beta, J=1.0 / n, h=0.0)
 
     if isinstance(measure, IsingMeasure):
-        from .ising import IsingParams, hamiltonian_all
-
         params = IsingParams(beta=measure.beta, J=measure.J, h=measure.h)
         energies = hamiltonian_all(graph, params)
         logw = -params.beta * energies
@@ -168,21 +167,9 @@ def exact_table(measure, graph: Graph, allow_large: bool = False) -> Probability
         total = 0.0
         for bond_bits, prob in measure.bond_table:
             total += prob
-            labels, k = component_labels(
-                n, graph.edges, edge_mask=_bits.bits_to_mask(bond_bits, graph.n_edges)
-            )
             # Uniform on configurations constant on clusters.
-            reps = np.flatnonzero(labels == np.arange(n))
-            member_bits = [
-                _bits.mask_to_bits(labels == int(r)) for r in reps
-            ]
-            weight = prob / (1 << k)
-            for coloring in range(1 << k):
-                bits = 0
-                for j in range(k):
-                    if (coloring >> j) & 1:
-                        bits |= member_bits[j]
-                p[bits] += weight
+            bonds = BondConfig(graph, _bits.bits_to_mask(bond_bits, graph.n_edges))
+            p[bonds.colourings()] += prob / (1 << bonds.k)
         if abs(total - 1.0) > 1e-9:
             raise ValueError("bond distribution must sum to 1")
         return ProbabilityTable(n, p)

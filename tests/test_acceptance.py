@@ -201,7 +201,7 @@ def test_criterion_07_coloring_measure_suite():
     ok &= abs(rep.e_f - rep.direct_e_f) <= 1e-9
     ok &= abs(rep.e_fg - rep.direct_e_fg) <= 1e-9
     for mask in range(1 << g.n_edges):
-        bonds = dac.clusters(g, _bits.bits_to_mask(mask, g.n_edges))
+        bonds = ising.BondConfig(g, _bits.bits_to_mask(mask, g.n_edges))
         if dac.class_count(bonds) != 2 ** (6 - bonds.k):
             ok = False
             break

@@ -110,6 +110,11 @@ def test_exit_codes(tmp_path):
         ("cw-entropy", {"betas": ["x"]}),
         ("cw-clue", {"betas": [-1]}),
         ("cw-clue", {"n": 100000, "ks": [50000]}),  # Curie-Weiss grid bytes
+        ("cw-clue", {"n": 300000000, "ks": [1]}),  # Curie-Weiss pmf bytes
+        ("cw-guess", {"n": 300000000, "ks": [1]}),
+        ("cw-entropy", {"ns": [300000000]}),
+        ("en-moments", {"ns": [300000000]}),
+        ("dac-identities", {"n": 21, "instances": 1}),  # exact-table cap
         ("eigenclue-verify", {"graph": {"type": "cycle", "n": 21}}),  # exact-table cap
         ("eigenclue-verify", {"graph": {"type": "cycle", "n": 19}}),  # block-operator bytes
         ("eigenclue-verify", {"trials": 0}),

@@ -229,3 +229,29 @@ def test_grid_guard_raises_before_allocating():
     for call in (cw.cw_exact_clue, cw.cw_iclue, cw.cw_majority_guess_success):
         with pytest.raises(ValueError, match="bytes"):
             call(n, 0.5, n // 2)
+
+
+def test_iclue_reads_the_law_pmf(monkeypatch):
+    law = cw.cw_observed_law(500, 1.0, 20)
+    ref = cw.cw_relative_entropy(500, 1.0).d_bits
+    calls = []
+    pmf = cw.cw_magnetization_pmf
+
+    def counted(n, beta):
+        calls.append((n, beta))
+        return pmf(n, beta)
+
+    monkeypatch.setattr(cw, "cw_magnetization_pmf", counted)
+    rep = law.iclue()
+    assert calls == []
+    h_z = rep.h_target_bits
+    assert rep.bound == (20 / 500) * (1.0 + ref / h_z)
+
+
+def test_pmf_guard_raises_before_allocating():
+    n = 3 * 10**8  # about 2.4 GB per float64 array over the total spins
+    for call in (cw.cw_magnetization_pmf, cw.cw_entropy, cw.cw_relative_entropy):
+        with pytest.raises(ValueError, match="bytes"):
+            call(n, 0.5)
+    with pytest.raises(ValueError, match="bytes"):
+        cw.cw_moment(n, 0.5, 2)

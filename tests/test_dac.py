@@ -24,14 +24,14 @@ def bernoulli_bond_table(g, p):
 
 def test_clusters_examples():
     g = graphs.custom(5, [[0, 1], [1, 2], [2, 3], [3, 4]])
-    empty = dac.clusters(g, [False] * 4)
+    empty = ising.BondConfig(g, [False] * 4)
     assert empty.k == 5
     assert dac.class_count(empty) == 1
-    spanning = dac.clusters(g, [True] * 4)
+    spanning = ising.BondConfig(g, [True] * 4)
     assert spanning.k == 1
     assert dac.class_count(spanning) == 16
-    two = dac.clusters(graphs.custom(4, [[0, 1], [1, 2], [2, 3]]),
-                       [True, False, True])
+    two = ising.BondConfig(graphs.custom(4, [[0, 1], [1, 2], [2, 3]]),
+                           [True, False, True])
     assert two.k == 2
     assert dac.class_count(two) == 4
 
@@ -43,7 +43,7 @@ def test_class_count_exhaustive():
     rng = stream(31, 0)
     f = rng.standard_normal(32)
     for mask in range(1 << g.n_edges):
-        bonds = dac.clusters(g, _bits.bits_to_mask(mask, g.n_edges))
+        bonds = ising.BondConfig(g, _bits.bits_to_mask(mask, g.n_edges))
         assert dac.class_count(bonds) == 2 ** (5 - bonds.k)
         dac.dac_coefficients(f, bonds)  # internal equal-size assertion
 
@@ -52,7 +52,7 @@ def test_coefficients_empty_bonds_are_plain_walsh():
     g = graphs.custom(4, [[0, 1], [2, 3]])
     rng = stream(31, 1)
     f = rng.standard_normal(16)
-    bonds = dac.clusters(g, [False, False])
+    bonds = ising.BondConfig(g, [False, False])
     cf = dac.dac_coefficients(f, bonds)
     plain = measures.walsh_transform(f, 4)
     # classes are singleton subsets; profile bit j is membership of vertex j
@@ -61,7 +61,7 @@ def test_coefficients_empty_bonds_are_plain_walsh():
 
 def test_coefficients_spanning_single_spin():
     g = graphs.custom(3, [[0, 1], [1, 2]])
-    bonds = dac.clusters(g, [True, True])
+    bonds = ising.BondConfig(g, [True, True])
     cf = dac.dac_coefficients(SingleSpin(0), bonds)
     assert cf.coefficients[0] == pytest.approx(0.0, abs=1e-12)
     assert cf.coefficients[1] == pytest.approx(1.0, abs=1e-12)
@@ -69,7 +69,7 @@ def test_coefficients_spanning_single_spin():
 
 def test_coefficients_magnetization_cluster_sizes():
     g = graphs.custom(5, [[0, 1], [1, 2], [2, 3], [3, 4]])
-    bonds = dac.clusters(g, [True, True, False, True])  # clusters {0,1,2},{3,4}
+    bonds = ising.BondConfig(g, [True, True, False, True])  # clusters {0,1,2},{3,4}
     cf = dac.dac_coefficients(Magnetization(), bonds)
     # odd-in-first-cluster class carries 3/5; odd-in-second 2/5
     assert cf.coefficients[0b01] == pytest.approx(3 / 5)
@@ -80,7 +80,7 @@ def test_coefficients_magnetization_cluster_sizes():
 
 def test_representative_and_profile_roundtrip():
     g = graphs.custom(4, [[0, 1], [2, 3]])
-    bonds = dac.clusters(g, [True, True])
+    bonds = ising.BondConfig(g, [True, True])
     cf = dac.dac_coefficients(np.arange(16.0), bonds)
     for profile in range(4):
         rep = cf.representative(profile)
@@ -137,10 +137,10 @@ def test_dac_expectation_sampled_mode():
 def test_spectral_sample_dac_cases():
     g = graphs.custom(3, [[0, 1], [1, 2]])
     rng = stream(31, 5)
-    spanning = dac.clusters(g, [True, True])
+    spanning = ising.BondConfig(g, [True, True])
     draws = dac.spectral_sample_dac(SingleSpin(0), spanning, rng, size=40)
     assert np.all(draws == 1)  # always the odd class
-    empty = dac.clusters(g, [False, False])
+    empty = ising.BondConfig(g, [False, False])
     f = Majority()
     draws = dac.spectral_sample_dac(f, empty, rng, size=30_000)
     coef = measures.walsh_transform(f.table_values(3), 3)
@@ -153,7 +153,7 @@ def test_spectral_sample_dac_cases():
 
 def test_spectral_sample_magnetization_cluster_weights():
     g = graphs.custom(4, [[0, 1], [1, 2], [2, 3]])
-    bonds = dac.clusters(g, [True, False, True])  # clusters {0,1}, {2,3}
+    bonds = ising.BondConfig(g, [True, False, True])  # clusters {0,1}, {2,3}
     rng = stream(31, 6)
     draws = dac.spectral_sample_dac(Magnetization(), bonds, rng, size=20_000)
     # both clusters have size 2: equal squared weight
@@ -164,7 +164,7 @@ def test_spectral_sample_magnetization_cluster_weights():
 
 def test_class_within_examples_and_exhaustive():
     g = graphs.custom(4, [[0, 1], [1, 2], [2, 3]])
-    bonds = dac.clusters(g, [True, False, False])  # clusters {0,1},{2},{3}
+    bonds = ising.BondConfig(g, [True, False, False])  # clusters {0,1},{2},{3}
     all_even = 0
     assert dac.class_within(all_even, bonds, np.zeros(4, dtype=bool))
     # odd cluster {2} disjoint from U={0}
@@ -304,7 +304,7 @@ def test_spectral_bound_equals_joint_conditional_variance():
         total = 0.0
         for ubits, uprob in graphs.subset_support(spec, g):
             for bond_bits, bprob in bond_table:
-                bonds = dac.clusters(g, _bits.bits_to_mask(bond_bits, g.n_edges))
+                bonds = ising.BondConfig(g, _bits.bits_to_mask(bond_bits, g.n_edges))
                 # conditional spin law given this bond layer
                 labels = bonds.labels
                 weights = np.zeros(16)

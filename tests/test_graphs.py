@@ -201,11 +201,11 @@ def test_tiled_complement_blocks_are_cubes_when_period_divides():
     L = 5
     for anchor in [(0, 0), (3, 7), (7, 3)]:
         removed = graphs.tiled_complement_mask(g, L, anchor)
-        labels, k = graphs.component_labels(
-            g.n_vertices, g.edges, vertex_mask=removed)
-        sizes = [int((labels == r).sum()) for r in np.unique(labels[removed])]
+        labels, _ = graphs.component_labels(g, removed[g.edges].all(axis=1))
+        blocks = np.unique(labels[removed])
+        sizes = [int((labels == r).sum()) for r in blocks]
         assert all(s == L * L for s in sizes)
-        assert k == (16 // 8) ** 2
+        assert len(blocks) == (16 // 8) ** 2
 
 
 def test_tiled_complement_boxes_on_free_boundary_box():
@@ -216,14 +216,65 @@ def test_tiled_complement_boxes_on_free_boundary_box():
     side = 13
     for anchor in [(0, 0), (2, 5), (6, 6)]:
         removed = graphs.tiled_complement_mask(g, L, anchor)
-        labels, _ = graphs.component_labels(
-            g.n_vertices, g.edges, vertex_mask=removed)
+        labels, _ = graphs.component_labels(g, removed[g.edges].all(axis=1))
         for r in np.unique(labels[removed]):
             verts = np.flatnonzero(labels == r)
             xs, ys = np.unravel_index(verts, (side, side))
             w, h = xs.max() - xs.min() + 1, ys.max() - ys.min() + 1
             assert w <= L and h <= L
             assert len(verts) == w * h
+
+
+def _union_find_labels(n: int, edges, open_mask) -> tuple[list[int], int]:
+    """Reference partition: each vertex labelled by the smallest vertex of
+    its cluster, by a plain union-find over the open edges, and the count."""
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for (u, v), is_open in zip(np.asarray(edges).tolist(), np.asarray(open_mask).tolist()):
+        if is_open:
+            ru, rv = find(u), find(v)
+            parent[max(ru, rv)] = min(ru, rv)
+    roots = [find(v) for v in range(n)]
+    return roots, len(set(roots))
+
+
+@st.composite
+def _custom_with_isolated(draw):
+    n = draw(st.integers(1, 9))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return graphs.custom(n + 1, edges)  # vertex n has no edge
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(_custom_with_isolated(), st.integers(1, 4), st.floats(0.0, 1.0),
+       st.integers(0, 2**32 - 1))
+def test_component_labels_ranked_and_match_union_find(g, replicas, p, seed):
+    n, m = g.n_vertices, g.n_edges
+    opens = np.random.default_rng(seed).random((replicas, m)) < p
+    labels, k = graphs.component_labels(g, opens)
+    assert labels.shape == (replicas, n)
+    # ranked: 0..k-1, numbered in the order of each cluster's smallest vertex
+    values, first = np.unique(labels.ravel(), return_index=True)
+    assert np.array_equal(values, np.arange(k))
+    assert np.all(np.diff(first) > 0)
+    offset = 0
+    for r in range(replicas):
+        ref, k_r = _union_find_labels(n, g.edges, opens[r])
+        # disjoint rows: row r holds labels offset .. offset + k_r - 1 only
+        assert set(labels[r].tolist()) == set(range(offset, offset + k_r))
+        # the same partition as the reference
+        assert len(set(zip(labels[r].tolist(), ref))) == k_r
+        one, k_one = graphs.component_labels(g, opens[r])
+        assert one.shape == (n,) and k_one == k_r
+        assert np.array_equal(one + offset, labels[r])
+        offset += k_r
+    assert offset == k
 
 
 def test_tiled_rejects_oversized_blocks():

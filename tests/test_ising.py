@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from spinlab import _bits, graphs, ising, measures
 from spinlab.measures import IsingMeasure, exact_table
 from spinlab.rng import stream
+from test_graphs import _custom_with_isolated, _union_find_labels
 
 
 def test_hamiltonian_examples():
@@ -137,7 +138,7 @@ def fk_brute_force_cluster_count(g, beta):
     m = g.n_edges
     for mask in range(1 << m):
         open_mask = _bits.bits_to_mask(mask, m)
-        _, k = graphs.component_labels(g.n_vertices, g.edges, edge_mask=open_mask)
+        _, k = graphs.component_labels(g, open_mask)
         o = bin(mask).count("1")
         w = p**o * (1 - p) ** (m - o) * 2**k
         total_w += w
@@ -198,8 +199,6 @@ _STREAM_DIGESTS = {
         "05f79fe9c36d21422986fb284c441d9cf2e87e80393b157e35562430b0d6d829",
     "glauber-cycle6-frozen":
         "eefb478436b65903173cd40f64ae3f6eda6c6416a345bffd0818268b5d61cadb",
-    "glauber-cycle6-random-scan":
-        "f4656cb1d433cbc96ce83163f7311b55039d1f6e3ec801af2f799cd6c15057b3",
     "sw-cycle5":
         "5b70c2987ed3e1f520f84a6aaa03b1517005b2790e390299bbe2b48037219aea",
 }
@@ -207,13 +206,13 @@ _STREAM_DIGESTS = {
 
 def _sampler_streams(steps=2000):
     """name -> (steps, n) int8 array of the chain after each step."""
-    def glauber(g, params, seed, frozen=None, start=None, random_scan=False):
+    def glauber(g, params, seed, frozen=None, start=None):
         rng = stream(seed, 0)
         cfg = rng.choice(_bits.SPINS, size=g.n_vertices) if start is None else start
         state = ising.ChainState(np.array(cfg, dtype=np.int8), 0, rng)
         out = np.empty((steps, g.n_vertices), dtype=np.int8)
         for i in range(steps):
-            ising.glauber_sweep(state, g, params, frozen=frozen, random_scan=random_scan)
+            ising.glauber_sweep(state, g, params, frozen=frozen)
             assert state.config.dtype == np.int8
             out[i] = state.config
         return out
@@ -238,7 +237,6 @@ def _sampler_streams(steps=2000):
         "glauber-complete5": glauber(graphs.complete(5), ising.IsingParams(0.8, J=0.2), 62),
         "glauber-cycle6-frozen": glauber(graphs.cycle(6), par, 63, frozen=frozen,
                                          start=[1, 1, -1, -1, 1, 1]),
-        "glauber-cycle6-random-scan": glauber(graphs.cycle(6), par, 64, random_scan=True),
         "sw-cycle5": sw(graphs.cycle(5), par, 65),
     }
 
@@ -276,9 +274,9 @@ def test_edwards_sokal_coins_match_rng_choice():
         rng, twin = stream(seed, 1), stream(seed, 1)
         cfg = ising.edwards_sokal_color(bonds, rng)
         coins = twin.choice(np.array([-1, 1], dtype=np.int8), bonds.k)
-        roots = np.flatnonzero(bonds.labels == np.arange(g.n_vertices))
+        _, roots = np.unique(bonds.labels, return_index=True)  # in label order
         assert cfg.dtype == np.int8 and cfg[roots].tolist() == coins.tolist()
-        assert np.array_equal(cfg, cfg[bonds.labels])
+        assert np.array_equal(cfg, cfg[roots][bonds.labels])  # constant on clusters
         assert rng.random() == twin.random()
 
 
@@ -348,21 +346,6 @@ def test_conditional_exact_resample_distribution():
         counts[_bits.config_to_index(out)] += 1
     freq = counts / n_samp
     assert np.abs(freq - cond).max() < 4 * math.sqrt(0.25 / n_samp) + 0.003
-
-
-def test_random_scan_mode_reaches_stationarity():
-    g = graphs.cycle(5)
-    beta = 0.35
-    t = exact_table(IsingMeasure(beta), g)
-    rng = stream(5, 2)
-    state = ising.ChainState.random(g, rng)
-    ising.glauber_sweep(state, g, ising.IsingParams(beta), sweeps=200, random_scan=True)
-    counts = np.zeros(32)
-    for _ in range(60_000):
-        ising.glauber_sweep(state, g, ising.IsingParams(beta), random_scan=True)
-        counts[_bits.config_to_index(state.config)] += 1
-    tv = 0.5 * np.abs(counts / counts.sum() - t.p).sum()
-    assert tv < 0.03
 
 
 # -- replica heat-bath kernel ----------------------------------------------------
@@ -521,14 +504,6 @@ def test_cluster_coins_match_unique_labelling():
 # -- replica Swendsen-Wang kernel ------------------------------------------------
 
 
-@st.composite
-def _custom_with_isolated(draw):
-    n = draw(st.integers(1, 9))
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
-    return graphs.custom(n + 1, edges)  # vertex n has no edge
-
-
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(_custom_with_isolated(), st.floats(0.0, 2.0), st.integers(2, 4),
        st.integers(0, 2**32 - 1))
@@ -554,9 +529,9 @@ def test_sw_kernel_labelling_matches_component_labels(g, beta, replicas, seed):
         # no cluster crosses two copies
         for s in range(r):
             assert not set(labels[r].tolist()) & set(labels[s].tolist())
-        # each copy is partitioned exactly as component_labels partitions it
-        ref, k = graphs.component_labels(n, g.edges, edge_mask=opens[r])
-        assert len(set(zip(labels[r].tolist(), ref.tolist()))) == k
+        # each copy is partitioned exactly as a plain union-find partitions it
+        ref, k = _union_find_labels(n, g.edges, opens[r])
+        assert len(set(zip(labels[r].tolist(), ref))) == k
         assert len(set(labels[r].tolist())) == k
     # clusters are numbered 0, 1, ... in the order of their smallest site
     values, first = np.unique(labels.ravel(), return_index=True)

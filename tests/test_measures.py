@@ -278,8 +278,7 @@ def test_dac_table_brute_force():
         for idx in range(16):
             cfg = _bits.index_to_config(idx, 4)
             if all(cfg[u] == cfg[v] for u, v in open_edges):
-                labels, k = graphs.component_labels(
-                    4, np.asarray(open_edges or np.empty((0, 2))).reshape(-1, 2))
+                _, k = graphs.component_labels(g, _bits.bits_to_mask(mask, 4))
                 oracle[idx] += prob / 2**k
     assert np.allclose(table.p, oracle, atol=1e-12)
 
