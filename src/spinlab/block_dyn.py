@@ -20,14 +20,7 @@ import numpy as np
 from scipy.sparse.linalg import LinearOperator, eigsh
 
 from . import _bits
-from .graphs import (
-    Graph,
-    SubsetSpec,
-    component_labels,
-    sample_subset,
-    subset_support,
-    tiled_complement_mask,
-)
+from .graphs import Graph, SubsetSpec, component_labels, subset_support, tiled_complement_mask
 from .ising import IsingParams, conditional_exact_resample, heat_bath, sw_chain
 from .measures import ProbabilityTable
 
@@ -39,6 +32,9 @@ ORACLE_CAP = 10
 #: Relative tolerance under which `sweep_cut_bottleneck` treats two values
 #: of f as one level.
 SWEEP_LEVEL_RTOL = 1e-9
+#: Largest block that `path_coupling_rate` redraws by exact enumeration
+#: (`ising.conditional_exact_resample`) rather than by coupled heat-bath sweeps.
+EXACT_BLOCK_CAP = 16
 
 
 class BlockOperator:
@@ -163,9 +159,7 @@ def block_operator(table: ProbabilityTable, spec: SubsetSpec, graph: Graph) -> B
 @dataclass(frozen=True)
 class SpectrumReport:
     lambda_2: float
-    lambda_star: float
     gap: float
-    relaxation_time: float
     second_eigenfunction: np.ndarray
 
 
@@ -174,8 +168,8 @@ def spectrum(op: BlockOperator) -> SpectrumReport:
 
     One Lanczos solve from a fixed start vector, so reruns agree bit for
     bit; the two-state chain, which the iteration cannot handle, uses the
-    dense matrix. P is positive semidefinite, so lambda_star = lambda_2.
-    The top nontrivial eigenfunction is cross-checked against the
+    dense matrix. P is positive semidefinite, so lambda_2 is also the
+    largest nontrivial eigenvalue in absolute value. The top nontrivial eigenfunction is cross-checked against the
     variational (Dirichlet) characterization of the gap at 1e-9.
     """
     mu = op.table.p
@@ -203,8 +197,7 @@ def spectrum(op: BlockOperator) -> SpectrumReport:
             raise AssertionError(
                 f"variational gap {dirich!r} disagrees with eigensolve {gap!r}"
             )
-    rel = math.inf if lam2 >= 1.0 else 1.0 / (1.0 - lam2)
-    return SpectrumReport(lam2, lam2, gap, rel, f2)
+    return SpectrumReport(lam2, gap, f2)
 
 
 def dirichlet_form(op: BlockOperator, f) -> float:
@@ -302,65 +295,13 @@ def sweep_cut_bottleneck(op: BlockOperator, f) -> float:
     return float((flux[ok] / side[ok]).min(initial=math.inf))
 
 
-def exhaustive_bottleneck(op: BlockOperator) -> float:
-    """True expansion constant by scanning every event; only feasible for
-    state spaces of at most 16 configurations (n <= 4)."""
-    size = 1 << op.table.n
-    if size > 16:
-        raise ValueError("exhaustive event scan is impossible beyond 16 states")
-    best = math.inf
-    for ebits in range(1, 1 << size):
-        ind = np.array([(ebits >> j) & 1 for j in range(size)], dtype=np.float64)
-        mu_e = float(op.table.p @ ind)
-        if 0 < mu_e <= 0.5:
-            best = min(best, dirichlet_form(op, ind) / mu_e)
-    return best
-
-
-# -- one-step simulation ------------------------------------------------------
-
-
-def block_chain_step(
-    table: ProbabilityTable,
-    spec: SubsetSpec,
-    graph: Graph,
-    state_index: int,
-    rng: np.random.Generator,
-) -> int:
-    """Sample a subset, keep its spins, redraw the complement from the exact
-    conditional; used to validate the dense oracle matrix row by row."""
-    bits = _bits.mask_to_bits(sample_subset(spec, graph, rng))
-    idx = _bits.config_indices(table.n)
-    keys = (idx & np.uint64(bits)).astype(np.int64)
-    target = int(state_index) & bits
-    members = np.flatnonzero(keys == target)
-    weights = table.p[members]
-    total = weights.sum()
-    if total <= 0:
-        return int(state_index)
-    return int(rng.choice(members, p=weights / total))
-
-
 # -- path coupling on tiled lattices ------------------------------------------
 
 
 @dataclass(frozen=True)
 class PathCouplingReport:
-    beta: float
-    block_side: int
     eta1_mean: float
     eta1_se: float
-    trials: int
-
-
-def _tiled_blocks(graph: Graph, L: int, anchor) -> list[np.ndarray]:
-    """Connected components of the removed set, on the actual graph (torus
-    seams can merge clipped blocks into one component)."""
-    removed = tiled_complement_mask(graph, L, anchor)
-    labels, _ = component_labels(graph, removed[graph.edges].all(axis=1))
-    members = np.flatnonzero(removed)  # never empty: L >= 1 and L + 3 <= side
-    members = members[np.argsort(labels[members], kind="stable")]
-    return np.split(members, np.flatnonzero(np.diff(labels[members])) + 1)
 
 
 def _coupled_block_resample(
@@ -371,7 +312,6 @@ def _coupled_block_resample(
     block: np.ndarray,
     rng: np.random.Generator,
     sweeps: int,
-    exact_cap: int = 16,
 ) -> None:
     """Redraw one block in two coupled copies with identical randomness.
 
@@ -379,7 +319,7 @@ def _coupled_block_resample(
     larger blocks run the pair as two replicas of the coupled heat-bath
     kernel. Equal boundaries yield equal redraws by construction.
     """
-    if len(block) <= exact_cap:
+    if len(block) <= EXACT_BLOCK_CAP:
         u = rng.random()
         x_cfg[block] = conditional_exact_resample(graph, params, x_cfg, block, u)[block]
         y_cfg[block] = conditional_exact_resample(graph, params, y_cfg, block, u)[block]
@@ -409,7 +349,8 @@ def path_coupling_rate(
     near-stationary configuration, flip one uniform vertex in the copy,
     draw one tiled subset, redraw all removed blocks under the
     identical-randomness coupling, and count disagreements. Blocks not
-    adjacent to the seed redraw identically and are skipped.
+    adjacent to the seed redraw identically and are skipped; the blocks it
+    touches are redrawn in label order.
     """
     if graph.kind != "torus" or graph.kind_params["d"] not in (2, 3):
         raise ValueError("path coupling runs on 2D or 3D tori")
@@ -418,7 +359,8 @@ def path_coupling_rate(
     d = graph.kind_params["d"]
     params = IsingParams(beta=beta, J=1.0) if beta > 0 else None
     etas = np.empty(trials)
-    nbrs = graph.geometry.lists
+    n = graph.n_vertices
+    nbrs = graph.geometry.nbrs
     chain = sw_chain(graph, params, rng, warmup_steps) if beta > 0 else None
     for t in range(trials):
         if beta > 0:
@@ -438,18 +380,19 @@ def path_coupling_rate(
         y[v] = -y[v]
         eta = 1.0
         if beta > 0:
-            touched = [u for u in nbrs[v] if removed[u]]
-            if touched:
-                blocks = _tiled_blocks(graph, L, anchor)
-                pars = IsingParams(beta=beta, J=1.0)
-                for block in blocks:
-                    block_set = set(int(b) for b in block)
-                    if not any(u in block_set for u in touched):
-                        continue
+            row = nbrs[v][nbrs[v] < n]  # without the sentinel n
+            touched = row[removed[row]]
+            if len(touched):
+                # The blocks are the clusters of the edges with both ends
+                # removed, on the actual graph (torus seams can merge
+                # clipped blocks); each kept vertex is a cluster of its own.
+                labels, _ = component_labels(graph, removed[graph.edges].all(axis=1))
+                for label in np.unique(labels[touched]):
+                    block = np.flatnonzero(labels == label)
                     _coupled_block_resample(
-                        graph, pars, x, y, block, rng, resample_sweeps
+                        graph, params, x, y, block, rng, resample_sweeps
                     )
                 eta = float((x != y).sum())
         etas[t] = eta
     se = float(etas.std(ddof=1) / math.sqrt(trials)) if trials > 1 else math.nan
-    return PathCouplingReport(beta, L, float(etas.mean()), se, trials)
+    return PathCouplingReport(float(etas.mean()), se)

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import _bits, block_dyn, clue as clue_mod, curie_weiss as cw, dac, graphs, ising, measures
+from . import block_dyn, clue as clue_mod, curie_weiss as cw, dac, graphs, ising, measures
 from .rng import stream
 
 
@@ -497,7 +497,8 @@ def run_dac_identities(params, seed, writer, budget):
         rng = stream(seed, 7, inst)
         g, bond_table, fv = _random_dac_instance(params, rng)
         gv = rng.standard_normal(1 << n)
-        rep = dac.dac_expectation(fv, bond_table, g, g=gv)
+        labelled = dac.bond_configs(bond_table, g)
+        rep = dac.dac_expectation(fv, labelled, g, g=gv)
         writer.row("dac_identities", inst, rep.e_f, rep.direct_e_f, rep.e_fg,
                    rep.direct_e_fg)
         checks.append(check(
@@ -506,8 +507,7 @@ def run_dac_identities(params, seed, writer, budget):
             and abs(rep.e_fg - rep.direct_e_fg) <= 1e-9 * max(1, abs(rep.direct_e_fg)),
         ))
         # class-size law and feasibility semantics on one bond mask
-        bond_bits = bond_table[rng.integers(len(bond_table))][0]
-        bonds = ising.BondConfig(g, _bits.bits_to_mask(bond_bits, g.n_edges))
+        bonds = labelled[rng.integers(len(labelled))][0]
         checks.append(check(
             f"class-count-{inst}",
             dac.class_count(bonds) == 2 ** (n - bonds.k),
@@ -553,9 +553,9 @@ def run_dac_bounds(params, seed, writer, budget):
     spec = graphs.UniformK(params["spec_k"])
     for inst in range(params["instances"]):
         g, bond_table, fv = _random_dac_instance(params, stream(seed, 8, inst))
-        rep = dac.dac_clue_upper_bound(fv, bond_table, spec, g)
-        repm = dac.dac_clue_upper_bound(
-            measures.Magnetization(), bond_table, spec, g)
+        labelled = dac.bond_configs(bond_table, g)
+        rep = dac.dac_clue_upper_bound(fv, labelled, spec, g)
+        repm = dac.dac_clue_upper_bound(measures.Magnetization(), labelled, spec, g)
         writer.row("dac_bounds", inst, rep.exact_expected_clue, rep.spectral_bound,
                    rep.theorem_bound, rep.cluster_ratio_bound)
         checks.append(check(
@@ -660,6 +660,7 @@ def _integrated_autocorr(x: np.ndarray) -> float:
         "bootstrap": 200,
     },
     {"side": LATTICE_SIDE, "corr_floor": UNIT, "bootstrap": (2, math.inf)},
+    lambda p: graphs.check_lattice_size(2, p["side"]),
 )
 def run_sublattice(params, seed, writer, budget):
     side = params["side"]
@@ -734,6 +735,7 @@ def run_sublattice(params, seed, writer, budget):
     },
     {"side": LATTICE_SIDE, "bern_p": UNIT, "giant_fraction": UNIT, "giant_floor": UNIT,
      "guess_floor": UNIT, "pz_floor": UNIT},
+    lambda p: graphs.check_lattice_size(2, p["side"]),
 )
 def run_supercrit(params, seed, writer, budget):
     g = graphs.torus(2, params["side"])
@@ -792,8 +794,7 @@ def run_supercrit(params, seed, writer, budget):
 def run_ffiid_demo(params, seed, writer, budget):
     n = 2 * params["n_half"]
     draws = params["draws"]
-    sigma, omega = measures.sample_ffiid_parity_cycle(
-        params["n_half"], stream(seed, 50), draws, return_source=True)
+    sigma, omega = measures.sample_ffiid_parity_cycle(params["n_half"], stream(seed, 50), draws)
     alternating = np.all(omega != np.roll(omega, -1, axis=1), axis=1)
     error_count = int(np.count_nonzero(alternating))
     # pattern -+- or +-+ at position i means sign flips at i and i+1

@@ -1,6 +1,6 @@
 """The clue functional (fraction of a function's variance explained by a
 subset of spins), exact and Monte Carlo, with the subset-averaging
-operators and entropy inequalities built on it.
+operators and entropy inequality built on it.
 """
 
 from __future__ import annotations
@@ -49,75 +49,19 @@ def clue_exact(table: ProbabilityTable, f, subset) -> float:
     return min(max(val, 0.0), 1.0)
 
 
-def iclue_exact(table: ProbabilityTable, f, subset) -> float:
-    """I(f ; spins on subset) / H(f) from the exact joint law, base 2.
+def expected_clue(table: ProbabilityTable, f, spec: SubsetSpec, graph: Graph) -> float:
+    """E over the random subset of the exact clue, by enumerating the spec
+    support (`subset_support` raises above `SUPPORT_CAP` subsets).
 
-    f must be discrete-valued on the table's support.
-    """
-    values = values_of(f, table.n)
-    bits = _subset_bits(subset)
-    idx = _bits.config_indices(table.n)
-    distinct, z_inverse = np.unique(values, return_inverse=True)
-    if len(distinct) > 4096:
-        raise ValueError(
-            "information clue needs a discrete-valued function "
-            f"(found {len(distinct)} distinct values)"
-        )
-    n_z = z_inverse.max() + 1
-    patterns, pat_inverse = np.unique(
-        (idx & np.uint64(bits)).astype(np.int64), return_inverse=True
-    )
-    joint = np.zeros((n_z, len(patterns)))
-    np.add.at(joint, (z_inverse, pat_inverse), table.p)
-
-    def ent(x):
-        x = x[x > 0]
-        return float(-(x * np.log2(x)).sum())
-
-    h_z = ent(joint.sum(axis=1))
-    if h_z <= 0:
-        raise ValueError("degenerate function: zero entropy")
-    i = h_z + ent(joint.sum(axis=0)) - ent(joint.reshape(-1))
-    return min(max(i / h_z, 0.0), 1.0)
-
-
-def expected_clue(
-    table: ProbabilityTable,
-    f,
-    spec: SubsetSpec,
-    graph: Graph,
-    cap: int = 10**6,
-    rng: np.random.Generator | None = None,
-    replicas: int | None = None,
-):
-    """E over the random subset of the exact clue.
-
-    Enumerates the spec support when it fits under `cap`; otherwise draws
-    `replicas` subsets and returns a ClueEstimate with a standard error.
     On product tables the low-revealment bound E[clue] <= max membership
     probability is asserted as a free invariant.
     """
     values = values_of(f, table.n)
-    try:
-        support = subset_support(spec, graph, cap)
-    except ValueError:
-        if rng is None or replicas is None:
-            raise
-        support = None
-    if support is not None:
-        val = 0.0
-        for bits, prob in support:
-            val += prob * clue_exact(table, values, bits)
-        _maybe_assert_product_bound(table, spec, graph, val)
-        return val
-    from .graphs import sample_subset
-
-    draws = np.array([
-        clue_exact(table, values, _bits.mask_to_bits(sample_subset(spec, graph, rng)))
-        for _ in range(replicas)
-    ])
-    se = float(draws.std(ddof=1) / math.sqrt(replicas)) if replicas > 1 else None
-    return ClueEstimate(float(draws.mean()), se, replicas, 0)
+    val = 0.0
+    for bits, prob in subset_support(spec, graph):
+        val += prob * clue_exact(table, values, bits)
+    _maybe_assert_product_bound(table, spec, graph, val)
+    return val
 
 
 def _is_product(table: ProbabilityTable) -> bool:
@@ -299,13 +243,19 @@ class ShearerReport:
 
 def shearer_check(table: ProbabilityTable, spec: SubsetSpec, graph: Graph) -> ShearerReport:
     """Subadditivity of entropy over a random subset independent of the spins."""
+
+    def entropy_bits(weights: np.ndarray) -> float:
+        pos = weights[weights > 0]
+        return float(-(pos * np.log2(pos)).sum())
+
     vec, _ = revealment(spec, graph)
-    lhs = table.entropy_bits() * float(vec.min())
+    lhs = entropy_bits(table.p) * float(vec.min())
+    idx = _bits.config_indices(table.n)
     rhs = 0.0
     for bits, prob in subset_support(spec, graph):
-        weights = table.boundary_weights(bits)
-        pos = weights[weights > 0]
-        rhs += prob * float(-(pos * np.log2(pos)).sum())
+        # law of the observed pattern idx & bits
+        keys = (idx & np.uint64(bits)).astype(np.int64)
+        rhs += prob * entropy_bits(np.bincount(keys, weights=table.p))
     return ShearerReport(lhs, rhs, lhs <= rhs + 1e-10)
 
 

@@ -113,8 +113,6 @@ def cw_moment(n: int, beta: float, r: int) -> CwMomentReport:
 class CwEntropyReport:
     entropy_bits: float
     deficit_bits: float  # n - H
-    magnetization_entropy_bits: float
-    conditional_entropy_bits: float  # expected log-count at fixed total spin
 
 
 def cw_entropy(n: int, beta: float) -> CwEntropyReport:
@@ -136,14 +134,7 @@ def _entropy(pmf: CwMagnetizationPmf) -> CwEntropyReport:
     log_p = pmf.log_weights - pmf.log_z
     per_term = (n * math.log(2.0) + log_p - log_counts) * LOG2E
     deficit = float(p[pos] @ per_term[pos])
-    h_s = float(-(p[pos] * log_p[pos]).sum()) * LOG2E
-    cond = float(p @ (log_counts * LOG2E))
-    return CwEntropyReport(
-        entropy_bits=n - deficit,
-        deficit_bits=deficit,
-        magnetization_entropy_bits=h_s,
-        conditional_entropy_bits=cond,
-    )
+    return CwEntropyReport(entropy_bits=n - deficit, deficit_bits=deficit)
 
 
 @dataclass(frozen=True)

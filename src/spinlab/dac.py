@@ -9,7 +9,10 @@ are sums of plain Walsh coefficients over the class.
 The cluster layer is `ising.BondConfig(graph, open_edges)`: its k clusters
 are ranked by smallest vertex (`graphs.component_labels`), so cluster j is
 bit j of a parity profile and of a position in `BondConfig.colourings()`,
-and `BondConfig.cluster_masks[j]` is its vertex bitmask.
+and `BondConfig.cluster_masks[j]` is its vertex bitmask. An explicit bond
+distribution is decoded once by `bond_configs` into (BondConfig,
+probability) pairs, so each bond mask is labelled once; the exact table,
+`dac_expectation` and `dac_clue_upper_bound` all read that list.
 """
 
 from __future__ import annotations
@@ -21,8 +24,18 @@ import numpy as np
 
 from . import _bits
 from .graphs import Graph, SubsetSpec, revealment, subset_support
-from .ising import BondConfig, IsingParams, edwards_sokal_color, fk_clusters, swendsen_wang
+from .clue import expected_clue
+from .ising import BondConfig, IsingParams, fk_clusters, swendsen_wang
 from .measures import DacMeasure, Magnetization, exact_table, subset_sums, values_of, walsh_transform
+
+
+def bond_configs(bond_table, graph: Graph) -> tuple[tuple[BondConfig, float], ...]:
+    """Decode (edge bitmask, probability) pairs into labelled
+    (BondConfig, probability) pairs, in the same order."""
+    return tuple(
+        (BondConfig(graph, _bits.bits_to_mask(bond_bits, graph.n_edges)), prob)
+        for bond_bits, prob in bond_table
+    )
 
 
 def class_count(bonds: BondConfig) -> int:
@@ -33,30 +46,21 @@ def class_count(bonds: BondConfig) -> int:
 @dataclass
 class DacCoefficients:
     bonds: BondConfig
-    k: int
-    cluster_masks: list[int]  # bitmask per cluster, min-vertex order
     coefficients: np.ndarray  # f_hat of each parity class, indexed by profile
     conditional_mean: float  # E[f | uniform coloring of these clusters]
     conditional_second_moment: float
-
-    def profile_of(self, subset_bits: int) -> int:
-        prof = 0
-        for j, mask in enumerate(self.cluster_masks):
-            if bin(subset_bits & mask).count("1") & 1:
-                prof |= 1 << j
-        return prof
 
     def representative(self, profile: int) -> int:
         """Canonical member of the class: the smallest vertex of each
         odd-parity cluster."""
         bits = 0
-        for j, mask in enumerate(self.cluster_masks):
+        for j, mask in enumerate(self.bonds.cluster_masks):
             if (profile >> j) & 1:
                 bits |= mask & (-mask)  # lowest set bit = smallest vertex
         return bits
 
 
-def dac_coefficients(f, bonds: BondConfig, allow_large: bool = False) -> DacCoefficients:
+def dac_coefficients(f, bonds: BondConfig) -> DacCoefficients:
     """Accumulate the full Walsh transform by parity class.
 
     Verifies the coefficient of the all-even class equals the conditional
@@ -65,7 +69,7 @@ def dac_coefficients(f, bonds: BondConfig, allow_large: bool = False) -> DacCoef
     """
     graph = bonds.graph
     n = graph.n_vertices
-    values = values_of(f, n, allow_large)
+    values = values_of(f, n)
     coef = walsh_transform(values, n)
     masks, k = bonds.cluster_masks, bonds.k
     idx = _bits.config_indices(n)
@@ -92,7 +96,7 @@ def dac_coefficients(f, bonds: BondConfig, allow_large: bool = False) -> DacCoef
             "per-class Parseval failed: "
             f"sum of squared class coefficients {total!r} vs E[f^2 | clusters] {cond_second!r}"
         )
-    return DacCoefficients(bonds, k, masks, coeffs, cond_mean, cond_second)
+    return DacCoefficients(bonds, coeffs, cond_mean, cond_second)
 
 
 @dataclass(frozen=True)
@@ -101,75 +105,34 @@ class DacExpectationReport:
     e_fg: float | None
     direct_e_f: float
     direct_e_fg: float | None
-    se_f: float | None = None
-    se_fg: float | None = None
 
 
-def dac_expectation(
-    f,
-    bond_table,
-    graph: Graph,
-    g=None,
-    rng: np.random.Generator | None = None,
-    replicas: int | None = None,
-) -> DacExpectationReport:
-    """First and paired second moments under the coloring measure.
+def dac_expectation(f, bonds, graph: Graph, g=None) -> DacExpectationReport:
+    """First and paired second moments under the coloring measure of the
+    (BondConfig, probability) pairs `bonds`.
 
-    With an explicit bond distribution both the class-coefficient formulas
-    and the induced spin table are evaluated and must agree to 1e-9; with a
-    sampler the comparison is Monte Carlo at matched replica counts.
+    Both the class-coefficient formulas and the induced spin table are
+    evaluated and must agree to 1e-9.
     """
     n = graph.n_vertices
     f_vals = values_of(f, n)
-    g_vals = None
-    if g is not None:
-        g_vals = values_of(g, n)
-
-    if replicas is None:
-        e_f = 0.0
-        e_fg = 0.0 if g_vals is not None else None
-        for bond_bits, prob in bond_table:
-            bonds = BondConfig(graph, _bits.bits_to_mask(bond_bits, graph.n_edges))
-            cf = dac_coefficients(f_vals, bonds)
-            e_f += prob * cf.coefficients[0]
-            if g_vals is not None:
-                cg = dac_coefficients(g_vals, bonds)
-                e_fg += prob * float(cf.coefficients @ cg.coefficients)
-        table = exact_table(DacMeasure(tuple(bond_table)), graph)
-        direct_f = table.expectation(f_vals)
-        direct_fg = table.expectation(f_vals * g_vals) if g_vals is not None else None
-        if abs(e_f - direct_f) > 1e-9 * max(1.0, abs(direct_f)):
-            raise AssertionError(f"first-moment formula {e_f!r} != direct {direct_f!r}")
-        if g_vals is not None and abs(e_fg - direct_fg) > 1e-9 * max(1.0, abs(direct_fg)):
-            raise AssertionError(f"pair-moment formula {e_fg!r} != direct {direct_fg!r}")
-        return DacExpectationReport(e_f, e_fg, direct_f, direct_fg)
-
-    if rng is None:
-        raise ValueError("sampled mode needs a stream")
-    sampler = bond_table  # callable(rng) -> BondConfig
-    vals_f, vals_fg, direct_fs, direct_fgs = [], [], [], []
-    for _ in range(replicas):
-        bonds = sampler(rng)
-        cf = dac_coefficients(f_vals, bonds)
-        vals_f.append(float(cf.coefficients[0]))
-        cfg = edwards_sokal_color(bonds, rng)
-        fx = float(f_vals[_bits.config_to_index(cfg)])
-        direct_fs.append(fx)
+    g_vals = None if g is None else values_of(g, n)
+    e_f = 0.0
+    e_fg = 0.0 if g_vals is not None else None
+    for bond_config, prob in bonds:
+        cf = dac_coefficients(f_vals, bond_config)
+        e_f += prob * cf.coefficients[0]
         if g_vals is not None:
-            cg = dac_coefficients(g_vals, bonds)
-            vals_fg.append(float(cf.coefficients @ cg.coefficients))
-            direct_fgs.append(fx * float(g_vals[_bits.config_to_index(cfg)]))
-    vals_f = np.asarray(vals_f)
-    se_f = float(vals_f.std(ddof=1) / math.sqrt(replicas))
-    rep = DacExpectationReport(
-        float(vals_f.mean()),
-        float(np.mean(vals_fg)) if g_vals is not None else None,
-        float(np.mean(direct_fs)),
-        float(np.mean(direct_fgs)) if g_vals is not None else None,
-        se_f,
-        float(np.std(vals_fg, ddof=1) / math.sqrt(replicas)) if g_vals is not None else None,
-    )
-    return rep
+            cg = dac_coefficients(g_vals, bond_config)
+            e_fg += prob * float(cf.coefficients @ cg.coefficients)
+    table = exact_table(DacMeasure(tuple(bonds)), graph)
+    direct_f = table.expectation(f_vals)
+    direct_fg = table.expectation(f_vals * g_vals) if g_vals is not None else None
+    if abs(e_f - direct_f) > 1e-9 * max(1.0, abs(direct_f)):
+        raise AssertionError(f"first-moment formula {e_f!r} != direct {direct_f!r}")
+    if g_vals is not None and abs(e_fg - direct_fg) > 1e-9 * max(1.0, abs(direct_fg)):
+        raise AssertionError(f"pair-moment formula {e_fg!r} != direct {direct_fg!r}")
+    return DacExpectationReport(e_f, e_fg, direct_f, direct_fg)
 
 
 def spectral_sample_dac(
@@ -202,35 +165,26 @@ def class_within(profile: int, bonds: BondConfig, subset_mask) -> bool:
 
 @dataclass(frozen=True)
 class DacClueBounds:
-    exact_expected_clue: float | None
+    exact_expected_clue: float
     spectral_bound: float
     theorem_bound: float
     cluster_ratio_bound: float
     singleton_bound_for_magnetization: float | None
     clue_given_bonds: float
-    centering_offset: float
-    smallest_odd_cluster_diagnostic: float | None
 
 
-def dac_clue_upper_bound(
-    f,
-    bond_table,
-    spec: SubsetSpec,
-    graph: Graph,
-    compute_exact: bool = True,
-) -> DacClueBounds:
-    """All applicable clue upper bounds for a function of a coloring measure.
+def dac_clue_upper_bound(f, bonds, spec: SubsetSpec, graph: Graph) -> DacClueBounds:
+    """All applicable clue upper bounds for a function of the coloring
+    measure of the (BondConfig, probability) pairs `bonds`.
 
     The function is centered internally (the spectral bound needs mean
-    zero); the offset is reported. With an explicit bond distribution and a
-    table-sized graph the exact expected clue is evaluated and verified to
-    sit below each applicable bound.
+    zero). The exact expected clue is evaluated and verified to sit below
+    each applicable bound.
     """
     n = graph.n_vertices
     f_vals = values_of(f, n)
-    table = exact_table(DacMeasure(tuple(bond_table)), graph)
-    offset = table.expectation(f_vals)
-    fc = f_vals - offset
+    table = exact_table(DacMeasure(tuple(bonds)), graph)
+    fc = f_vals - table.expectation(f_vals)
     var_f = table.variance(fc)
     if var_f <= 0:
         raise ValueError("constant function: bounds are vacuous")
@@ -247,20 +201,18 @@ def dac_clue_upper_bound(
     sum_c1 = 0.0
     sum_c2 = 0.0
     singleton = 0.0 if is_magnetization else None
-    beta_diag_num = 0.0
-    for bond_bits, prob in bond_table:
-        bonds = BondConfig(graph, _bits.bits_to_mask(bond_bits, graph.n_edges))
-        cf = dac_coefficients(fc, bonds)
+    for bond_config, prob in bonds:
+        cf = dac_coefficients(fc, bond_config)
         sq = cf.coefficients**2
         clue_given_bonds += prob * sq[0]
-        sizes = bonds.cluster_sizes()
+        sizes = bond_config.cluster_sizes()
         e_max_cluster += prob * float(sizes.max())
         sum_c1 += prob * float(sizes.sum())
         sum_c2 += prob * float((sizes.astype(float) ** 2).sum())
         # Profile p fits inside U iff p avoids every cluster disjoint from U,
         # so the feasible mass is a subset sum over the good clusters.
-        sq_subset_sums = subset_sums(sq, cf.k)
-        masks = cf.cluster_masks
+        sq_subset_sums = subset_sums(sq, bond_config.k)
+        masks = bond_config.cluster_masks
         for ubits, uprob in support:
             good = 0
             for j, mask in enumerate(masks):
@@ -271,17 +223,10 @@ def dac_clue_upper_bound(
         if is_magnetization:
             # Per-vertex class probabilities weighted by membership
             # probability: the union-bound stage of the magnetization bound.
-            for j in range(cf.k):
-                verts = np.flatnonzero(bonds.labels == j)
+            for j in range(bond_config.k):
+                verts = np.flatnonzero(bond_config.labels == j)
                 class_weight = (len(verts) / n) ** 2
                 singleton += prob * class_weight * float(rev_vec[verts].sum())
-        # Diagnostic: smallest odd cluster per class, weighted by the class law.
-        sizes_by_cluster = [bin(m).count("1") for m in masks]
-        for p in range(len(sq)):
-            if sq[p] <= 0:
-                continue
-            odd = [sizes_by_cluster[j] for j in range(len(masks)) if (p >> j) & 1]
-            beta_diag_num += prob * sq[p] * (min(odd) if odd else 0)
 
     clue_given_bonds /= var_f
     spectral = spectral / var_f + clue_given_bonds
@@ -289,30 +234,22 @@ def dac_clue_upper_bound(
     cluster_ratio = delta * sum_c2 / sum_c1 if sum_c1 > 0 else math.nan
     if singleton is not None:
         singleton = singleton / var_f + clue_given_bonds
-    beta_diag = beta_diag_num / var_f
 
-    exact = None
-    if compute_exact:
-        from .clue import expected_clue
-
-        exact = expected_clue(table, fc, spec, graph)
-        tol = 1e-9
-        if exact > spectral + tol:
-            raise AssertionError(
-                f"exact expected clue {exact!r} exceeded the spectral bound {spectral!r}"
-            )
-        if exact > theorem + tol:
-            raise AssertionError(
-                f"exact expected clue {exact!r} exceeded the cluster-size bound {theorem!r}"
-            )
-        if is_magnetization and exact > cluster_ratio + tol:
-            raise AssertionError(
-                f"exact expected clue {exact!r} exceeded the cluster-ratio bound"
-            )
-    return DacClueBounds(
-        exact, spectral, theorem, cluster_ratio, singleton,
-        clue_given_bonds, offset, beta_diag,
-    )
+    exact = expected_clue(table, fc, spec, graph)
+    tol = 1e-9
+    if exact > spectral + tol:
+        raise AssertionError(
+            f"exact expected clue {exact!r} exceeded the spectral bound {spectral!r}"
+        )
+    if exact > theorem + tol:
+        raise AssertionError(
+            f"exact expected clue {exact!r} exceeded the cluster-size bound {theorem!r}"
+        )
+    if is_magnetization and exact > cluster_ratio + tol:
+        raise AssertionError(
+            f"exact expected clue {exact!r} exceeded the cluster-ratio bound"
+        )
+    return DacClueBounds(exact, spectral, theorem, cluster_ratio, singleton, clue_given_bonds)
 
 
 # -- FK-driven magnetization bound --------------------------------------------
@@ -323,8 +260,6 @@ class FkBoundReport:
     ratio_bound: float  # revealment * sum E|C_v|^2 / sum E|C_v|
     ratio_se: float
     max_cluster_bound: float  # revealment * E[max cluster]
-    max_cluster_se: float
-    samples: int
 
 
 def fk_magnetization_bound(
@@ -337,7 +272,8 @@ def fk_magnetization_bound(
     bootstrap: int = 200,
 ) -> FkBoundReport:
     """Monte Carlo cluster moments for the reconstruction bound on the
-    average magnetization; both right-hand-side forms with bootstrap SEs.
+    average magnetization: both right-hand-side forms, the ratio form with
+    a bootstrap SE.
 
     The `samples` independent cluster chains of `sweeps` steps each run as
     the replicas of one `swendsen_wang` call, followed by one bond draw
@@ -365,6 +301,4 @@ def fk_magnetization_bound(
         ratio_bound=float(ratio),
         ratio_se=float(reps.std(ddof=1)),
         max_cluster_bound=float(delta * maxc.mean()),
-        max_cluster_se=float(delta * maxc.std(ddof=1) / math.sqrt(samples)),
-        samples=samples,
     )

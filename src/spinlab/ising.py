@@ -1,5 +1,6 @@
-"""Ising Gibbs measures on finite graphs: Hamiltonian, heat-bath dynamics,
-Swendsen-Wang, FK bond sampling, and cluster coloring.
+"""Ising Gibbs measures on finite graphs: the energies of all 2^n
+configurations, heat-bath dynamics, Swendsen-Wang, FK bond sampling,
+cluster coloring and exact conditional redraws of small free sets.
 
 Both samplers come as a replica kernel over an (R, n) int8 array and as a
 scalar single-chain path. `heat_bath` redraws one colour class of all
@@ -61,12 +62,6 @@ class IsingParams:
     def p_bond(self) -> float:
         """Edwards-Sokal bond probability 1 - exp(-2 beta J)."""
         return -math.expm1(-2.0 * self.beta * self.J)
-
-
-def hamiltonian(graph: Graph, params: IsingParams, config: np.ndarray) -> float:
-    config = np.asarray(config, dtype=np.float64)
-    edge_term = float(config[graph.edges[:, 0]] @ config[graph.edges[:, 1]])
-    return -params.J * edge_term - params.h * float(config.sum())
 
 
 def hamiltonian_all(graph: Graph, params: IsingParams) -> np.ndarray:
@@ -396,14 +391,6 @@ def fk_sample(
     return BondConfig(graph, opens)
 
 
-def tree_uniqueness_beta(d: int) -> float:
-    """Inverse temperature below which the d-regular-tree model is unique:
-    atanh(1/(d-1))."""
-    if d < 3:
-        raise ValueError("degree must be >= 3")
-    return math.atanh(1.0 / (d - 1))
-
-
 # -- conditional sampling helpers --------------------------------------------
 
 
@@ -412,13 +399,12 @@ def conditional_exact_resample(
     params: IsingParams,
     config: np.ndarray,
     free_vertices: np.ndarray,
-    rng_or_uniform,
+    u: float,
 ) -> np.ndarray:
     """Exact draw of the spins on `free_vertices` given the rest, by direct
-    enumeration; only for small free sets (<= 16 spins).
-
-    `rng_or_uniform` is either a Generator or a pre-drawn uniform in [0,1)
-    (the latter supports identical-randomness couplings).
+    enumeration, from the uniform `u` in [0, 1); only for small free sets
+    (<= 16 spins). Passing one `u` to two copies couples them with
+    identical randomness.
     """
     free = np.asarray(free_vertices, dtype=np.int64)
     m = len(free)
@@ -448,7 +434,6 @@ def conditional_exact_resample(
     w = np.exp(logw - logw.max())
     cdf = np.cumsum(w)
     cdf /= cdf[-1]
-    u = rng_or_uniform if np.isscalar(rng_or_uniform) else rng_or_uniform.random()
     pick = int(np.searchsorted(cdf, u, side="right"))
     for i, v in enumerate(free):
         cfg[v] = 1 if (pick >> i) & 1 else -1
@@ -459,15 +444,11 @@ class ConditionalGibbsSampler:
     """Draws from the Gibbs measure conditioned on frozen spins.
 
     Full (unconditional) draws use cluster moves; conditional inner draws
-    run frozen heat-bath sweeps from the current state. Mixing between
-    retained samples is controlled by `sweeps_between`; the conservative
-    default is 50 sweeps per free vertex, which is sound for the high
-    temperature regime.
+    run `sweeps_between` frozen heat-bath sweeps from the current state.
     """
 
-    def __init__(self, graph: Graph, params: IsingParams,
-                 sw_burnin: int = DEFAULT_SW_BURNIN,
-                 sweeps_between: int | None = None):
+    def __init__(self, graph: Graph, params: IsingParams, sweeps_between: int,
+                 sw_burnin: int = DEFAULT_SW_BURNIN):
         self.graph = graph
         self.params = params
         self.sw_burnin = sw_burnin
@@ -484,12 +465,6 @@ class ConditionalGibbsSampler:
     ) -> np.ndarray:
         """Redraw the free spins of every row of the (R, n) array `configs`
         by heat-bath sweeps, returning a new (R, n) array."""
-        frozen_mask = np.asarray(frozen_mask, dtype=bool)
-        n_free = int((~frozen_mask).sum())
-        sweeps = (
-            self.sweeps_between
-            if self.sweeps_between is not None
-            else 50 * max(n_free, 1)
-        )
         cfgs = np.array(configs, dtype=np.int8, ndmin=2)
-        return heat_bath(cfgs, self.graph, self.params, sweeps, rng, frozen=frozen_mask)
+        return heat_bath(cfgs, self.graph, self.params, self.sweeps_between, rng,
+                         frozen=np.asarray(frozen_mask, dtype=bool))

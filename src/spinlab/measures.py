@@ -12,9 +12,9 @@ Functions that accept "an Observable or a 2^n value vector" turn either
 into a checked vector with `values_of`.
 
 `sample_ffiid_parity_cycle` is a factor-of-IID demo measure on a cycle: it
-returns a batch of draws as one (count, n) array from one `rng.choice`
-call, the same stream as `count` single draws, and refuses batches over
-`FFIID_BYTES_CAP` before drawing.
+returns a batch of draws and their source coins as two (count, n) arrays
+from one `rng.choice` call, the same stream as `count` single draws, and
+refuses batches over `FFIID_BYTES_CAP` before drawing.
 """
 
 from __future__ import annotations
@@ -27,21 +27,15 @@ from scipy.special import logsumexp
 
 from . import _bits
 from .graphs import Graph
-from .ising import BondConfig, IsingParams, hamiltonian_all
+from .ising import IsingParams, hamiltonian_all
 
-EXACT_CAP_DEFAULT = 20
-EXACT_CAP_HARD = 24
-
-TABLE_SUM_TOL = 1e-12
+#: Largest vertex count the exact layer enumerates (2^n configurations).
+EXACT_CAP = 20
 
 
-def check_exact_size(n: int, allow_large: bool = False) -> None:
-    cap = EXACT_CAP_HARD if allow_large else EXACT_CAP_DEFAULT
-    if n > cap:
-        raise ValueError(
-            f"exact mode capped at {cap} vertices (got {n}); "
-            "pass allow_large=True to raise the cap to 24"
-        )
+def check_exact_size(n: int) -> None:
+    if n > EXACT_CAP:
+        raise ValueError(f"exact mode capped at {EXACT_CAP} vertices (got {n})")
 
 
 @dataclass
@@ -80,16 +74,6 @@ class ProbabilityTable:
             for v in range(self.n)
         ])
 
-    def boundary_weights(self, subset_bits: int) -> np.ndarray:
-        """Total probability of each boundary pattern y = idx & subset_bits.
-
-        Returned as a dense length-2^n vector supported on submasks of
-        subset_bits.
-        """
-        idx = _bits.config_indices(self.n)
-        keys = (idx & np.uint64(subset_bits)).astype(np.int64)
-        return np.bincount(keys, weights=self.p, minlength=1 << self.n)
-
     def conditional_mean(self, values: np.ndarray, subset_bits: int) -> np.ndarray:
         """E[f | spins on the subset], as a vector over all configurations."""
         idx = _bits.config_indices(self.n)
@@ -99,10 +83,6 @@ class ProbabilityTable:
         with np.errstate(invalid="ignore", divide="ignore"):
             means = np.where(denom > 0, numer / np.maximum(denom, 1e-300), 0.0)
         return means[keys]
-
-    def entropy_bits(self) -> float:
-        pos = self.p[self.p > 0]
-        return float(-(pos * np.log2(pos)).sum())
 
 
 # -- measure descriptions ----------------------------------------------------
@@ -127,15 +107,16 @@ class CurieWeissMeasure:
 
 @dataclass(frozen=True)
 class DacMeasure:
-    """Explicit bond distribution: list of (edge bitmask, probability)."""
+    """Explicit bond distribution: (BondConfig, probability) pairs, as
+    `dac.bond_configs` decodes them from (edge bitmask, probability)."""
 
-    bond_table: tuple
+    bonds: tuple
 
 
-def exact_table(measure, graph: Graph, allow_large: bool = False) -> ProbabilityTable:
+def exact_table(measure, graph: Graph) -> ProbabilityTable:
     """Enumerate the measure on the given graph as a ProbabilityTable."""
     n = graph.n_vertices
-    check_exact_size(n, allow_large)
+    check_exact_size(n)
     idx = _bits.config_indices(n)
 
     if isinstance(measure, ProductMeasure):
@@ -165,10 +146,9 @@ def exact_table(measure, graph: Graph, allow_large: bool = False) -> Probability
     if isinstance(measure, DacMeasure):
         p = np.zeros(1 << n)
         total = 0.0
-        for bond_bits, prob in measure.bond_table:
+        for bonds, prob in measure.bonds:
             total += prob
             # Uniform on configurations constant on clusters.
-            bonds = BondConfig(graph, _bits.bits_to_mask(bond_bits, graph.n_edges))
             p[bonds.colourings()] += prob / (1 << bonds.k)
         if abs(total - 1.0) > 1e-9:
             raise ValueError("bond distribution must sum to 1")
@@ -192,9 +172,9 @@ class Observable:
         """Value on one ±1 configuration."""
         return float(self._value(np.asarray(config)))
 
-    def table_values(self, n: int, allow_large: bool = False) -> np.ndarray:
+    def table_values(self, n: int) -> np.ndarray:
         """Values over all 2^n configurations."""
-        check_exact_size(n, allow_large)
+        check_exact_size(n)
         return self._table(_bits.config_indices(n), n)
 
 
@@ -289,48 +269,15 @@ class Custom(Observable):
         ])
 
 
-def values_of(f, n: int, allow_large: bool = False) -> np.ndarray:
+def values_of(f, n: int) -> np.ndarray:
     """An Observable's values over all 2^n configurations, or a given value
     vector checked to have that length."""
     if isinstance(f, Observable):
-        return f.table_values(n, allow_large)
+        return f.table_values(n)
     values = np.asarray(f, dtype=np.float64)
     if values.shape != (1 << n,):
         raise ValueError("function values must cover all 2^n configurations")
     return values
-
-
-# -- susceptibility ----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SusceptibilityReport:
-    chi: float
-    n_times_var_m: float
-
-
-def susceptibility(table: ProbabilityTable, graph: Graph) -> SusceptibilityReport:
-    """Sum of covariances of one spin with all spins, for transitive graphs.
-
-    Also evaluates |V| * Var(M) and checks the two agree to 1e-9.
-    """
-    if not graph.is_transitive():
-        raise ValueError("susceptibility needs a transitive translation group")
-    n = table.n
-    idx = _bits.config_indices(n)
-    s0 = _bits.spins_of(idx, 0)
-    mu0 = table.expectation(s0)
-    chi = 0.0
-    for v in range(n):
-        sv = _bits.spins_of(idx, v)
-        chi += table.expectation(s0 * sv) - mu0 * table.expectation(sv)
-    m_values = _bits.total_spin(idx, n) / n
-    nvar = n * table.variance(m_values)
-    if abs(chi - nvar) > 1e-9:
-        raise AssertionError(
-            f"susceptibility mismatch: chi={chi!r} vs |V|*Var(M)={nvar!r}"
-        )
-    return SusceptibilityReport(chi=chi, n_times_var_m=nvar)
 
 
 # -- Fourier-Walsh layer (uniform product measure) ---------------------------
@@ -344,7 +291,7 @@ def walsh_transform(values: np.ndarray, n: int) -> np.ndarray:
     """
     if len(values) != 1 << n:
         raise ValueError("value vector length mismatch")
-    check_exact_size(n, allow_large=True)
+    check_exact_size(n)
     coef = np.array(values, dtype=np.float64)
     for bit in range(n):
         shape = (1 << (n - bit - 1), 2, 1 << bit)
@@ -354,18 +301,6 @@ def walsh_transform(values: np.ndarray, n: int) -> np.ndarray:
         c[:, 0, :] = (hi + lo) / 2.0
         c[:, 1, :] = (hi - lo) / 2.0
     return coef
-
-
-def inverse_walsh(coef: np.ndarray, n: int) -> np.ndarray:
-    vals = np.array(coef, dtype=np.float64)
-    for bit in range(n):
-        shape = (1 << (n - bit - 1), 2, 1 << bit)
-        c = vals.reshape(shape)
-        without = c[:, 0, :].copy()
-        with_ = c[:, 1, :].copy()
-        c[:, 0, :] = without - with_
-        c[:, 1, :] = without + with_
-    return vals
 
 
 def subset_sums(values: np.ndarray, n: int) -> np.ndarray:
@@ -431,12 +366,12 @@ def check_ffiid_size(n_half: int, count: int) -> None:
 
 
 def sample_ffiid_parity_cycle(
-    n_half: int, rng: np.random.Generator, count: int, return_source: bool = False
-):
-    """`count` independent draws, one per row of a (count, 2*n_half) int8
-    array. Spin i of a row is the value of the first equal adjacent pair
-    scanning forward from i on the cycle; a fully alternating source row
-    falls back to copying the source bits.
+    n_half: int, rng: np.random.Generator, count: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """`count` independent draws and their source coins, each one row of a
+    (count, 2*n_half) int8 array. Spin i of a row is the value of the first
+    equal adjacent pair scanning forward from i on the cycle; a fully
+    alternating source row falls back to copying the source bits.
 
     The source rows come from one `rng.choice` call, which consumes the
     stream exactly as `count` successive single-row draws would. One
@@ -455,6 +390,4 @@ def sample_ffiid_parity_cycle(
             sigma[:, j] = nearest
     alternating = ~pair_start.any(axis=1)
     sigma[alternating] = omega[alternating]
-    if return_source:
-        return sigma, omega
-    return sigma
+    return sigma, omega

@@ -1,0 +1,82 @@
+"""Exact reference computations that more than one test module checks the
+package against."""
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from spinlab import _bits
+from spinlab.measures import ProbabilityTable, values_of
+
+
+@dataclass(frozen=True)
+class SusceptibilityReport:
+    chi: float
+    n_times_var_m: float
+
+
+def _is_transitive(graph) -> bool:
+    """Cycles, tori and complete graphs, or a graph whose translation list
+    moves vertex 0 to every vertex."""
+    if graph.kind in ("cycle", "torus", "complete"):
+        return True
+    if graph.translations is None:
+        return False
+    hit = np.zeros(graph.n_vertices, dtype=bool)
+    hit[graph.translations[:, 0]] = True
+    return bool(hit.all())
+
+
+def susceptibility(table: ProbabilityTable, graph) -> SusceptibilityReport:
+    """Sum of covariances of one spin with all spins, for transitive graphs.
+
+    Also evaluates |V| * Var(M) and checks the two agree to 1e-9.
+    """
+    if not _is_transitive(graph):
+        raise ValueError("susceptibility needs a transitive translation group")
+    n = table.n
+    idx = _bits.config_indices(n)
+    s0 = _bits.spins_of(idx, 0)
+    mu0 = table.expectation(s0)
+    chi = 0.0
+    for v in range(n):
+        sv = _bits.spins_of(idx, v)
+        chi += table.expectation(s0 * sv) - mu0 * table.expectation(sv)
+    m_values = _bits.total_spin(idx, n) / n
+    nvar = n * table.variance(m_values)
+    if abs(chi - nvar) > 1e-9:
+        raise AssertionError(
+            f"susceptibility mismatch: chi={chi!r} vs |V|*Var(M)={nvar!r}"
+        )
+    return SusceptibilityReport(chi=chi, n_times_var_m=nvar)
+
+
+def iclue_exact(table: ProbabilityTable, f, subset_bits: int) -> float:
+    """I(f ; spins on the subset) / H(f) from the exact joint law, base 2.
+
+    f must be discrete-valued on the table's support.
+    """
+    values = values_of(f, table.n)
+    idx = _bits.config_indices(table.n)
+    distinct, z_inverse = np.unique(values, return_inverse=True)
+    if len(distinct) > 4096:
+        raise ValueError(
+            "information clue needs a discrete-valued function "
+            f"(found {len(distinct)} distinct values)"
+        )
+    n_z = z_inverse.max() + 1
+    patterns, pat_inverse = np.unique(
+        (idx & np.uint64(subset_bits)).astype(np.int64), return_inverse=True
+    )
+    joint = np.zeros((n_z, len(patterns)))
+    np.add.at(joint, (z_inverse, pat_inverse), table.p)
+
+    def ent(x):
+        x = x[x > 0]
+        return float(-(x * np.log2(x)).sum())
+
+    h_z = ent(joint.sum(axis=1))
+    if h_z <= 0:
+        raise ValueError("degenerate function: zero entropy")
+    i = h_z + ent(joint.sum(axis=0)) - ent(joint.reshape(-1))
+    return min(max(i / h_z, 0.0), 1.0)

@@ -197,11 +197,11 @@ def test_criterion_07_coloring_measure_suite():
         bond_table.append((mask, p**o * (1 - p) ** (g.n_edges - o)))
     fv = rng.standard_normal(64)
     gv = rng.standard_normal(64)
-    rep = dac.dac_expectation(fv, bond_table, g, g=gv)
+    labelled = dac.bond_configs(bond_table, g)  # every mask, in mask order
+    rep = dac.dac_expectation(fv, labelled, g, g=gv)
     ok &= abs(rep.e_f - rep.direct_e_f) <= 1e-9
     ok &= abs(rep.e_fg - rep.direct_e_fg) <= 1e-9
-    for mask in range(1 << g.n_edges):
-        bonds = ising.BondConfig(g, _bits.bits_to_mask(mask, g.n_edges))
+    for bonds, _ in labelled:
         if dac.class_count(bonds) != 2 ** (6 - bonds.k):
             ok = False
             break
@@ -222,7 +222,7 @@ def test_criterion_07_coloring_measure_suite():
             agg[int(m)] = agg.get(int(m), 0.0) + float(q)
         spec = graphs.UniformK(int(rng.integers(1, n)))
         f = rng.standard_normal(1 << n)
-        b = dac.dac_clue_upper_bound(f, sorted(agg.items()), spec, gi)
+        b = dac.dac_clue_upper_bound(f, dac.bond_configs(sorted(agg.items()), gi), spec, gi)
         chain_ok &= b.exact_expected_clue <= b.spectral_bound + 1e-9
         chain_ok &= b.spectral_bound <= b.theorem_bound + 1e-9
     ok &= chain_ok
@@ -230,9 +230,7 @@ def test_criterion_07_coloring_measure_suite():
     # singleton stage equals the cluster-ratio form for the average
     ident_ok = True
     for k in (1, 2, 3):
-        b = dac.dac_clue_upper_bound(
-            Magnetization(), bond_table,
-            graphs.UniformK(k), g)
+        b = dac.dac_clue_upper_bound(Magnetization(), labelled, graphs.UniformK(k), g)
         ident_ok &= abs(
             b.singleton_bound_for_magnetization - b.cluster_ratio_bound
         ) <= 1e-9 * max(1.0, b.cluster_ratio_bound)

@@ -136,6 +136,11 @@ def test_exit_codes(tmp_path):
         ("supercrit-giant", {"bern_p": 2}),
         ("ising2d-sublattice", {"meshes": [0]}),
         ("ising2d-sublattice", {"beta": "x"}),
+        # lattice bytes: refused before any torus array is allocated
+        ("fk-bound", {"side": 100000}),
+        ("tiled-coupling", {"side": 100000}),
+        ("ising2d-sublattice", {"side": 100000}),
+        ("supercrit-giant", {"side": 100000}),
     ]):
         bad = tmp_path / f"bad-recipe{i}.json"
         bad.write_text(json.dumps(doc))

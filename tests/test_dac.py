@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from spinlab import _bits, clue, dac, graphs, ising, measures
+from spinlab import _bits, cli, clue, dac, graphs, ising, measures
 from spinlab.measures import (
     IsingMeasure,
     Magnetization,
@@ -78,19 +78,29 @@ def test_coefficients_magnetization_cluster_sizes():
     assert cf.coefficients[0b11] == pytest.approx(0.0, abs=1e-12)
 
 
+def _profile_of(bonds, subset_bits: int) -> int:
+    """Parity profile of a subset: bit j is the parity of its intersection
+    with cluster j."""
+    prof = 0
+    for j, mask in enumerate(bonds.cluster_masks):
+        if bin(subset_bits & mask).count("1") & 1:
+            prof |= 1 << j
+    return prof
+
+
 def test_representative_and_profile_roundtrip():
     g = graphs.custom(4, [[0, 1], [2, 3]])
     bonds = ising.BondConfig(g, [True, True])
     cf = dac.dac_coefficients(np.arange(16.0), bonds)
     for profile in range(4):
         rep = cf.representative(profile)
-        assert cf.profile_of(rep) == profile
+        assert _profile_of(bonds, rep) == profile
 
 
 def test_dac_expectation_point_mass():
     g = graphs.custom(2, [[0, 1]])
     f = Parity([0, 1])
-    rep = dac.dac_expectation(f, [(0b1, 1.0)], g, g=f)
+    rep = dac.dac_expectation(f, dac.bond_configs([(0b1, 1.0)], g), g, g=f)
     assert rep.e_fg == pytest.approx(1.0, abs=1e-12)
     assert rep.e_f == pytest.approx(1.0, abs=1e-12)
 
@@ -99,7 +109,7 @@ def test_dac_expectation_odd_function_vanishes():
     g = graphs.custom(4, [[0, 1], [1, 2], [2, 3]])
     rng = stream(31, 2)
     table = bernoulli_bond_table(g, 0.45)
-    rep = dac.dac_expectation(Magnetization(), table, g)
+    rep = dac.dac_expectation(Magnetization(), dac.bond_configs(table, g), g)
     assert rep.e_f == pytest.approx(0.0, abs=1e-12)
 
 
@@ -117,21 +127,9 @@ def test_dac_expectation_random_vs_brute_force():
         table = bernoulli_bond_table(g, 0.4)
         fv = rng.standard_normal(64)
         gv = rng.standard_normal(64)
-        rep = dac.dac_expectation(fv, table, g, g=gv)
+        rep = dac.dac_expectation(fv, dac.bond_configs(table, g), g, g=gv)
         assert rep.e_f == pytest.approx(rep.direct_e_f, abs=1e-9)
         assert rep.e_fg == pytest.approx(rep.direct_e_fg, abs=1e-9)
-
-
-def test_dac_expectation_sampled_mode():
-    g = graphs.custom(3, [[0, 1], [1, 2]])
-    par = ising.IsingParams(0.5)
-
-    def sampler(rng):
-        return ising.fk_sample(g, par, rng, sweeps=4)
-
-    fv = Magnetization().table_values(3)
-    rep = dac.dac_expectation(fv, sampler, g, rng=stream(31, 4), replicas=500)
-    assert abs(rep.e_f - rep.direct_e_f) <= 4 * (rep.se_f + 0.03)
 
 
 def test_spectral_sample_dac_cases():
@@ -193,7 +191,7 @@ def test_bounds_empty_bonds_reduce_to_iid():
     g = graphs.custom(n, [[i, i + 1] for i in range(n - 1)])
     bond_table = [(0, 1.0)]
     spec = graphs.UniformK(2)
-    rep = dac.dac_clue_upper_bound(Magnetization(), bond_table, spec, g)
+    rep = dac.dac_clue_upper_bound(Magnetization(), dac.bond_configs(bond_table, g), spec, g)
     assert rep.cluster_ratio_bound == pytest.approx(2 / n, abs=1e-12)
     assert rep.exact_expected_clue == pytest.approx(2 / n, abs=1e-10)
     assert rep.clue_given_bonds == pytest.approx(0.0, abs=1e-12)
@@ -207,7 +205,7 @@ def test_bounds_odd_function_no_bond_information():
     rng = stream(31, 8)
     fv = rng.standard_normal(16)
     odd = fv - fv[::-1]  # f(-x) = -f(x) under index complement
-    rep = dac.dac_clue_upper_bound(odd, bond_table, spec, g)
+    rep = dac.dac_clue_upper_bound(odd, dac.bond_configs(bond_table, g), spec, g)
     assert rep.clue_given_bonds == pytest.approx(0.0, abs=1e-12)
     assert rep.exact_expected_clue <= rep.spectral_bound + 1e-9
     assert rep.spectral_bound <= rep.theorem_bound + 1e-9
@@ -229,18 +227,17 @@ def test_bound_chain_random_instances():
             agg[int(m)] = agg.get(int(m), 0) + float(p)
         spec = graphs.UniformK(int(rng.integers(1, 4)))
         fv = rng.standard_normal(1 << n)
-        rep = dac.dac_clue_upper_bound(fv, sorted(agg.items()), spec, g)
+        rep = dac.dac_clue_upper_bound(fv, dac.bond_configs(sorted(agg.items()), g), spec, g)
         assert rep.exact_expected_clue <= rep.spectral_bound + 1e-9
         assert rep.spectral_bound <= rep.theorem_bound + 1e-9
 
 
 def test_magnetization_singleton_identity():
     g = graphs.custom(6, [[0, 1], [1, 2], [2, 3], [3, 4], [4, 5], [0, 3]])
-    bond_table = bernoulli_bond_table(g, 0.35)
+    bonds = dac.bond_configs(bernoulli_bond_table(g, 0.35), g)
     for k in (1, 2, 3):
         spec = graphs.UniformK(k)
-        rep = dac.dac_clue_upper_bound(
-            Magnetization(), bond_table, spec, g)
+        rep = dac.dac_clue_upper_bound(Magnetization(), bonds, spec, g)
         assert rep.singleton_bound_for_magnetization == pytest.approx(
             rep.cluster_ratio_bound, abs=1e-9)
         assert rep.exact_expected_clue <= rep.singleton_bound_for_magnetization + 1e-9
@@ -294,12 +291,13 @@ def test_spectral_bound_equals_joint_conditional_variance():
     probs = rng.dirichlet(np.ones(4))
     bond_table = list(zip(masks, map(float, probs)))
     fv = rng.standard_normal(16)
-    table = exact_table(measures.DacMeasure(tuple(bond_table)), g)
+    labelled = dac.bond_configs(bond_table, g)
+    table = exact_table(measures.DacMeasure(labelled), g)
     fc = fv - table.expectation(fv)
     var_f = table.variance(fc)
     for k in (1, 2, 3):
         spec = graphs.UniformK(k)
-        rep = dac.dac_clue_upper_bound(fc, bond_table, spec, g)
+        rep = dac.dac_clue_upper_bound(fc, labelled, spec, g)
         # oracle: E over (U, N) of E[ E[f | sigma_U, N]^2 ]
         total = 0.0
         for ubits, uprob in graphs.subset_support(spec, g):
@@ -325,3 +323,30 @@ def test_spectral_bound_equals_joint_conditional_variance():
                     cond = np.where(denom > 0, numer / np.maximum(denom, 1e-300), 0.0)
                 total += uprob * bprob * float(weights @ cond[keys] ** 2)
         assert rep.spectral_bound * var_f == pytest.approx(total, abs=1e-10)
+
+
+def test_dac_recipes_label_each_bond_mask_once(monkeypatch, tmp_path):
+    # each instance decodes its bond table once, so every distinct mask of
+    # the instance is labelled exactly once, in table order
+    params = {"instances": 5}
+    expected = {}
+    for name, key in (("dac-identities", 7), ("dac-bounds", 8)):
+        full = {**cli.RECIPES[name].defaults, **params}
+        expected[name] = [
+            bits for inst in range(5)
+            for bits, _ in cli._random_dac_instance(full, stream(3, key, inst))[1]
+        ]
+    calls = []
+    original = graphs.component_labels
+
+    def counting(graph, open_edges):
+        calls.append(_bits.mask_to_bits(np.asarray(open_edges)))
+        return original(graph, open_edges)
+
+    for module in (graphs, ising):  # ising holds its own reference
+        monkeypatch.setattr(module, "component_labels", counting)
+    for name in expected:
+        calls.clear()
+        summary = cli.run_recipe(name, params, 3, tmp_path / name)
+        assert summary["status"] == "pass"
+        assert calls == expected[name]

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinlab import _bits, graphs, measures
+from spinlab import _bits, dac, graphs, measures
 from spinlab.measures import (
     CurieWeissMeasure,
     Custom,
@@ -22,6 +22,7 @@ from spinlab.measures import (
     walsh_transform,
 )
 from spinlab.rng import stream
+from oracles import susceptibility
 
 
 def test_product_uniform_table():
@@ -92,20 +93,20 @@ def test_observable_tables_match_eval():
 def test_susceptibility_product_is_one():
     g = graphs.cycle(5)
     t = exact_table(ProductMeasure(), g)
-    rep = measures.susceptibility(t, g)
+    rep = susceptibility(t, g)
     assert rep.chi == pytest.approx(1.0, abs=1e-10)
 
 
 def test_susceptibility_cw_beta0():
     g = graphs.complete(2)
     t = exact_table(CurieWeissMeasure(0.0), g)
-    assert measures.susceptibility(t, g).chi == pytest.approx(1.0, abs=1e-10)
+    assert susceptibility(t, g).chi == pytest.approx(1.0, abs=1e-10)
 
 
 def test_susceptibility_identity_ising_cycle():
     g = graphs.cycle(6)
     t = exact_table(IsingMeasure(0.3), g)
-    rep = measures.susceptibility(t, g)
+    rep = susceptibility(t, g)
     assert rep.chi == pytest.approx(rep.n_times_var_m, abs=1e-9)
 
 
@@ -113,7 +114,7 @@ def test_susceptibility_needs_translations():
     g = graphs.box(1, 4)
     t = exact_table(ProductMeasure(), g)
     with pytest.raises(ValueError):
-        measures.susceptibility(t, g)
+        susceptibility(t, g)
 
 
 # -- Fourier layer -------------------------------------------------------------
@@ -158,6 +159,19 @@ def test_walsh_majority3_against_enumeration():
     assert coef[0b111] == pytest.approx(-0.5)
 
 
+def inverse_walsh(coef: np.ndarray, n: int) -> np.ndarray:
+    """Values f(sigma) = sum_S f_hat(S) chi_S(sigma) from Walsh coefficients."""
+    vals = np.array(coef, dtype=np.float64)
+    for bit in range(n):
+        shape = (1 << (n - bit - 1), 2, 1 << bit)
+        c = vals.reshape(shape)
+        without = c[:, 0, :].copy()
+        with_ = c[:, 1, :].copy()
+        c[:, 0, :] = without - with_
+        c[:, 1, :] = without + with_
+    return vals
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(1, 6), st.integers(0, 10**9))
 def test_walsh_parseval_and_inverse(n, seed):
@@ -165,7 +179,7 @@ def test_walsh_parseval_and_inverse(n, seed):
     vals = rng.standard_normal(1 << n)
     coef = walsh_transform(vals, n)
     assert (coef**2).sum() == pytest.approx((vals**2).mean(), rel=1e-10)
-    back = measures.inverse_walsh(coef, n)
+    back = inverse_walsh(coef, n)
     assert np.allclose(back, vals, atol=1e-10)
 
 
@@ -256,7 +270,7 @@ def test_product_clue_bound_transitive_functions():
 def test_dac_table_from_point_mass():
     g = graphs.custom(3, [[0, 1], [1, 2]])
     # edge {0,1} always open: spins 0,1 glued, vertex 2 free
-    t = exact_table(DacMeasure(((0b01, 1.0),)), g)
+    t = exact_table(DacMeasure(dac.bond_configs([(0b01, 1.0)], g)), g)
     for idx, p in enumerate(t.p):
         cfg = _bits.index_to_config(idx, 3)
         if cfg[0] == cfg[1]:
@@ -270,7 +284,7 @@ def test_dac_table_brute_force():
     rng = stream(8, 0)
     probs = rng.dirichlet(np.ones(4))
     bond_masks = [0b0000, 0b0101, 0b1111, 0b0011]
-    table = exact_table(DacMeasure(tuple(zip(bond_masks, probs))), g)
+    table = exact_table(DacMeasure(dac.bond_configs(zip(bond_masks, probs), g)), g)
     # oracle: enumerate colorings per bond mask directly
     oracle = np.zeros(16)
     for mask, prob in zip(bond_masks, probs):
@@ -314,7 +328,7 @@ def test_scan_rule_alternating_error_branch():
 
 
 def test_ffiid_parity_cycle_matches_oracle():
-    sigma, omega = measures.sample_ffiid_parity_cycle(3, stream(9, 0), 300, return_source=True)
+    sigma, omega = measures.sample_ffiid_parity_cycle(3, stream(9, 0), 300)
     assert sigma.shape == omega.shape == (300, 6)
     hit_error = False
     for s_row, o_row in zip(sigma, omega):
@@ -331,14 +345,13 @@ def test_ffiid_parity_cycle_matches_oracle():
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(st.integers(2, 8), st.integers(1, 200), st.integers(0, 10**6))
 def test_ffiid_batch_matches_oracle_and_single_draws(n_half, count, seed):
-    sigma, omega = measures.sample_ffiid_parity_cycle(
-        n_half, stream(seed, 0), count, return_source=True)
+    sigma, omega = measures.sample_ffiid_parity_cycle(n_half, stream(seed, 0), count)
     assert sigma.shape == omega.shape == (count, 2 * n_half)
     assert sigma.dtype == omega.dtype == np.int8
     twin = stream(seed, 0)
     for s_row, o_row in zip(sigma, omega):
         assert s_row.tolist() == scan_oracle(o_row).tolist()
-        s_one, o_one = measures.sample_ffiid_parity_cycle(n_half, twin, 1, return_source=True)
+        s_one, o_one = measures.sample_ffiid_parity_cycle(n_half, twin, 1)
         assert s_one[0].tolist() == s_row.tolist() and o_one[0].tolist() == o_row.tolist()
 
 
