@@ -1,10 +1,10 @@
-"""Time one Swendsen-Wang step per path: the union-find `swendsen_wang_step`
-against the replica kernel `swendsen_wang`, on the graphs where `sw_chain`
-chooses between them, plus the large single chain and replica batch that
-the recipes run, and one `graphs.component_labels` call (`labels`) on the
-graph sizes that call it: cycle(5), the 6-vertex path with 2 extra edges
-of `dac-bounds`, and the 16x16 and 60x60 tori, each with every edge open
-with probability 1/2.
+"""Time one Swendsen-Wang step per path: the public single-chain
+`swendsen_wang_step` against the replica kernel `swendsen_wang` with one
+replica (the path of `sw_chain`), on graphs of 5 to 780 edges, plus the
+large single chain and replica batch that the recipes run, and one
+`graphs.component_labels` call (`labels`) on the graph sizes that call it:
+cycle(5), the 6-vertex path with 2 extra edges of `dac-bounds`, and the
+16x16 and 60x60 tori, each with every edge open with probability 1/2.
 
     PYTHONPATH=src python3 scripts/sw_kernel_probe.py [--repeat 5]
 
@@ -67,14 +67,14 @@ def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--repeat", type=int, default=5)
     args = ap.parse_args()
-    crossover = {}
+    single_chain = {}
     for name, g in [("cycle(5)", graphs.cycle(5)), ("torus 3x3", graphs.torus(2, 3)),
                     ("cycle(16)", graphs.cycle(16)), ("torus 4x4", graphs.torus(2, 4)),
                     ("cycle(32)", graphs.cycle(32)), ("torus 5x5", graphs.torus(2, 5)),
                     ("torus 6x6", graphs.torus(2, 6)), ("torus 7x7", graphs.torus(2, 7)),
                     ("torus 8x8", graphs.torus(2, 8)),
                     ("complete(40)", graphs.complete(40))]:
-        crossover[name] = {
+        single_chain[name] = {
             "n": g.n_vertices, "m": g.n_edges,
             "step_us": round(time_step_path(g, 2000, args.repeat), 1),
             "kernel_R1_us": round(time_kernel(g, 1, 2000, args.repeat), 1),
@@ -99,8 +99,7 @@ def main():
                                ("torus 16x16", graphs.torus(2, 16), 500),
                                ("torus 60x60", t60, 100)]
     }
-    print(json.dumps({"beta": BETA, "sw_step_max_bonds": ising.SW_STEP_MAX_BONDS,
-                      "crossover_R1": crossover, "batches": batches,
+    print(json.dumps({"beta": BETA, "single_chain": single_chain, "batches": batches,
                       "labels_us": labels}, indent=1))
 
 

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import block_dyn, clue as clue_mod, curie_weiss as cw, dac, graphs, ising, measures
-from .rng import stream
+from .rng import bootstrap_se, stream
 
 
 # ---------------------------------------------------------------------------
@@ -575,6 +575,15 @@ def run_dac_bounds(params, seed, writer, budget):
     return checks
 
 
+def _check_fk_bound(params):
+    g = graphs.torus(2, params["side"])
+    graphs.revealment(graphs.UniformK(params["spec_k"]), g)
+    # the fk_samples chains and each clue_mc's `outer` full draws are
+    # replica batches of one swendsen_wang call
+    ising.check_sw_bytes(g, params["fk_samples"])
+    ising.check_sw_bytes(g, params["outer"])
+
+
 @recipe(
     "fk-bound",
     "Monte Carlo explained-variance of the average magnetization stays "
@@ -588,7 +597,7 @@ def run_dac_bounds(params, seed, writer, budget):
     # ddof=1 standard errors over u_draws; fk_samples feeds a bootstrap too
     {"side": LATTICE_SIDE, "u_draws": (2, math.inf), "fk_samples": (2, math.inf),
      "outer": (2, math.inf), "inner": (2, math.inf)},
-    lambda p: graphs.revealment(graphs.UniformK(p["spec_k"]), graphs.torus(2, p["side"])),
+    _check_fk_bound,
 )
 def run_fk_bound(params, seed, writer, budget):
     g = graphs.torus(2, params["side"])
@@ -697,11 +706,8 @@ def run_sublattice(params, seed, writer, budget):
     results = []
     for s in params["meshes"]:
         c = float(np.corrcoef(m_full, m_sub[s])[0, 1])
-        reps = np.empty(params["bootstrap"])
-        for b in range(params["bootstrap"]):
-            pick = boot.integers(0, N, size=N)
-            reps[b] = np.corrcoef(m_full[pick], m_sub[s][pick])[0, 1]
-        se = float(reps.std(ddof=1))
+        se = bootstrap_se(lambda pick: np.corrcoef(m_full[pick], m_sub[s][pick])[0, 1],
+                          N, params["bootstrap"], boot)
         writer.row("sublattice", s, len(sub_idx[s]), c, se)
         results.append((s, c, se))
     writer.table("sublattice_summary", ["beta", "samples", "ess"])
@@ -746,12 +752,9 @@ def run_supercrit(params, seed, writer, budget):
         rng = stream(seed, 40, i)
         cfg = None
         for _ in range(count):
-            bonds = ising.fk_sample(
-                g, par, rng,
-                sweeps=params["sw_burnin"] if cfg is None else params["thin"],
-                config=cfg,
-            )
-            cfg = ising.edwards_sokal_color(bonds, rng)
+            steps = params["sw_burnin"] if cfg is None else params["thin"]
+            cfg = ising.sw_chain(g, par, rng, steps, cfg)
+            labels = ising.fk_clusters(cfg[None], g, par, rng)[0]
             mask = rng.random(n) < params["bern_p"]
             guess_hit = None
             if mask.any():
@@ -759,7 +762,7 @@ def run_supercrit(params, seed, writer, budget):
                 maj = 1 if cfg.sum() > 0 else -1
                 guess_hit = guess == maj
             rows.append((
-                float(bonds.cluster_sizes().max()), float(cfg.sum()), guess_hit,
+                float(np.bincount(labels).max()), float(cfg.sum()), guess_hit,
             ))
     giants = np.array([r[0] for r in rows])
     sums = np.array([r[1] for r in rows])

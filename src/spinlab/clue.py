@@ -14,6 +14,7 @@ import numpy as np
 from . import _bits
 from .graphs import Graph, SubsetSpec, UnionOfKCopies, revealment, subset_support
 from .measures import Observable, ProbabilityTable, values_of
+from .rng import bootstrap_se
 
 EXACT_RANGE_TOL = 1e-10
 
@@ -315,10 +316,6 @@ def clue_mc(
         return min(max(var_cond / var_f, 0.0), 1.0)
 
     value = ratio(ys)
-    boot_rng = np.random.Generator(np.random.Philox(
-        np.random.SeedSequence(int(rng.integers(2**63)))
-    ))
-    reps = np.array([
-        ratio(ys[boot_rng.integers(0, outer, size=outer)]) for _ in range(bootstrap)
-    ])
-    return ClueEstimate(value, float(reps.std(ddof=1)), outer, inner)
+    boot_rng = np.random.Generator(np.random.Philox(int(rng.integers(2**63))))
+    se = bootstrap_se(lambda pick: ratio(ys[pick]), outer, bootstrap, boot_rng)
+    return ClueEstimate(value, se, outer, inner)

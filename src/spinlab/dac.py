@@ -27,6 +27,7 @@ from .graphs import Graph, SubsetSpec, revealment, subset_support
 from .clue import expected_clue
 from .ising import BondConfig, IsingParams, fk_clusters, swendsen_wang
 from .measures import DacMeasure, Magnetization, exact_table, subset_sums, values_of, walsh_transform
+from .rng import bootstrap_se
 
 
 def bond_configs(bond_table, graph: Graph) -> tuple[tuple[BondConfig, float], ...]:
@@ -290,15 +291,11 @@ def fk_magnetization_bound(
     sum2 = (sizes**2).sum(axis=1)
     maxc = sizes.max(axis=1)
     ratio = delta * sum2.mean() / sum1.mean()
-    boot_rng = np.random.Generator(np.random.Philox(
-        np.random.SeedSequence(int(rng.integers(2**63)))
-    ))
-    reps = np.empty(bootstrap)
-    for b in range(bootstrap):
-        pick = boot_rng.integers(0, samples, size=samples)
-        reps[b] = delta * sum2[pick].mean() / sum1[pick].mean()
+    boot_rng = np.random.Generator(np.random.Philox(int(rng.integers(2**63))))
+    se = bootstrap_se(lambda pick: delta * sum2[pick].mean() / sum1[pick].mean(),
+                      samples, bootstrap, boot_rng)
     return FkBoundReport(
         ratio_bound=float(ratio),
-        ratio_se=float(reps.std(ddof=1)),
+        ratio_se=se,
         max_cluster_bound=float(delta * maxc.mean()),
     )

@@ -2,22 +2,13 @@
 configurations, heat-bath dynamics, Swendsen-Wang, FK bond sampling,
 cluster coloring and exact conditional redraws of small free sets.
 
-Both samplers come as a replica kernel over an (R, n) int8 array and as a
-scalar single-chain path. `heat_bath` redraws one colour class of all
-replicas at a time. `swendsen_wang` labels the clusters of all R copies
-with one `graphs.component_labels` call. Cluster labels are ranks: the k
-clusters are numbered 0..k-1 in the order of their smallest vertex, and
-`edwards_sokal_color` gives cluster j the j-th coin.
-
-The single-chain steps are for tiny graphs, where per-call overhead is
-most of the cost, so they rebuild nothing per call: both run over Python
-lists cached on the graph (`Graph.geometry.lists`, `Graph.edge_list`) and
-a list of uniforms, and the heat-bath table is memoised per parameters and
-degree. `glauber_sweep` loops over sites. `swendsen_wang_step` draws the
-bonds, union-finds and ranks the roots in one pass and hands its ranked
-labels to `BondConfig`; it is the path of `sw_chain` on graphs of at most
-`SW_STEP_MAX_BONDS` edges, where it is faster for one chain. The streams
-of both are pinned by SHA-256 digests in the tests.
+`heat_bath` redraws one colour class of an (R, n) int8 array of replicas
+at a time. `swendsen_wang` is the one Swendsen-Wang path: it labels the
+clusters of all R copies with one `graphs.component_labels` call and gives
+cluster j (ranked by smallest vertex) the j-th coin `rng.random() < 0.5`.
+`sw_chain` is that kernel with R = 1, and `fk_clusters` its bond draw and
+labelling alone. No library code calls the scalar single-chain steps
+`glauber_sweep` and `swendsen_wang_step`; the tests pin their streams.
 
 Weights are exp(-beta * H) with H = -J * sum_edges s_u s_v - h * sum_v s_v.
 Under this convention the bond-opening probability that makes cluster
@@ -82,11 +73,6 @@ class ChainState:
 
     def __post_init__(self):
         self.config = np.asarray(self.config, dtype=np.int8)
-
-    @staticmethod
-    def random(graph: Graph, rng: np.random.Generator) -> "ChainState":
-        cfg = rng.choice(_bits.SPINS, size=graph.n_vertices)
-        return ChainState(cfg, 0, rng)
 
 
 @functools.lru_cache(maxsize=64)
@@ -183,29 +169,13 @@ def heat_bath(
     return cfgs
 
 
-#: Largest edge count on which `sw_chain` runs the single-pass
-#: `swendsen_wang_step`. Its cost grows with the edge count, while the
-#: replica kernel `swendsen_wang` costs a nearly fixed amount per call on
-#: small graphs. scripts/sw_kernel_probe.py timed both on a shared 2-core
-#: x86-64 host with one BLAS thread, in two runs (step / kernel, us per step):
-#:   cycle(5), 5 edges       14 / 45    14 / 43
-#:   7x7 torus, 98 edges     44 / 46    44 / 47
-#:   8x8 torus, 128 edges    52 / 47    54 / 47
-#: so the two tie between about 96 and 128 edges. The graphs that the
-#: recipes and tests run have at most 18 or at least 128 edges.
-SW_STEP_MAX_BONDS = 96
-
 #: Working bytes of one `swendsen_wang` step above which it refuses to run.
 SW_BYTES_CAP = 1 << 29
 
 
-def _cluster_labeller(graph: Graph, replicas: int, params: IsingParams):
-    """Returns `label(cfgs, rng) -> (labels, k)`, which draws the bond layer
-    of every row of a (replicas, n) configuration array from one uniform
-    array and labels the clusters of all rows with one `component_labels`
-    call."""
-    if params.h != 0.0:
-        raise ValueError("cluster moves need zero external field")
+def check_sw_bytes(graph: Graph, replicas: int) -> None:
+    """Raise `ValueError` if one `swendsen_wang` step of `replicas` copies of
+    `graph` would need more than `SW_BYTES_CAP` working bytes."""
     n, m, degmax = graph.n_vertices, graph.n_edges, graph.geometry.max_degree
     size = replicas * n
     # column indices (int32) + open mask + CSR indices and data per slot;
@@ -215,13 +185,29 @@ def _cluster_labeller(graph: Graph, replicas: int, params: IsingParams):
         raise ValueError(
             f"swendsen_wang on {replicas} x {n} sites needs about {est} bytes "
             f"per step, over the cap of {SW_BYTES_CAP}")
-    ends, p_bond = graph.edges.T, params.p_bond
+
+
+def _cluster_labeller(graph: Graph, replicas: int, params: IsingParams):
+    """Returns `label(cfgs, rng) -> (labels, k)`, which draws the bond layer
+    of every row of a (replicas, n) configuration array from one uniform
+    array and labels the clusters of all rows with one `component_labels`
+    call."""
+    if params.h != 0.0:
+        raise ValueError("cluster moves need zero external field")
+    check_sw_bytes(graph, replicas)
+    ends, m, p_bond = graph.edges.T, graph.n_edges, params.p_bond
 
     def label(cfgs: np.ndarray, rng: np.random.Generator) -> tuple[np.ndarray, int]:
         return component_labels(graph, (cfgs[:, ends[0]] == cfgs[:, ends[1]])
                                 & (rng.random((replicas, m)) < p_bond))
 
     return label
+
+
+def _cluster_coins(labels: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    """One fair +-1 int8 coin per cluster, drawn as `rng.random(k) < 0.5` in
+    label order, spread over the sites by their cluster labels."""
+    return np.where(rng.random(k) < 0.5, np.int8(1), np.int8(-1))[labels]
 
 
 def swendsen_wang(
@@ -237,17 +223,15 @@ def swendsen_wang(
     A step draws every bond of every replica from one (R, m) uniform array,
     labels the clusters of all replicas with one scipy call (clusters never
     cross replicas) and gives each cluster one fair coin from one uniform
-    per cluster. `sw_chain` uses this kernel above `SW_STEP_MAX_BONDS`.
+    per cluster.
     """
     cfgs = np.asarray(cfgs)
     n = graph.n_vertices
     if cfgs.dtype != np.int8 or cfgs.ndim != 2 or cfgs.shape[1] != n:
         raise ValueError(f"swendsen_wang needs an (R, {n}) int8 array")
     label = _cluster_labeller(graph, len(cfgs), params)
-    up, down = np.int8(1), np.int8(-1)
     for _ in range(steps):
-        labels, k = label(cfgs, rng)
-        cfgs[:] = np.where(rng.random(k) < 0.5, up, down)[labels]
+        cfgs[:] = _cluster_coins(*label(cfgs, rng), rng)
     return cfgs
 
 
@@ -256,8 +240,7 @@ def fk_clusters(
 ) -> np.ndarray:
     """Draw the Edwards-Sokal bond layer of every row of the (R, n) array
     `cfgs` and return the (R, n) cluster labels; no two rows share a label."""
-    cfgs = np.asarray(cfgs, dtype=np.int8)
-    return _cluster_labeller(graph, len(cfgs), params)(cfgs, rng)[0]
+    return _cluster_labeller(graph, len(cfgs), params)(np.asarray(cfgs), rng)[0]
 
 
 @dataclass
@@ -306,14 +289,12 @@ def swendsen_wang_step(
 ) -> tuple[BondConfig, np.ndarray]:
     """One bond-then-color step; returns the bond layer and the new spins.
 
-    The single-chain path of `sw_chain` for graphs of at most
-    `SW_STEP_MAX_BONDS` edges. Its cost grows by about 0.34 us per edge
-    (2.5 ms per step on the 60x60 torus, against 0.6 ms for the replica
-    kernel), so `sw_chain` runs the kernel above that size. It draws
-    `rng.random(m)` for the bonds and does the union-find and root ranking
-    in one pass over Python lists, so the returned `BondConfig` carries the
-    ranked labels and cluster count that `component_labels` would give;
-    `edwards_sokal_color` then draws the coins.
+    No library code calls it: `sw_chain` and every recipe run the replica
+    kernel. Its cost grows by about 0.34 us per edge (2.5 ms per step on
+    the 60x60 torus, against 0.6 ms for the kernel). It union-finds and
+    ranks the roots in one pass over Python lists, so the `BondConfig`
+    carries the labels `component_labels` would give, and
+    `edwards_sokal_color` draws the kernel's coins.
     """
     if params.h != 0.0:
         raise ValueError("cluster moves need zero external field")
@@ -344,10 +325,9 @@ def swendsen_wang_step(
 
 
 def edwards_sokal_color(bonds: BondConfig, rng: np.random.Generator) -> np.ndarray:
-    """Assign one fair +-1 coin per cluster, in label order; spins are
-    constant on clusters."""
-    # the index draw of rng.choice([-1, 1], k), without its argument checks
-    return _bits.SPINS[rng.integers(0, 2, size=bonds.k)][bonds.labels]
+    """Assign one fair +-1 coin per cluster, in label order, as the replica
+    kernel does; spins are constant on clusters."""
+    return _cluster_coins(bonds.labels, bonds.k, rng)
 
 
 def sw_chain(
@@ -357,38 +337,11 @@ def sw_chain(
     steps: int,
     config: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Run `steps` cluster updates of one chain and return the final
-    configuration: `swendsen_wang_step` on graphs of at most
-    `SW_STEP_MAX_BONDS` edges, the replica kernel with R = 1 above."""
-    cfg = (
-        rng.choice(_bits.SPINS, size=graph.n_vertices)
-        if config is None
-        else np.asarray(config, dtype=np.int8).copy()
-    )
-    if graph.n_edges > SW_STEP_MAX_BONDS:
-        return swendsen_wang(cfg[None], graph, params, steps, rng)[0]
-    for _ in range(steps):
-        _, cfg = swendsen_wang_step(cfg, graph, params, rng)
-    return cfg
-
-
-def fk_sample(
-    graph: Graph,
-    params: IsingParams,
-    rng: np.random.Generator,
-    sweeps: int = DEFAULT_SW_BURNIN,
-    config: np.ndarray | None = None,
-) -> BondConfig:
-    """Approximate random-cluster sample (q=2) as the bond layer of a
-    stationary cluster chain: burn in `sweeps` steps, then one bond draw."""
-    if params.h != 0.0:
-        raise ValueError("FK sampling needs zero external field")
-    if sweeps < 1:
-        raise ValueError("need at least one step")
-    cfg = sw_chain(graph, params, rng, sweeps, config)
-    mono = cfg[graph.edges[:, 0]] == cfg[graph.edges[:, 1]]
-    opens = mono & (rng.random(graph.n_edges) < params.p_bond)
-    return BondConfig(graph, opens)
+    """Run `steps` cluster updates of one chain, from `config` or a uniform
+    start, and return the final configuration: the replica kernel with
+    R = 1."""
+    cfg = rng.choice(_bits.SPINS, size=graph.n_vertices) if config is None else config
+    return swendsen_wang(np.array(cfg, dtype=np.int8, ndmin=2), graph, params, steps, rng)[0]
 
 
 # -- conditional sampling helpers --------------------------------------------

@@ -19,3 +19,11 @@ def stream(seed: int, *path: int) -> np.random.Generator:
     """
     ss = np.random.SeedSequence(seed, spawn_key=tuple(int(p) for p in path))
     return np.random.Generator(np.random.Philox(ss))
+
+
+def bootstrap_se(statistic, n: int, reps: int, rng: np.random.Generator) -> float:
+    """Bootstrap standard error of `statistic(pick)` over `reps` resamples,
+    each `pick` being n indices drawn uniformly with replacement from
+    range(n); the spread is the ddof=1 standard deviation."""
+    values = np.array([statistic(rng.integers(0, n, size=n)) for _ in range(reps)])
+    return float(values.std(ddof=1))

@@ -287,7 +287,7 @@ def _tv_glauber(g, beta, J, sweeps, seed, frozen=None, start=None):
     n = g.n_vertices
     if frozen is None:
         target = table.p
-        state = ising.ChainState.random(g, rng)
+        state = ising.ChainState(rng.choice(_bits.SPINS, size=n), 0, rng)
     else:
         idx = _bits.config_indices(n)
         fbits = _bits.mask_to_bits(frozen)
@@ -347,9 +347,9 @@ def test_criterion_12_samplers_vs_exact_oracle():
     hits, n_samp = 0, 6000
     cfg = None
     for i in range(n_samp):
-        bonds = ising.fk_sample(g2, par, rng, sweeps=(100 if i == 0 else 4), config=cfg)
-        cfg = ising.edwards_sokal_color(bonds, rng)
-        hits += bonds.labels[0] == bonds.labels[4]
+        cfg = ising.sw_chain(g2, par, rng, 100 if i == 0 else 4, cfg)
+        labels = ising.fk_clusters(cfg[None], g2, par, rng)[0]
+        hits += labels[0] == labels[4]
     freq = hits / n_samp
     se = math.sqrt(freq * (1 - freq) / n_samp)
     details.append(f"two-point {freq:.4f} vs {exact:.4f} (se {se:.4f})")

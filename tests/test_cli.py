@@ -96,6 +96,9 @@ def test_exit_codes(tmp_path):
         ("fk-bound", {"fk_samples": 0}),
         ("fk-bound", {"fk_samples": 1}),
         ("fk-bound", {"fk_sweeps": 0}),
+        # Swendsen-Wang step bytes of the fk_samples and the outer replica batches
+        ("fk-bound", {"fk_samples": 100000, "betas": [0.3]}),
+        ("fk-bound", {"outer": 100000, "betas": [0.3], "fk_samples": 10}),
         ("cw-guess", {"budget_seconds": 5}),
         ("ffiid-demo", {"draws": 0}),
         ("ffiid-demo", {"n_half": 1}),

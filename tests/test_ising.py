@@ -84,7 +84,7 @@ def test_glauber_marginal_matches_table():
     t = exact_table(IsingMeasure(beta), g)
     exact_mean = 2 * t.marginal_plus()[0] - 1
     rng = stream(1, 2)
-    state = ising.ChainState.random(g, rng)
+    state = ising.ChainState(rng.choice(_bits.SPINS, size=g.n_vertices), 0, rng)
     ising.glauber_sweep(state, g, ising.IsingParams(beta), sweeps=300)
     total = 0.0
     n_samp = 20_000
@@ -156,9 +156,10 @@ def fk_brute_force_cluster_count(g, beta):
 
 def test_fk_beta0_empty():
     g = graphs.cycle(4)
-    bonds = ising.fk_sample(g, ising.IsingParams(0.0), stream(3, 0), sweeps=3)
-    assert not bonds.open_edges.any()
-    assert bonds.k == 4
+    par, rng = ising.IsingParams(0.0), stream(3, 0)
+    cfg = ising.sw_chain(g, par, rng, 3)
+    labels = ising.fk_clusters(cfg[None], g, par, rng)[0]
+    assert labels.tolist() == [0, 1, 2, 3]  # no open bond: four singletons
 
 
 def test_fk_cluster_count_matches_enumeration():
@@ -189,9 +190,9 @@ def test_fk_two_point_equals_connection_probability():
     hits, n_samp = 0, 4000
     cfg = None
     for i in range(n_samp):
-        bonds = ising.fk_sample(g, par, rng, sweeps=(100 if i == 0 else 5), config=cfg)
-        cfg = ising.edwards_sokal_color(bonds, rng)
-        hits += bonds.labels[0] == bonds.labels[4]
+        cfg = ising.sw_chain(g, par, rng, 100 if i == 0 else 5, cfg)
+        labels = ising.fk_clusters(cfg[None], g, par, rng)[0]
+        hits += labels[0] == labels[4]
     freq = hits / n_samp
     se = math.sqrt(freq * (1 - freq) / n_samp) + 1e-6
     assert abs(freq - exact) < 4 * se
@@ -208,7 +209,7 @@ _STREAM_DIGESTS = {
     "glauber-cycle6-frozen":
         "eefb478436b65903173cd40f64ae3f6eda6c6416a345bffd0818268b5d61cadb",
     "sw-cycle5":
-        "5b70c2987ed3e1f520f84a6aaa03b1517005b2790e390299bbe2b48037219aea",
+        "9a3df118c7df7c85932fd4e7d39a64c6643e94ccfa9f6765cde086789f0cd528",
 }
 
 
@@ -272,16 +273,16 @@ def test_edwards_sokal_examples():
     assert len(vals) == 2
 
 
-def test_edwards_sokal_coins_match_rng_choice():
-    # the coins are the draw of rng.choice([-1, 1], k), one per cluster in
-    # label order, and leave the stream where that call leaves it
+def test_edwards_sokal_coins_match_kernel_draw():
+    # the coins are the replica kernel's draw, rng.random(k) < 0.5 for +1,
+    # one per cluster in label order, and leave the stream where it leaves it
     g = graphs.cycle(8)
     for seed in range(20):
         open_edges = stream(seed, 0).random(g.n_edges) < 0.5
         bonds = ising.BondConfig(g, open_edges)
         rng, twin = stream(seed, 1), stream(seed, 1)
         cfg = ising.edwards_sokal_color(bonds, rng)
-        coins = twin.choice(np.array([-1, 1], dtype=np.int8), bonds.k)
+        coins = np.where(twin.random(bonds.k) < 0.5, 1, -1)
         _, roots = np.unique(bonds.labels, return_index=True)  # in label order
         assert cfg.dtype == np.int8 and cfg[roots].tolist() == coins.tolist()
         assert np.array_equal(cfg, cfg[roots][bonds.labels])  # constant on clusters
@@ -298,7 +299,8 @@ def test_edwards_sokal_law_on_path():
     counts = np.zeros(4)
     cfg = None
     for i in range(20_000):
-        bonds = ising.fk_sample(g, par, rng, sweeps=(50 if i == 0 else 2), config=cfg)
+        cfg = ising.sw_chain(g, par, rng, 50 if i == 0 else 2, cfg)
+        bonds, _ = ising.swendsen_wang_step(cfg, g, par, rng)  # recoloured below
         cfg = ising.edwards_sokal_color(bonds, rng)
         counts[_bits.config_to_index(cfg)] += 1
     freq = counts / counts.sum()
@@ -496,8 +498,8 @@ def test_cluster_coins_match_unique_labelling():
         state = rng.bit_generator.state
         coins = ising.edwards_sokal_color(bonds, rng)
         rng.bit_generator.state = state
-        ref = rng.choice(np.array([-1, 1], dtype=np.int8), size=len(reps))[inverse]
-        assert np.array_equal(coins, ref)
+        ref = np.where(rng.random(len(reps)) < 0.5, 1, -1)[inverse]
+        assert coins.dtype == np.int8 and np.array_equal(coins, ref)
 
 
 # -- replica Swendsen-Wang kernel ------------------------------------------------
@@ -555,6 +557,23 @@ def test_sw_kernel_rejects_bad_input_before_allocating():
     with pytest.raises(ValueError):
         ising.swendsen_wang(np.ones((2, 200), dtype=np.int8), g,
                             ising.IsingParams(0.01, h=0.1), 1, stream(7, 0))
+
+
+@pytest.mark.parametrize("g", [graphs.cycle(5), graphs.torus(2, 8)])
+def test_sw_chain_is_the_kernel_with_one_replica(g):
+    # draw for draw, from a uniform start and from a given one
+    par = ising.IsingParams(0.4)
+    rng, twin = stream(7, 1), stream(7, 1)
+    cfg = ising.sw_chain(g, par, rng, 40)
+    ref = twin.choice(_bits.SPINS, size=g.n_vertices)[None]
+    ising.swendsen_wang(ref, g, par, 40, twin)
+    assert cfg.dtype == np.int8 and np.array_equal(cfg, ref[0])
+    start = cfg.copy()
+    cfg = ising.sw_chain(g, par, rng, 7, start)
+    assert np.array_equal(start, ref[0])  # the start is not written to
+    ising.swendsen_wang(ref, g, par, 7, twin)
+    assert np.array_equal(cfg, ref[0])
+    assert rng.random() == twin.random()
 
 
 @pytest.mark.parametrize("g, beta, J", [
