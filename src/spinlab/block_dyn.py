@@ -218,8 +218,8 @@ def eigenclue_verify(
     table: ProbabilityTable,
     spec: SubsetSpec,
     graph: Graph,
-    trials: int = 100,
-    rng: np.random.Generator | None = None,
+    trials: int,
+    rng: np.random.Generator,
 ) -> EigenclueReport:
     """Check that the second eigenvalue is attained by the second
     eigenfunction's expected clue and dominates random trial functions.
@@ -234,16 +234,13 @@ def eigenclue_verify(
     achieved = expected_clue(table, f2, spec, graph)
     residual = abs(rep.lambda_2 - achieved)
     max_trial = -math.inf
-    if trials > 0:
-        if rng is None:
-            raise ValueError("random trials need a stream")
-        for _ in range(trials):
-            f = rng.standard_normal(1 << table.n)
-            max_trial = max(max_trial, expected_clue(table, f, spec, graph))
-            if max_trial > rep.lambda_2 + 1e-9:
-                raise AssertionError(
-                    f"trial clue {max_trial!r} exceeded lambda_2 {rep.lambda_2!r}"
-                )
+    for _ in range(trials):
+        f = rng.standard_normal(1 << table.n)
+        max_trial = max(max_trial, expected_clue(table, f, spec, graph))
+        if max_trial > rep.lambda_2 + 1e-9:
+            raise AssertionError(
+                f"trial clue {max_trial!r} exceeded lambda_2 {rep.lambda_2!r}"
+            )
     return EigenclueReport(rep.lambda_2, achieved, max_trial, residual)
 
 
@@ -352,11 +349,11 @@ def path_coupling_rate(
     adjacent to the seed redraw identically and are skipped; the blocks it
     touches are redrawn in label order.
     """
-    if graph.kind != "torus" or graph.kind_params["d"] not in (2, 3):
+    if graph.kind != "torus" or len(graph.shape) not in (2, 3):
         raise ValueError("path coupling runs on 2D or 3D tori")
     if beta < 0:
         raise ValueError(f"need beta >= 0, got {beta}")
-    d = graph.kind_params["d"]
+    d = len(graph.shape)
     params = IsingParams(beta=beta, J=1.0) if beta > 0 else None
     etas = np.empty(trials)
     n = graph.n_vertices

@@ -672,14 +672,12 @@ def _integrated_autocorr(x: np.ndarray) -> float:
     lambda p: graphs.check_lattice_size(2, p["side"]),
 )
 def run_sublattice(params, seed, writer, budget):
-    side = params["side"]
-    g = graphs.torus(2, side)
+    g = graphs.torus(2, params["side"])
     par = ising.IsingParams(params["beta"])
     rng = stream(seed, 30)
     cfg = ising.sw_chain(g, par, rng, params["burnin"])
-    coords = np.unravel_index(np.arange(side * side), (side, side))
     sub_idx = {
-        s: np.flatnonzero((coords[0] % s == 0) & (coords[1] % s == 0))
+        s: np.flatnonzero((g.coords % s == 0).all(axis=0))
         for s in params["meshes"]
     }
     N = params["samples"]

@@ -1,13 +1,26 @@
 """Finite graphs, translation groups, and random vertex-subset specifications.
 
-Vertex indexing on tori and boxes is row-major over coordinates
+Cycles, tori and boxes are lattices, built by one builder that differs
+only in whether edges wrap. `Graph.shape` is their coordinate box ((n,) for
+a cycle, (side,) * d otherwise; None for complete and custom graphs) and
+`Graph.coords` the (d, n) coordinates of their vertices, numbered row-major
 (``numpy.unravel_index`` with C order), so masks are portable across runs.
+The builders estimate the bytes of the lattice and its `Geometry`
+(`check_lattice_size`) and raise `ValueError` above `LATTICE_BYTES_CAP`
+before allocating.
+
+`Graph.translations` is the translation group, a (T, n) array of vertex
+permutations. Cycles, tori and complete graphs of at most `TRANSLATION_CAP`
+vertices carry their coordinate shifts from one `_shift_group` call, row s
+moving every vertex by the coordinates of vertex s (a complete graph gets
+the rotations of its vertex numbering); a custom graph carries the list it
+is given, checked to preserve edges. Boxes and larger graphs have none,
+and `UniformTranslate` refuses them in all three entry points.
+
 Subset masks are boolean numpy arrays over vertices; the exact layer converts
 them to integer bitmasks via :mod:`spinlab._bits`. Each graph builds its
 `Geometry` (padded neighbour rows, their edge indices and a proper vertex
-colouring) once, on first use of `Graph.geometry`. `torus` and `box`
-estimate the bytes of the lattice and its Geometry (`check_lattice_size`)
-and raise `ValueError` above `LATTICE_BYTES_CAP` before allocating.
+colouring) once, on first use of `Graph.geometry`.
 
 `component_labels(graph, open_edges)` is the one cluster labelling: it
 takes one bond layer (m,) or R of them (R, m) and ranks the clusters of
@@ -28,7 +41,7 @@ import itertools
 import json
 import math
 import operator
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import ClassVar
 
 import numpy as np
@@ -37,12 +50,12 @@ from scipy.sparse.csgraph import connected_components
 
 from . import _bits
 
-# Full translation groups are materialized only for small graphs; larger
-# tori use shift arithmetic instead of stored permutations.
+#: Vertices above which cycles, tori and complete graphs get no translation
+#: group (the group is an (n, n) array).
 TRANSLATION_CAP = 1024
 
-#: Bytes of a lattice graph and its `Geometry` above which `torus` and `box`
-#: refuse to build it.
+#: Bytes of a lattice graph and its `Geometry` above which `cycle`, `torus`
+#: and `box` refuse to build it.
 LATTICE_BYTES_CAP = 1 << 30
 
 
@@ -51,7 +64,7 @@ class Graph:
     n_vertices: int
     edges: np.ndarray  # (m, 2) int64, u < v, lexicographically sorted
     kind: str  # cycle | torus | box | complete | custom
-    kind_params: dict = field(default_factory=dict)
+    shape: tuple[int, ...] | None = None  # coordinate box of lattices, else None
     translations: np.ndarray | None = None  # (T, n) permutation images
 
     def __post_init__(self):
@@ -88,47 +101,12 @@ class Graph:
                 if (min(a, b), max(a, b)) not in eset:
                     raise ValueError("translation does not preserve edges")
 
-    def translation_permutation(self, shift) -> np.ndarray:
-        """Permutation images for one group element.
-
-        For cycle/torus/box kinds `shift` is a coordinate shift vector; for
-        complete graphs it is a rotation amount; custom graphs must carry an
-        explicit translation list and `shift` indexes into it.
-        """
-        n = self.n_vertices
-        if self.kind in ("cycle", "torus"):
-            shape = self._shape()
-            coords = np.unravel_index(np.arange(n), shape)
-            shifted = tuple(
-                (coords[i] + int(np.atleast_1d(shift)[i])) % shape[i]
-                for i in range(len(shape))
-            )
-            return np.ravel_multi_index(shifted, shape).astype(np.int64)
-        if self.kind == "complete":
-            return ((np.arange(n) + int(np.atleast_1d(shift)[0])) % n).astype(np.int64)
-        if self.translations is not None:
-            return self.translations[int(np.atleast_1d(shift)[0])]
-        raise ValueError(f"graph kind {self.kind!r} has no translation group")
-
-    def _shape(self) -> tuple[int, ...]:
-        if self.kind == "cycle":
-            return (self.kind_params["n"],)
-        if self.kind in ("torus", "box"):
-            return (self.kind_params["side"],) * self.kind_params["d"]
-        raise ValueError("graph has no coordinate shape")
-
-    def random_translation(self, rng: np.random.Generator) -> np.ndarray:
-        if self.kind == "cycle":
-            return self.translation_permutation([rng.integers(self.n_vertices)])
-        if self.kind == "torus":
-            side = self.kind_params["side"]
-            d = self.kind_params["d"]
-            return self.translation_permutation(rng.integers(side, size=d))
-        if self.kind == "complete":
-            return self.translation_permutation([rng.integers(self.n_vertices)])
-        if self.translations is not None:
-            return self.translations[rng.integers(len(self.translations))]
-        raise ValueError(f"graph kind {self.kind!r} has no translation group")
+    @functools.cached_property
+    def coords(self) -> np.ndarray:
+        """(d, n) coordinates of each vertex in `shape`, row-major."""
+        if self.shape is None:
+            raise ValueError("graph has no coordinate shape")
+        return np.stack(np.unravel_index(np.arange(self.n_vertices), self.shape))
 
     def neighbor_lists(self) -> list[list[int]]:
         """Neighbours of each vertex in ascending order (a fresh copy)."""
@@ -196,28 +174,44 @@ class Geometry:
         return Geometry(nbrs, slot_edge, lists, classes)
 
 
-def _materialize_shifts(graph: Graph) -> np.ndarray | None:
-    if graph.n_vertices > TRANSLATION_CAP:
+def _shift_group(shape: tuple[int, ...]) -> np.ndarray | None:
+    """The coordinate shifts of the periodic box `shape` as an (n, n) array,
+    row s moving vertex i to (coords(i) + coords(s)) mod shape, or None above
+    `TRANSLATION_CAP` vertices. The rows preserve edges by construction, so
+    the builders set them after `Graph` has checked its other fields."""
+    n = math.prod(shape)
+    if n > TRANSLATION_CAP:
         return None
-    if graph.kind == "cycle":
-        shifts = [[s] for s in range(graph.kind_params["n"])]
-    elif graph.kind == "torus":
-        side, d = graph.kind_params["side"], graph.kind_params["d"]
-        shifts = list(itertools.product(range(side), repeat=d))
-    elif graph.kind == "complete":
-        shifts = [[s] for s in range(graph.n_vertices)]
-    else:
-        return None
-    return np.stack([graph.translation_permutation(s) for s in shifts])
+    group = 0
+    for c, side in zip(np.unravel_index(np.arange(n), shape), shape):
+        group = group * side + (c[:, None] + c) % side
+    return group
+
+
+def _lattice(kind: str, d: int, side: int, wrap: bool) -> Graph:
+    """The d-dimensional grid of the given side, vertices numbered row-major,
+    joining each vertex to its successor along every axis; `wrap` closes each
+    axis into a cycle and gives the graph its shift group."""
+    check_lattice_size(d, side)
+    shape = (side,) * d
+    idx = np.arange(side**d)
+    coords = np.unravel_index(idx, shape)
+    edges = []
+    for axis in range(d):
+        shifted = list(coords)
+        shifted[axis] = (coords[axis] + 1) % side
+        pairs = np.stack([idx, np.ravel_multi_index(tuple(shifted), shape)], 1)
+        edges.append(pairs if wrap else pairs[coords[axis] < side - 1])
+    g = Graph(idx.size, np.concatenate(edges), kind, shape)
+    if wrap:
+        g.translations = _shift_group(shape)
+    return g
 
 
 def cycle(n: int) -> Graph:
     if n < 3:
         raise ValueError("cycle needs at least 3 vertices (duplicate edges below)")
-    edges = np.array([[i, (i + 1) % n] for i in range(n)], dtype=np.int64)
-    g = Graph(n, edges, "cycle", {"n": n})
-    g.translations = _materialize_shifts(g)
-    return g
+    return _lattice("cycle", 1, n, wrap=True)
 
 
 def check_lattice_size(d: int, side: int) -> None:
@@ -241,53 +235,27 @@ def torus(d: int, side: int) -> Graph:
         raise ValueError("torus dimension must be >= 1")
     if side < 3:
         raise ValueError("torus side must be >= 3 (duplicate edges below)")
-    check_lattice_size(d, side)
-    n = side**d
-    shape = (side,) * d
-    idx = np.arange(n)
-    coords = np.unravel_index(idx, shape)
-    edges = []
-    for axis in range(d):
-        shifted = list(coords)
-        shifted[axis] = (coords[axis] + 1) % side
-        edges.append(np.stack([idx, np.ravel_multi_index(tuple(shifted), shape)], 1))
-    g = Graph(n, np.concatenate(edges), "torus", {"d": d, "side": side})
-    g.translations = _materialize_shifts(g)
-    return g
+    return _lattice("torus", d, side, wrap=True)
 
 
 def box(d: int, side: int) -> Graph:
     if d < 1 or side < 1:
         raise ValueError("box needs d >= 1 and side >= 1")
-    check_lattice_size(d, side)
-    n = side**d
-    shape = (side,) * d
-    idx = np.arange(n)
-    coords = np.unravel_index(idx, shape)
-    edges = []
-    for axis in range(d):
-        keep = coords[axis] < side - 1
-        shifted = list(c[keep] for c in coords)
-        shifted[axis] = shifted[axis] + 1
-        edges.append(
-            np.stack([idx[keep], np.ravel_multi_index(tuple(shifted), shape)], 1)
-        )
-    return Graph(n, np.concatenate(edges) if edges else np.empty((0, 2)), "box",
-                 {"d": d, "side": side})
+    return _lattice("box", d, side, wrap=False)
 
 
 def complete(n: int) -> Graph:
     if n < 1:
         raise ValueError("complete graph needs at least 1 vertex")
     edges = np.array(list(itertools.combinations(range(n), 2)), dtype=np.int64)
-    g = Graph(n, edges.reshape(-1, 2), "complete", {"n": n})
-    g.translations = _materialize_shifts(g)
+    g = Graph(n, edges.reshape(-1, 2), "complete")
+    g.translations = _shift_group((n,))
     return g
 
 
 def custom(n: int, edges, translations=None) -> Graph:
-    return Graph(n, np.asarray(edges, dtype=np.int64), "custom", {},
-                 None if translations is None else np.asarray(translations))
+    return Graph(n, np.asarray(edges, dtype=np.int64), "custom",
+                 translations=None if translations is None else np.asarray(translations))
 
 
 def build_graph(spec: dict) -> Graph:
@@ -533,34 +501,25 @@ class UniformTranslate(SubsetSpec):
 
     def _check(self, graph):
         _check_mask(self.base, graph)
+        if graph.translations is None:
+            raise ValueError(f"uniform_translate needs a translation group; this "
+                             f"graph of {graph.n_vertices} vertices has none")
 
     def _sample(self, graph, rng):
-        perm = graph.random_translation(rng)
+        perm = graph.translations[rng.integers(len(graph.translations))]
         out = np.zeros(graph.n_vertices, dtype=bool)
-        out[perm[_bits.mask_to_indices(self.base)]] = True
+        out[perm[self.base]] = True
         return out
 
     def _revealment(self, graph):
-        n = graph.n_vertices
-        if graph.kind in ("cycle", "torus", "complete"):
-            # Free transitive shift action: every vertex is covered by
-            # exactly |base| of the |group| translates.
-            return np.full(n, int(self.base.sum()) / n)
-        if graph.translations is None:
-            raise ValueError("uniform_translate needs a translation group")
-        counts = np.zeros(n)
-        members = _bits.mask_to_indices(self.base)
-        for perm in graph.translations:
-            counts[perm[members]] += 1
-        return counts / len(graph.translations)
+        hits = np.bincount(graph.translations[:, self.base].ravel(),
+                           minlength=graph.n_vertices)
+        return hits / len(graph.translations)
 
     def _support(self, graph, cap):
-        if graph.translations is None:
-            raise ValueError("uniform_translate support needs materialized group")
-        members = _bits.mask_to_indices(self.base)
         w = 1.0 / len(graph.translations)
-        return [(int(sum(1 << int(v) for v in perm[members])), w)
-                for perm in graph.translations]
+        return [(int(sum(1 << v for v in images)), w)
+                for images in graph.translations[:, self.base].tolist()]
 
     def _doc(self):
         return {"base": _bits.mask_to_indices(self.base)}
@@ -585,16 +544,16 @@ class Tiled(SubsetSpec):
         _tiled_geometry(graph, self.L)
 
     def _sample(self, graph, rng):
-        d, _ = _tiled_geometry(graph, self.L)
+        d = _tiled_geometry(graph, self.L)
         anchor = rng.integers(self.L + 3, size=d)
         return ~tiled_complement_mask(graph, self.L, anchor)
 
     def _revealment(self, graph):
-        d, _ = _tiled_geometry(graph, self.L)
+        d = _tiled_geometry(graph, self.L)
         return np.full(graph.n_vertices, 1.0 - (self.L / (self.L + 3)) ** d)
 
     def _support(self, graph, cap):
-        d, _ = _tiled_geometry(graph, self.L)
+        d = _tiled_geometry(graph, self.L)
         anchors = list(itertools.product(range(self.L + 3), repeat=d))
         w = 1.0 / len(anchors)
         return [
@@ -691,18 +650,15 @@ SPEC_KINDS: dict[str, type[SubsetSpec]] = {
 }
 
 
-def _tiled_geometry(graph: Graph, L: int) -> tuple[int, int]:
-    if graph.kind not in ("torus", "box", "cycle"):
+def _tiled_geometry(graph: Graph, L: int) -> int:
+    """The dimension of the coordinate box that tiles of side L fit in."""
+    if graph.shape is None:
         raise ValueError("tiled specs need a torus, box, or cycle graph")
-    if graph.kind == "cycle":
-        d, side = 1, graph.kind_params["n"]
-    else:
-        d, side = graph.kind_params["d"], graph.kind_params["side"]
     if L < 1:
         raise ValueError("tiled block side must be >= 1")
-    if L + 3 > side:
-        raise ValueError(f"tiled period L+3={L + 3} exceeds side {side}")
-    return d, side
+    if L + 3 > min(graph.shape):
+        raise ValueError(f"tiled period L+3={L + 3} exceeds side {min(graph.shape)}")
+    return len(graph.shape)
 
 
 def tiled_complement_mask(graph: Graph, L: int, anchor) -> np.ndarray:
@@ -712,12 +668,9 @@ def tiled_complement_mask(graph: Graph, L: int, anchor) -> np.ndarray:
     (L+3)-periodic lattice of translates, clipped to the coordinate box;
     the pattern does not wrap around torus seams.
     """
-    d, side = _tiled_geometry(graph, L)
-    anchor = np.asarray(anchor, dtype=np.int64).reshape(d)
-    coords = np.unravel_index(np.arange(graph.n_vertices), (side,) * d)
-    return np.logical_and.reduce(
-        [np.mod(coords[i] - anchor[i], L + 3) < L for i in range(d)]
-    )
+    d = _tiled_geometry(graph, L)
+    anchor = np.asarray(anchor, dtype=np.int64).reshape(d, 1)
+    return np.all(np.mod(graph.coords - anchor, L + 3) < L, axis=0)
 
 
 def _merged(pairs, cap: int) -> list[tuple[int, float]]:

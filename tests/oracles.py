@@ -16,10 +16,7 @@ class SusceptibilityReport:
 
 
 def _is_transitive(graph) -> bool:
-    """Cycles, tori and complete graphs, or a graph whose translation list
-    moves vertex 0 to every vertex."""
-    if graph.kind in ("cycle", "torus", "complete"):
-        return True
+    """Whether the graph's translation group moves vertex 0 to every vertex."""
     if graph.translations is None:
         return False
     hit = np.zeros(graph.n_vertices, dtype=bool)

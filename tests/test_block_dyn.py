@@ -438,7 +438,7 @@ def _chains(draw):
             lambda items: graphs.Explicit(
                 [(m, w / sum(w for _, w in items)) for m, w in items])),
     )
-    if g.kind == "cycle":
+    if g.shape is not None:
         base = st.one_of(base, st.just(graphs.Tiled(1)))
     spec = draw(base)
     if draw(st.booleans()):

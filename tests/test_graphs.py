@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -21,11 +23,35 @@ def test_complete_edge_count():
 
 
 def test_torus_edge_count():
-    # d * side^d edges: every vertex opens one edge per axis
-    for d, side in [(1, 5), (2, 3), (2, 4), (3, 3)]:
-        g = graphs.torus(d, side) if d > 1 else graphs.torus(1, side)
-        assert g.n_vertices == side**d
-        assert g.n_edges == d * side**d
+    # d * side^d edges on a torus: every vertex opens one edge per axis. The
+    # edge sets of tori and boxes are the literal successor along each axis,
+    # wrapping on a torus only.
+    for d in (1, 2, 3):
+        for side in range(1, 6):
+            points = list(itertools.product(range(side), repeat=d))
+            index = {p: i for i, p in enumerate(points)}
+            for wrap in (False, True) if side >= 3 else (False,):
+                expected = set()
+                for p in points:
+                    for axis in range(d):
+                        q = list(p)
+                        q[axis] += 1
+                        if q[axis] == side:
+                            if not wrap:
+                                continue
+                            q[axis] = 0
+                        u, v = index[p], index[tuple(q)]
+                        expected.add((min(u, v), max(u, v)))
+                g = (graphs.torus if wrap else graphs.box)(d, side)
+                assert g.n_vertices == side**d
+                assert g.n_edges == len(expected)
+                if wrap:
+                    assert g.n_edges == d * side**d
+                assert {(int(u), int(v)) for u, v in g.edges} == expected
+                assert g.shape == (side,) * d
+                assert g.coords.T.tolist() == [list(p) for p in points]
+                assert (g.translations is None) == (not wrap)
+    assert np.array_equal(graphs.cycle(7).edges, graphs.torus(1, 7).edges)
 
 
 def test_torus_small_side_rejected():
@@ -47,15 +73,36 @@ def test_no_self_loops_or_duplicates():
         graphs.custom(3, [[0, 1], [1, 0]])
 
 
+def _literal_shift_group(g) -> list[list[int]]:
+    """Row s: vertex i moved by shift s, written out from the vertex
+    numbering (row-major over coordinates) rather than read off the graph.
+    A complete graph has no coordinates and gets the rotations i -> i + s."""
+    shape = g.shape or (g.n_vertices,)
+    points = list(itertools.product(*(range(side) for side in shape)))
+    index = {p: i for i, p in enumerate(points)}
+    return [[index[tuple((a + b) % side for a, b, side in zip(p, shift, shape))]
+             for p in points] for shift in points]
+
+
 def test_translations_preserve_edges():
-    for g in (graphs.cycle(5), graphs.torus(2, 3), graphs.complete(4)):
-        eset = {(int(u), int(v)) for u, v in g.edges}
-        for perm in g.translations:
-            for u, v in g.edges:
-                a, b = int(perm[u]), int(perm[v])
-                assert (min(a, b), max(a, b)) in eset
+    cases = ([graphs.cycle(n) for n in (3, 4, 7)]
+             + [graphs.complete(n) for n in (1, 2, 6)]
+             + [graphs.torus(d, side) for d in (1, 2, 3) for side in range(3, 7)])
+    for g in cases:
+        n, group = g.n_vertices, g.translations
+        assert group.tolist() == _literal_shift_group(g)
+        for perm in group:
+            assert np.array_equal(np.sort(perm), np.arange(n))
+            images = np.sort(perm[g.edges], axis=1)
+            images = images[np.lexsort((images[:, 1], images[:, 0]))]
+            assert np.array_equal(images, g.edges)
+        # distinct rows, closed under composition
+        rows = {row.tobytes(): s for s, row in enumerate(group)}
+        assert len(rows) == len(group)
+        for perm in group:
+            assert all(row.tobytes() in rows for row in perm[group])
         # transitive: orbit of 0 covers everything
-        assert set(int(p[0]) for p in g.translations) == set(range(g.n_vertices))
+        assert set(int(p[0]) for p in group) == set(range(n))
 
 
 def test_bad_translation_rejected():
@@ -86,7 +133,7 @@ def test_uniform_k_too_large_rejected():
         graphs.sample_subset(graphs.UniformK(6), g, stream(1, 2))
 
 
-@pytest.mark.parametrize("spec", [
+_CYCLE5_INVALID = [
     graphs.UniformK(6),
     graphs.UniformK(99),
     graphs.UniformK(-1),
@@ -98,15 +145,28 @@ def test_uniform_k_too_large_rejected():
     graphs.Fixed([1, 0, 1]),
     graphs.UniformTranslate([1, 0, 1]),
     graphs.Explicit([([1, 0, 1], 1.0)]),
-], ids=lambda spec: spec.to_json())
-def test_invalid_spec_rejected_everywhere(spec):
-    g = graphs.cycle(5)
-    with pytest.raises(ValueError):
-        graphs.sample_subset(spec, g, stream(1, 2))
-    with pytest.raises(ValueError):
-        graphs.revealment(spec, g)
-    with pytest.raises(ValueError):
-        graphs.subset_support(spec, g)
+]
+
+
+@pytest.mark.parametrize("g, spec", [
+    *(pytest.param(graphs.cycle(5), spec, id=spec.to_json()) for spec in _CYCLE5_INVALID),
+    # no translation group: a torus above TRANSLATION_CAP, and a box
+    pytest.param(graphs.torus(2, 40),
+                 graphs.UniformTranslate(_bits.indices_to_mask([0, 1], 1600)),
+                 id="torus(2,40)-uniform_translate"),
+    pytest.param(graphs.box(2, 4),
+                 graphs.UniformTranslate(_bits.indices_to_mask([0, 1], 16)),
+                 id="box(2,4)-uniform_translate"),
+])
+def test_invalid_spec_rejected_everywhere(g, spec):
+    messages = []
+    for call in (lambda: graphs.sample_subset(spec, g, stream(1, 2)),
+                 lambda: graphs.revealment(spec, g),
+                 lambda: graphs.subset_support(spec, g)):
+        with pytest.raises(ValueError) as exc:
+            call()
+        messages.append(str(exc.value))
+    assert len(set(messages)) == 1, messages
 
 
 def test_uniform_translate_preserves_cardinality():
