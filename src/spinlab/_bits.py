@@ -70,12 +70,3 @@ def indices_to_mask(indices, n: int) -> np.ndarray:
     mask[np.asarray(indices, dtype=np.int64)] = True
     return mask
 
-
-def iter_submasks(bits: int):
-    """Yield all subsets of an integer bitmask, including 0 and itself."""
-    sub = bits
-    while True:
-        yield sub
-        if sub == 0:
-            return
-        sub = (sub - 1) & bits

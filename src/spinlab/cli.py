@@ -179,14 +179,15 @@ def run_cw_clue(params, seed, writer, budget):
     ])
     checks = []
     for beta in params["betas"]:
-        deficit = cw.cw_entropy(n, beta).deficit_bits
+        pmf = cw.cw_magnetization_pmf(n, beta)
+        deficit = pmf.entropy.deficit_bits
         prev = -1.0
         monotone = True
         for k in sorted(params["ks"]):
             if budget.exceeded():
                 checks.append(Assertion("budget", "budget", f"stopped at beta={beta}, k={k}"))
                 return checks
-            law = cw.cw_observed_law(n, beta, k)
+            law = cw.cw_observed_law(pmf, k)
             cm, cj = law.clue("magnetization"), law.clue("majority")
             ic, gs = law.iclue(), law.guess_success()
             writer.row("cw_clue", n, beta, k, cm, cj, ic.iclue, gs, deficit)
@@ -216,8 +217,8 @@ def run_cw_entropy(params, seed, writer, budget):
     checks = []
     for beta in params["betas"]:
         for n in params["ns"]:
-            ent = cw.cw_entropy(n, beta)
-            rel = cw.cw_relative_entropy(n, beta)
+            pmf = cw.cw_magnetization_pmf(n, beta)
+            ent, rel = pmf.entropy, pmf.relative_entropy
             writer.row("cw_entropy", n, beta, ent.entropy_bits, ent.deficit_bits,
                        rel.d_bits, rel.moment_bound_bits, rel.gap_bits)
             checks.append(check(
@@ -244,8 +245,9 @@ def run_cw_guess(params, seed, writer, budget):
     writer.table("cw_guess", ["n", "beta", "k", "success"])
     checks = []
     for beta in params["betas"]:
+        pmf = cw.cw_magnetization_pmf(params["n"], beta)
         for k in sorted(params["ks"]):
-            s = cw.cw_majority_guess_success(params["n"], beta, k)
+            s = cw.cw_observed_law(pmf, k).guess_success()
             writer.row("cw_guess", params["n"], beta, k, s)
             checks.append(check(
                 f"success-in-range-beta{beta}-k{k}", 0.0 <= s <= 1.0 + 1e-12))
@@ -267,8 +269,8 @@ def run_en_moments(params, seed, writer, budget):
     checks = []
     for beta in params["betas"]:
         for n in params["ns"]:
-            m2 = cw.cw_moment(n, beta, 2).value
-            m4 = cw.cw_moment(n, beta, 4)
+            pmf = cw.cw_magnetization_pmf(n, beta)
+            m2, m4 = pmf.moment(2).value, pmf.moment(4)
             writer.row("en_moments", n, beta, m2, m2 / math.sqrt(n),
                        m4.lebowitz_ratio)
             checks.append(check(

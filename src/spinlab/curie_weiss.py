@@ -7,21 +7,24 @@ the lattice {-n, -n+2, ..., n}; the Hamiltonian is
 H = -(1/n) * sum over pairs of s_x s_y, giving P[S=s] proportional to
 C(n,(n+s)/2) * exp(beta s^2 / (2n)).
 
-Reconstruction from k observed spins uses one grid per (n, beta, k): the
-log-weights of (observed sum a, remaining sum b), (k+1) x (n-k+1) cells.
-`cw_observed_law` builds it once, scales each row by its own maximum and
-exponentiates in place, and reduces it to four vectors over a: P[a],
-log P[a], E[S | a] and P[S > 0 | a]. The clue of the magnetization and of
-the majority, the information share and the majority-guess success are
-O(n) readouts of that `CwObservedLaw`; `cw_exact_clue`, `cw_iclue` and
-`cw_majority_guess_success` build a law and read one value. The grid costs
-`_GRID_CELL_BYTES` per cell at its peak and is refused above
+There are two entry points. `cw_magnetization_pmf(n, beta)` builds the law
+of S once per (n, beta); its `moment(r)`, `entropy` and `relative_entropy`
+read it, and the two entropy reports are cached on it. `cw_observed_law(pmf,
+k)` builds the law of the observed sum a of k spins from that pmf, from one
+grid of log-weights of (observed sum a, remaining sum b), (k+1) x (n-k+1)
+cells: it scales each row by its own maximum, exponentiates in place, and
+reduces the grid to four vectors over a: P[a], log P[a], E[S | a] and
+P[S > 0 | a]. The clue of the magnetization and of the majority, the
+information share and the majority-guess success are O(n) readouts of that
+`CwObservedLaw`, and `cw_threshold_k` bisects over laws of one pmf. The
+grid costs `_GRID_CELL_BYTES` per cell at its peak and is refused above
 `CW_GRID_BYTES_CAP` before anything is allocated; the O(n) total-spin
 arrays likewise cost `_PMF_POINT_BYTES` per value under `CW_PMF_BYTES_CAP`.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -37,8 +40,31 @@ def _log_binom(n: int, m: np.ndarray) -> np.ndarray:
     return gammaln(n + 1) - (gammaln(m + 1) + gammaln(n - m + 1))
 
 
+@dataclass(frozen=True)
+class CwMomentReport:
+    value: float  # E[(S/sqrt(n))^r]
+    lebowitz_ratio: float | None = None  # E[S^4] / (3 E[S^2]^2), r=4 only
+
+
+@dataclass(frozen=True)
+class CwEntropyReport:
+    entropy_bits: float
+    deficit_bits: float  # n - H
+
+
+@dataclass(frozen=True)
+class CwRelativeEntropyReport:
+    d_bits: float  # D( measure at beta || fair coins )
+    moment_bound_bits: float  # log2(e) * (beta/2) * E[n M^2]
+    gap_bits: float  # log2( Z_beta / Z_0 ) >= 0
+
+
 @dataclass
 class CwMagnetizationPmf:
+    """Law of the total spin S of n spins at inverse temperature beta, with
+    its moments, entropy and relative entropy. The two entropy reports are
+    computed once per pmf, on first use."""
+
     n: int
     beta: float
     s_values: np.ndarray  # total spin lattice, step 2
@@ -54,16 +80,69 @@ class CwMagnetizationPmf:
     def moment_s(self, r: int) -> float:
         return float(self.probabilities @ (self.s_values.astype(float) ** r))
 
+    def moment(self, r: int) -> CwMomentReport:
+        """E[(S/sqrt(n))^r] by exact summation; for r=2 this is E[n M^2]."""
+        if r not in (1, 2, 4):
+            raise ValueError("supported moments: r in {1, 2, 4}")
+        value = self.moment_s(r) / self.n ** (r / 2.0)
+        if r == 4:
+            s2 = self.moment_s(2)
+            return CwMomentReport(value, self.moment_s(4) / (3.0 * s2 * s2))
+        return CwMomentReport(value)
+
+    @functools.cached_property
+    def entropy(self) -> CwEntropyReport:
+        """Total entropy in bits: H(S) plus the expected log-count of
+        configurations at fixed total spin.
+
+        The deficit n - H is accumulated per total-spin value (each term is
+        O(1)); forming H first and subtracting would lose ~1e-8 absolute
+        precision at n = 1e4 in double arithmetic.
+        """
+        n, p = self.n, self.probabilities
+        pos = p > 0
+        log_counts = _log_binom(n, (n + self.s_values) // 2)
+        log_p = self.log_weights - self.log_z
+        per_term = (n * math.log(2.0) + log_p - log_counts) * LOG2E
+        deficit = float(p[pos] @ per_term[pos])
+        return CwEntropyReport(entropy_bits=n - deficit, deficit_bits=deficit)
+
+    @functools.cached_property
+    def relative_entropy(self) -> CwRelativeEntropyReport:
+        """Exact relative entropy against the coin-flip measure.
+
+        Satisfies D = n - H and D = moment_bound - gap with gap >= 0; both are
+        asserted here at 1e-9.
+        """
+        n, p = self.n, self.probabilities
+        log2_ratio = (
+            LOG2E * self.beta * self.s_values.astype(float) ** 2 / (2.0 * n)
+            - self.log_z_ratio_bits
+        )
+        d = float(p @ log2_ratio)
+        bound = LOG2E * (self.beta / 2.0) * (self.moment_s(2) / n)
+        gap = self.log_z_ratio_bits
+        if gap < -1e-12:
+            raise AssertionError(f"normalizer ratio came out negative: {gap}")
+        if abs(d - (bound - gap)) > 1e-9 * max(1.0, abs(d)):
+            raise AssertionError("relative-entropy decomposition failed")
+        deficit = self.entropy.deficit_bits
+        if abs(d - deficit) > 1e-9 * max(1.0, abs(d)):
+            raise AssertionError(
+                f"D = n - H identity failed: D={d!r}, n-H={deficit!r}"
+            )
+        return CwRelativeEntropyReport(d, bound, gap)
+
 
 #: Bytes of the O(n) total-spin arrays above which `cw_magnetization_pmf`
 #: refuses to build them.
 CW_PMF_BYTES_CAP = 1 << 30
 
 #: Peak bytes per total-spin value of a pmf and its heaviest readout
-#: (`cw_relative_entropy`, which also forms the entropy terms). Measured with
-#: scripts/cw_grid_probe.py pmf: at n = 4 000 000 peak RSS rose by 73.4 bytes
-#: per value for `cw_relative_entropy`, 72.4 for `cw_entropy` and 65.4 for
-#: `cw_moment`.
+#: (`relative_entropy`, which also forms the entropy terms). Measured with
+#: scripts/cw_grid_probe.py pmf at n = 4 000 000: peak RSS rose by 65.3 to
+#: 73.4 bytes per value over the three readouts and repeated runs, the most
+#: for `relative_entropy`.
 _PMF_POINT_BYTES = 74
 
 
@@ -90,100 +169,15 @@ def cw_magnetization_pmf(n: int, beta: float) -> CwMagnetizationPmf:
     return CwMagnetizationPmf(n, beta, s, logw, np.exp(logw - log_z), log_z)
 
 
-@dataclass(frozen=True)
-class CwMomentReport:
-    value: float  # E[(S/sqrt(n))^r]
-    lebowitz_ratio: float | None = None  # E[S^4] / (3 E[S^2]^2), r=4 only
-
-
-def cw_moment(n: int, beta: float, r: int) -> CwMomentReport:
-    """E[(S/sqrt(n))^r] by exact summation; for r=2 this is E[n M^2]."""
-    if r not in (1, 2, 4):
-        raise ValueError("supported moments: r in {1, 2, 4}")
-    pmf = cw_magnetization_pmf(n, beta)
-    value = pmf.moment_s(r) / n ** (r / 2.0)
-    if r == 4:
-        s2 = pmf.moment_s(2)
-        ratio = pmf.moment_s(4) / (3.0 * s2 * s2)
-        return CwMomentReport(value, ratio)
-    return CwMomentReport(value)
-
-
-@dataclass(frozen=True)
-class CwEntropyReport:
-    entropy_bits: float
-    deficit_bits: float  # n - H
-
-
-def cw_entropy(n: int, beta: float) -> CwEntropyReport:
-    """Total entropy in bits: H(S) plus the expected log-count of
-    configurations at fixed total spin.
-
-    The deficit n - H is accumulated per total-spin value (each term is
-    O(1)); forming H first and subtracting would lose ~1e-8 absolute
-    precision at n = 1e4 in double arithmetic.
-    """
-    return _entropy(cw_magnetization_pmf(n, beta))
-
-
-def _entropy(pmf: CwMagnetizationPmf) -> CwEntropyReport:
-    n, p = pmf.n, pmf.probabilities
-    pos = p > 0
-    m = (n + pmf.s_values) // 2
-    log_counts = _log_binom(n, m)
-    log_p = pmf.log_weights - pmf.log_z
-    per_term = (n * math.log(2.0) + log_p - log_counts) * LOG2E
-    deficit = float(p[pos] @ per_term[pos])
-    return CwEntropyReport(entropy_bits=n - deficit, deficit_bits=deficit)
-
-
-@dataclass(frozen=True)
-class CwRelativeEntropyReport:
-    d_bits: float  # D( measure at beta || fair coins )
-    moment_bound_bits: float  # log2(e) * (beta/2) * E[n M^2]
-    gap_bits: float  # log2( Z_beta / Z_0 ) >= 0
-
-
-def cw_relative_entropy(n: int, beta: float) -> CwRelativeEntropyReport:
-    """Exact relative entropy against the coin-flip measure.
-
-    Satisfies D = n - H and D = moment_bound - gap with gap >= 0; both are
-    asserted here at 1e-9.
-    """
-    return _relative_entropy(cw_magnetization_pmf(n, beta))
-
-
-def _relative_entropy(pmf: CwMagnetizationPmf) -> CwRelativeEntropyReport:
-    n, p = pmf.n, pmf.probabilities
-    log2_ratio = (
-        LOG2E * pmf.beta * pmf.s_values.astype(float) ** 2 / (2.0 * n)
-        - pmf.log_z_ratio_bits
-    )
-    d = float(p @ log2_ratio)
-    bound = LOG2E * (pmf.beta / 2.0) * (pmf.moment_s(2) / n)
-    gap = pmf.log_z_ratio_bits
-    if gap < -1e-12:
-        raise AssertionError(f"normalizer ratio came out negative: {gap}")
-    if abs(d - (bound - gap)) > 1e-9 * max(1.0, abs(d)):
-        raise AssertionError("relative-entropy decomposition failed")
-    deficit = _entropy(pmf).deficit_bits
-    if abs(d - deficit) > 1e-9 * max(1.0, abs(d)):
-        raise AssertionError(
-            f"D = n - H identity failed: D={d!r}, n-H={deficit!r}"
-        )
-    return CwRelativeEntropyReport(d, bound, gap)
-
-
-#: Bytes of the (observed sum, remaining sum) grid above which the exact
-#: clue, iclue and guess engines refuse to build it.
+#: Bytes of the (observed sum, remaining sum) grid above which
+#: `cw_observed_law` refuses to build it.
 CW_GRID_BYTES_CAP = 1 << 30
 
 #: Peak bytes per grid cell of `cw_observed_law`: the float64 log-weights
 #: plus one float64 temporary while they are built. Measured with
 #: scripts/cw_grid_probe.py: n = 8000, k = 4000 (16 M cells) raised peak RSS
 #: by 244 MB over the post-import baseline, 16.0 bytes per cell, for the law
-#: and each of its readouts (the earlier one-grid-per-readout path took 40
-#: bytes per cell in `cw_exact_clue` and 66 in `cw_iclue`).
+#: and its readouts together.
 _GRID_CELL_BYTES = 16
 
 
@@ -215,12 +209,14 @@ def _observed_grid(n: int, beta: float, k: int):
     return a, b, logw
 
 
-def _target_values(total: np.ndarray, n: int, target: str) -> np.ndarray:
-    if target == "magnetization":
-        return total.astype(float) / n
-    if target == "majority":
-        return np.where(total > 0, 1.0, -1.0)
-    raise ValueError("target must be 'magnetization' or 'majority'")
+#: Each reconstruction target by name: its values over the total-spin
+#: lattice of a pmf, and its conditional mean given the observed sum of a law.
+_TARGETS = {
+    "magnetization": (lambda pmf: pmf.s_values.astype(float) / pmf.n,
+                      lambda law: law.mean_s / law.pmf.n),
+    "majority": (lambda pmf: np.where(pmf.s_values > 0, 1.0, -1.0),
+                 lambda law: 2.0 * law.p_plus - 1.0),
+}
 
 
 def _entropy_bits(x: np.ndarray) -> float:
@@ -256,15 +252,18 @@ class CwObservedLaw:
     def clue(self, target: str = "magnetization") -> float:
         """Explained-variance fraction Var(E[t | a]) / Var(t) of the target
         t: S/n for "magnetization", sign(S) (sign(0) = -1) for "majority"."""
+        if target not in _TARGETS:
+            raise ValueError("target must be 'magnetization' or 'majority'")
+        value, cond_mean = _TARGETS[target]
         n, p = self.pmf.n, self.pmf.probabilities
-        t_all = _target_values(self.pmf.s_values, n, target)
+        t_all = value(self.pmf)
         mean_t = float(p @ t_all)
         var_t = float(p @ (t_all - mean_t) ** 2)
         if var_t <= 0 or self.k == 0:
             return 0.0
         if self.k == n:
             return 1.0
-        cond = self.mean_s / n if target == "magnetization" else 2.0 * self.p_plus - 1.0
+        cond = cond_mean(self)
         overall = float(self.p_a @ cond)
         var_cond = float(self.p_a @ (cond - overall) ** 2)
         return min(max(var_cond / var_t, 0.0), 1.0)
@@ -279,8 +278,7 @@ class CwObservedLaw:
         if p_plus <= 0.0 or p_plus >= 1.0:
             raise ValueError("degenerate majority: zero entropy")
         h_z = -(p_plus * math.log2(p_plus) + (1 - p_plus) * math.log2(1 - p_plus))
-        d_bits = _relative_entropy(pmf).d_bits
-        bound = (k / n) * (1.0 + d_bits / h_z)
+        bound = (k / n) * (1.0 + pmf.relative_entropy.d_bits / h_z)
         if k == 0:
             return CwIclueReport(0.0, h_z, bound)
         if k == n:
@@ -297,20 +295,22 @@ class CwObservedLaw:
         return CwIclueReport(iclue, h_z, bound)
 
     def guess_success(self) -> float:
-        """P[ sign of a matches the sign of S ], both with sign(0) = -1."""
+        """P[ sign of a matches the sign of S ], both with sign(0) = -1;
+        needs k >= 1."""
+        if self.k == 0:
+            raise ValueError("need 1 <= k <= n")
         if self.k == self.pmf.n:
             return 1.0
         hit = np.where(self.a > 0, self.p_plus, 1.0 - self.p_plus)
         return float(self.p_a @ hit)
 
 
-def cw_observed_law(n: int, beta: float, k: int) -> CwObservedLaw:
-    """The observed-sum law of k of n spins, from one (observed sum,
-    remaining sum) grid: each row is scaled by its own maximum and
+def cw_observed_law(pmf: CwMagnetizationPmf, k: int) -> CwObservedLaw:
+    """The observed-sum law of k of the pmf's n spins, from one (observed
+    sum, remaining sum) grid: each row is scaled by its own maximum and
     exponentiated in place, then reduced to P[a], E[S | a] and P[S > 0 | a].
     Cost O(n k) time and about `_GRID_CELL_BYTES` per grid cell."""
-    pmf = cw_magnetization_pmf(n, beta)
-    a, b, w = _observed_grid(n, beta, k)
+    a, b, w = _observed_grid(pmf.n, pmf.beta, k)
     row_max = w.max(axis=1)
     w -= row_max[:, None]
     np.exp(w, out=w)
@@ -322,37 +322,18 @@ def cw_observed_law(n: int, beta: float, k: int) -> CwObservedLaw:
     return CwObservedLaw(pmf, k, a, np.exp(log_pa), mean_s, p_plus, log_pa)
 
 
-def cw_exact_clue(n: int, beta: float, k: int, target: str = "magnetization") -> float:
-    """Exact explained-variance fraction of the target given any k spins
-    (`CwObservedLaw.clue`)."""
-    return cw_observed_law(n, beta, k).clue(target)
-
-
-def cw_iclue(n: int, beta: float, k: int) -> CwIclueReport:
-    """Mutual-information share I(majority; observed spins) / H(majority)
-    (`CwObservedLaw.iclue`)."""
-    return cw_observed_law(n, beta, k).iclue()
-
-
-def cw_majority_guess_success(n: int, beta: float, k: int) -> float:
-    """P[ sign of the observed sum matches the global majority ], exact;
-    both signs use the tie convention sign(0) = -1."""
-    if not 1 <= k <= n:
-        raise ValueError("need 1 <= k <= n")
-    return cw_observed_law(n, beta, k).guess_success()
-
-
 def cw_threshold_k(
     n: int, beta: float, level: float = 0.5, target: str = "majority"
 ) -> int:
-    """Smallest k with clue(target | k) >= level, by bisection (the clue is
-    nondecreasing in k)."""
+    """Smallest k with clue(target | k) >= level, by bisection over laws of
+    one pmf (the clue is nondecreasing in k)."""
+    pmf = cw_magnetization_pmf(n, beta)
     lo, hi = 0, n
-    if cw_exact_clue(n, beta, hi, target) < level:
+    if cw_observed_law(pmf, hi).clue(target) < level:
         raise ValueError("level unreachable even with all spins")
     while lo + 1 < hi:
         mid = (lo + hi) // 2
-        if cw_exact_clue(n, beta, mid, target) >= level:
+        if cw_observed_law(pmf, mid).clue(target) >= level:
             hi = mid
         else:
             lo = mid

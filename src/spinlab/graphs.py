@@ -88,18 +88,14 @@ class Graph:
     def n_edges(self) -> int:
         return self.edges.shape[0]
 
-    def _edge_set(self) -> set[tuple[int, int]]:
-        return {(int(u), int(v)) for u, v in self.edges}
-
     def _check_translations(self):
-        eset = self._edge_set()
-        for perm in self.translations:
-            if sorted(perm) != list(range(self.n_vertices)):
-                raise ValueError("translation is not a permutation")
-            for u, v in self.edges:
-                a, b = int(perm[u]), int(perm[v])
-                if (min(a, b), max(a, b)) not in eset:
-                    raise ValueError("translation does not preserve edges")
+        t, n, e = self.translations, self.n_vertices, self.edges
+        if t.ndim != 2 or t.shape[1] != n or np.any(
+                np.sort(t, axis=1) != np.arange(n)):
+            raise ValueError("translation is not a permutation")
+        a, b = t[:, e[:, 0]], t[:, e[:, 1]]  # (T, m) edge images, encoded u * n + v
+        if not np.isin(np.minimum(a, b) * n + np.maximum(a, b), e[:, 0] * n + e[:, 1]).all():
+            raise ValueError("translation does not preserve edges")
 
     @functools.cached_property
     def coords(self) -> np.ndarray:

@@ -337,7 +337,8 @@ def clue_from_spectrum(values: np.ndarray, n: int, subset_bits: int) -> float:
     var = sq.sum() - sq[0]
     if var <= 0:
         return 0.0
-    inside = sq[[s for s in _bits.iter_submasks(subset_bits)]].sum() - sq[0]
+    idx = np.arange(sq.size)
+    inside = sq[(idx & ~subset_bits) == 0].sum() - sq[0]
     return float(inside / var)
 
 

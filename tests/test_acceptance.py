@@ -81,16 +81,16 @@ def test_criterion_02_product_measure_bound():
 
 def test_criterion_03_mean_field_moments():
     started = time.monotonic()
-    m2 = cw.cw_moment(2000, 0.5, 2).value
+    m2 = cw.cw_magnetization_pmf(2000, 0.5).moment(2).value
     ok = abs(m2 - 2.0) <= 0.2
-    d1 = cw.cw_moment(4000, 1.0, 2).value / math.sqrt(4000)
-    d2 = cw.cw_moment(8000, 1.0, 2).value / math.sqrt(8000)
+    d1 = cw.cw_magnetization_pmf(4000, 1.0).moment(2).value / math.sqrt(4000)
+    d2 = cw.cw_magnetization_pmf(8000, 1.0).moment(2).value / math.sqrt(8000)
     drift = abs(d2 - d1) / d1
     ok &= drift <= 0.10
     worst = 0.0
     for n in (500, 2000, 8000):
         for beta in (0.25, 0.5, 0.75, 1.0):
-            ratio = cw.cw_moment(n, beta, 4).lebowitz_ratio
+            ratio = cw.cw_magnetization_pmf(n, beta).moment(4).lebowitz_ratio
             worst = max(worst, ratio)
             ok &= ratio <= 1.0 + 1e-12
     elapsed = time.monotonic() - started
@@ -104,16 +104,16 @@ def test_criterion_04_mean_field_entropy():
     ok = True
     details = []
     for n in (100, 1000, 10_000):
-        for beta in (0.5, 1.0):
-            ent = cw.cw_entropy(n, beta)
-            rel = cw.cw_relative_entropy(n, beta)
+        pmfs = {beta: cw.cw_magnetization_pmf(n, beta) for beta in (0.5, 1.0)}
+        for pmf in pmfs.values():
+            ent, rel = pmf.entropy, pmf.relative_entropy
             ok &= abs(rel.d_bits - ent.deficit_bits) <= 1e-9
             ok &= rel.d_bits <= rel.moment_bound_bits + 1e-9
             ok &= rel.gap_bits >= -1e-12
-        deficit_half = cw.cw_entropy(n, 0.5).deficit_bits
+        deficit_half = pmfs[0.5].entropy.deficit_bits
         ok &= deficit_half <= 0.9
         details.append(f"deficit(0.5,{n})={deficit_half:.3f}")
-    scaled = [cw.cw_entropy(n, 1.0).deficit_bits / math.sqrt(n)
+    scaled = [cw.cw_magnetization_pmf(n, 1.0).entropy.deficit_bits / math.sqrt(n)
               for n in (1000, 2000, 4000, 8000)]
     for a, b in zip(scaled, scaled[1:]):
         ok &= abs(b - a) / a <= 0.10
@@ -123,13 +123,15 @@ def test_criterion_04_mean_field_entropy():
 
 
 def test_criterion_05_mean_field_reconstruction():
-    c = cw.cw_exact_clue(2000, 1.5, 200, "majority")
+    pmf = cw.cw_magnetization_pmf(2000, 1.5)
+    c = cw.cw_observed_law(pmf, 200).clue("majority")
     ok = c >= 0.99
-    s = cw.cw_majority_guess_success(2000, 1.5, 50)
+    s = cw.cw_observed_law(pmf, 50).guess_success()
     ok &= s >= 0.95
     bound_ok = True
+    pmf = cw.cw_magnetization_pmf(1000, 0.5)
     for k in range(1, 101):
-        rep = cw.cw_iclue(1000, 0.5, k)
+        rep = cw.cw_observed_law(pmf, k).iclue()
         bound_ok &= rep.iclue <= rep.bound + 1e-9
     ok &= bound_ok
     r1 = cw.cw_threshold_k(1000, 1.0, 0.5, "majority") / math.sqrt(1000)

@@ -315,7 +315,7 @@ def test_majority_guess_success_matches_closed_form():
     g = graphs.complete(n)
     par = ising.IsingParams(beta, J=1.0 / n)
     rng = stream(17, 7)
-    exact = cw.cw_majority_guess_success(n, beta, k)
+    exact = cw.cw_observed_law(cw.cw_magnetization_pmf(n, beta), k).guess_success()
     mask = _bits.indices_to_mask(range(k), n)
     hits, n_samp = 0, 3000
     cfg = ising.sw_chain(g, par, rng, 100)
@@ -380,7 +380,7 @@ def test_clue_mc_matches_mean_field_oracle():
 
     n, beta, k = 200, 0.5, 20
     g = graphs.complete(n)
-    exact = cw.cw_exact_clue(n, beta, k, "magnetization")
+    exact = cw.cw_observed_law(cw.cw_magnetization_pmf(n, beta), k).clue("magnetization")
     sampler = ising.ConditionalGibbsSampler(
         g, ising.IsingParams(beta, J=1.0 / n), sw_burnin=60, sweeps_between=8)
     est = clue.clue_mc(

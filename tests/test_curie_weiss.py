@@ -45,51 +45,56 @@ def test_pmf_matches_exact_table():
     assert np.allclose(pmf.probabilities, marginal, atol=1e-12)
 
 
+def _law(n, beta, k):
+    return cw.cw_observed_law(cw.cw_magnetization_pmf(n, beta), k)
+
+
 def test_moment_examples():
-    assert cw.cw_moment(300, 0.0, 2).value == pytest.approx(1.0, abs=1e-10)
-    m = cw.cw_moment(2000, 0.5, 2)
+    assert cw.cw_magnetization_pmf(300, 0.0).moment(2).value == pytest.approx(1.0, abs=1e-10)
+    m = cw.cw_magnetization_pmf(2000, 0.5).moment(2)
     assert abs(m.value - 2.0) < 0.2
-    rep = cw.cw_moment(500, 0.9, 4)
+    rep = cw.cw_magnetization_pmf(500, 0.9).moment(4)
     assert rep.lebowitz_ratio <= 1.0 + 1e-12
     with pytest.raises(ValueError):
-        cw.cw_moment(10, 0.5, 3)
+        cw.cw_magnetization_pmf(10, 0.5).moment(3)
 
 
 def test_entropy_examples():
-    rep = cw.cw_entropy(40, 0.0)
+    rep = cw.cw_magnetization_pmf(40, 0.0).entropy
     assert rep.entropy_bits == pytest.approx(40.0, abs=1e-9)
-    assert cw.cw_entropy(1000, 0.5).deficit_bits <= 0.9
+    assert cw.cw_magnetization_pmf(1000, 0.5).entropy.deficit_bits <= 0.9
 
 
 def test_entropy_matches_exact_table():
     n, beta = 10, 1.2
     table = exact_table(CurieWeissMeasure(beta), graphs.complete(n))
-    rep = cw.cw_entropy(n, beta)
+    rep = cw.cw_magnetization_pmf(n, beta).entropy
     pos = table.p[table.p > 0]
     assert rep.entropy_bits == pytest.approx(float(-(pos * np.log2(pos)).sum()), abs=1e-9)
 
 
 def test_relative_entropy_identities():
     for n, beta in [(50, 0.3), (400, 0.5), (1000, 1.0), (200, 1.7)]:
-        rel = cw.cw_relative_entropy(n, beta)
-        ent = cw.cw_entropy(n, beta)
+        pmf = cw.cw_magnetization_pmf(n, beta)
+        rel, ent = pmf.relative_entropy, pmf.entropy
         assert rel.d_bits == pytest.approx(ent.deficit_bits, abs=1e-9)
         assert rel.gap_bits >= -1e-12
         assert rel.d_bits <= rel.moment_bound_bits + 1e-9
         # exact rearrangement: D + gap = moment bound
         assert rel.d_bits + rel.gap_bits == pytest.approx(
             rel.moment_bound_bits, abs=1e-9)
-    assert cw.cw_relative_entropy(100, 0.0).d_bits == pytest.approx(0.0, abs=1e-12)
+    assert cw.cw_magnetization_pmf(100, 0.0).relative_entropy.d_bits == pytest.approx(
+        0.0, abs=1e-12)
 
 
 def test_exact_clue_edge_cases():
-    assert cw.cw_exact_clue(20, 0.8, 0) == 0.0
-    assert cw.cw_exact_clue(20, 0.8, 20) == 1.0
+    assert _law(20, 0.8, 0).clue() == 0.0
+    assert _law(20, 0.8, 20).clue() == 1.0
 
 
 def test_exact_clue_iid_is_fraction_observed():
     for n, k in [(10, 3), (100, 17), (1000, 250)]:
-        assert cw.cw_exact_clue(n, 0.0, k) == pytest.approx(k / n, abs=1e-10)
+        assert _law(n, 0.0, k).clue() == pytest.approx(k / n, abs=1e-10)
 
 
 def test_exact_clue_matches_generic_table():
@@ -99,14 +104,16 @@ def test_exact_clue_matches_generic_table():
         g = graphs.complete(n)
         for beta in (0.0, 0.5, 1.0, 1.5):
             table = exact_table(CurieWeissMeasure(beta), g)
+            pmf = cw.cw_magnetization_pmf(n, beta)
             for k in (1, n // 3, n - 1):
                 ubits = (1 << k) - 1
+                law = cw.cw_observed_law(pmf, k)
                 for target, obs in (
                     ("magnetization", Magnetization()),
                     ("majority", Majority()),
                 ):
                     generic = clue.clue_exact(table, obs, ubits)
-                    fast = cw.cw_exact_clue(n, beta, k, target)
+                    fast = law.clue(target)
                     assert fast == pytest.approx(generic, abs=1e-9), (n, beta, k, target)
 
 
@@ -116,39 +123,43 @@ def test_iclue_matches_generic_table():
         table = exact_table(CurieWeissMeasure(beta), g)
         ubits = (1 << k) - 1
         generic = iclue_exact(table, Majority(), ubits)
-        fast = cw.cw_iclue(n, beta, k).iclue
+        fast = _law(n, beta, k).iclue().iclue
         assert fast == pytest.approx(generic, abs=1e-9)
 
 
 def test_iclue_edges_and_bound():
-    rep0 = cw.cw_iclue(30, 0.7, 0)
+    pmf = cw.cw_magnetization_pmf(30, 0.7)
+    rep0 = cw.cw_observed_law(pmf, 0).iclue()
     assert rep0.iclue == 0.0
-    repn = cw.cw_iclue(30, 0.7, 30)
+    repn = cw.cw_observed_law(pmf, 30).iclue()
     assert repn.iclue == 1.0
+    pmf = cw.cw_magnetization_pmf(1000, 0.5)
     for k in (1, 5, 20, 60):
-        rep = cw.cw_iclue(1000, 0.5, k)
+        rep = cw.cw_observed_law(pmf, k).iclue()
         assert rep.iclue <= rep.bound + 1e-9
 
 
 def test_iclue_monotone_in_k():
-    vals = [cw.cw_iclue(200, 0.8, k).iclue for k in (0, 5, 20, 50, 120, 200)]
+    pmf = cw.cw_magnetization_pmf(200, 0.8)
+    vals = [cw.cw_observed_law(pmf, k).iclue().iclue for k in (0, 5, 20, 50, 120, 200)]
     assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
 
 
 def test_clue_monotone_in_k():
     for beta in (0.0, 0.7, 1.4):
-        vals = [cw.cw_exact_clue(60, beta, k) for k in range(0, 61, 6)]
+        pmf = cw.cw_magnetization_pmf(60, beta)
+        vals = [cw.cw_observed_law(pmf, k).clue() for k in range(0, 61, 6)]
         assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
 
 
 def test_majority_guess_success_examples():
-    assert cw.cw_majority_guess_success(100, 0.9, 100) == 1.0
+    assert _law(100, 0.9, 100).guess_success() == 1.0
     # single coin against the majority of fair coins: 1/2 + Theta(1/sqrt(n))
     for n in (201, 801):
-        s = cw.cw_majority_guess_success(n, 0.0, 1)
+        s = _law(n, 0.0, 1).guess_success()
         excess = s - 0.5
         assert 0.1 / math.sqrt(n) < excess < 3.0 / math.sqrt(n)
-    assert cw.cw_majority_guess_success(2000, 1.5, 50) >= 0.95
+    assert _law(2000, 1.5, 50).guess_success() >= 0.95
 
 
 def test_majority_guess_matches_exact_table():
@@ -163,7 +174,7 @@ def test_majority_guess_matches_exact_table():
         obs_sum += _bits.spins_of(idx, v)
     agree = (obs_sum > 0) == (s_all > 0)
     oracle = float(table.p @ agree)
-    assert cw.cw_majority_guess_success(n, beta, k) == pytest.approx(oracle, abs=1e-10)
+    assert _law(n, beta, k).guess_success() == pytest.approx(oracle, abs=1e-10)
 
 
 def _guess_oracle(table, n, k):
@@ -181,7 +192,7 @@ def test_observed_law_readouts_match_enumeration(n_k, beta):
     n, k = n_k
     table = exact_table(CurieWeissMeasure(beta), graphs.complete(n))
     ubits = (1 << k) - 1
-    law = cw.cw_observed_law(n, beta, k)
+    law = _law(n, beta, k)
     assert law.clue("magnetization") == pytest.approx(
         clue.clue_exact(table, Magnetization(), ubits), abs=1e-9)
     assert law.clue("majority") == pytest.approx(
@@ -193,6 +204,19 @@ def test_observed_law_readouts_match_enumeration(n_k, beta):
     assert np.allclose(np.exp(law.log_pa), law.p_a, rtol=1e-12, atol=0)
 
 
+def _count_report(monkeypatch, name):
+    """Record the pmf of each computation of the cached report `name`."""
+    prop = vars(cw.CwMagnetizationPmf)[name]
+    compute, calls = prop.func, []
+
+    def counted(pmf):
+        calls.append((pmf.n, pmf.beta))
+        return compute(pmf)
+
+    monkeypatch.setattr(prop, "func", counted)
+    return calls
+
+
 def test_cw_clue_recipe_builds_one_grid_per_point(tmp_path, monkeypatch):
     calls = []
     grid = cw._observed_grid
@@ -201,18 +225,33 @@ def test_cw_clue_recipe_builds_one_grid_per_point(tmp_path, monkeypatch):
         calls.append((n, beta, k))
         return grid(n, beta, k)
 
+    pmf_calls = []
+    pmf = cw.cw_magnetization_pmf
+
+    def counted_pmf(n, beta):
+        pmf_calls.append((n, beta))
+        return pmf(n, beta)
+
     monkeypatch.setattr(cw, "_observed_grid", counted)
+    monkeypatch.setattr(cw, "cw_magnetization_pmf", counted_pmf)
+    entropies = _count_report(monkeypatch, "entropy")
+    relative_entropies = _count_report(monkeypatch, "relative_entropy")
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"n": 60, "betas": [0.5, 1.5], "ks": [5, 20, 59]}))
     assert main(["cw-clue", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
     assert sorted(calls) == [(60, b, k) for b in (0.5, 1.5) for k in (5, 20, 59)]
+    one_per_beta = [(60, 0.5), (60, 1.5)]
+    assert sorted(pmf_calls) == one_per_beta
+    assert sorted(entropies) == one_per_beta
+    assert sorted(relative_entropies) == one_per_beta
 
 
 def test_threshold_search_consistency():
     n, beta = 400, 1.0
     k_star = cw.cw_threshold_k(n, beta, 0.5, "majority")
-    assert cw.cw_exact_clue(n, beta, k_star, "majority") >= 0.5
-    assert cw.cw_exact_clue(n, beta, k_star - 1, "majority") < 0.5
+    pmf = cw.cw_magnetization_pmf(n, beta)
+    assert cw.cw_observed_law(pmf, k_star).clue("majority") >= 0.5
+    assert cw.cw_observed_law(pmf, k_star - 1).clue("majority") < 0.5
 
 
 def test_input_validation():
@@ -220,40 +259,45 @@ def test_input_validation():
         cw.cw_magnetization_pmf(0, 0.5)
     with pytest.raises(ValueError):
         cw.cw_magnetization_pmf(5, -0.1)
+    pmf = cw.cw_magnetization_pmf(10, 0.5)
     with pytest.raises(ValueError):
-        cw.cw_exact_clue(10, 0.5, 11)
+        cw.cw_observed_law(pmf, 11)
     with pytest.raises(ValueError):
-        cw.cw_majority_guess_success(10, 0.5, 0)
+        cw.cw_observed_law(pmf, 0).guess_success()
+    with pytest.raises(ValueError, match="target"):
+        cw.cw_observed_law(pmf, 3).clue("energy")
 
 
 def test_grid_guard_raises_before_allocating():
     n = 10**6  # a dense k = n/2 grid would need about 10 TB
-    for call in (cw.cw_exact_clue, cw.cw_iclue, cw.cw_majority_guess_success):
-        with pytest.raises(ValueError, match="bytes"):
-            call(n, 0.5, n // 2)
+    pmf = cw.cw_magnetization_pmf(n, 0.5)
+    with pytest.raises(ValueError, match="bytes"):
+        cw.cw_observed_law(pmf, n // 2)
 
 
 def test_iclue_reads_the_law_pmf(monkeypatch):
-    law = cw.cw_observed_law(500, 1.0, 20)
-    ref = cw.cw_relative_entropy(500, 1.0).d_bits
+    pmf = cw.cw_magnetization_pmf(500, 1.0)
+    law = cw.cw_observed_law(pmf, 20)
+    ref = cw.cw_magnetization_pmf(500, 1.0).relative_entropy.d_bits
     calls = []
-    pmf = cw.cw_magnetization_pmf
+    build = cw.cw_magnetization_pmf
 
     def counted(n, beta):
         calls.append((n, beta))
-        return pmf(n, beta)
+        return build(n, beta)
 
     monkeypatch.setattr(cw, "cw_magnetization_pmf", counted)
+    relative_entropies = _count_report(monkeypatch, "relative_entropy")
     rep = law.iclue()
     assert calls == []
+    assert relative_entropies == [(500, 1.0)]
+    assert law.iclue() == rep
+    assert relative_entropies == [(500, 1.0)]  # the second iclue reads the cached report
     h_z = rep.h_target_bits
     assert rep.bound == (20 / 500) * (1.0 + ref / h_z)
 
 
 def test_pmf_guard_raises_before_allocating():
     n = 3 * 10**8  # about 2.4 GB per float64 array over the total spins
-    for call in (cw.cw_magnetization_pmf, cw.cw_entropy, cw.cw_relative_entropy):
-        with pytest.raises(ValueError, match="bytes"):
-            call(n, 0.5)
     with pytest.raises(ValueError, match="bytes"):
-        cw.cw_moment(n, 0.5, 2)
+        cw.cw_magnetization_pmf(n, 0.5)
