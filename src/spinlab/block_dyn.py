@@ -20,6 +20,7 @@ import numpy as np
 from scipy.sparse.linalg import LinearOperator, eigsh
 
 from . import _bits
+from .clue import ClueKernel
 from .graphs import Graph, SubsetSpec, component_labels, subset_support, tiled_complement_mask
 from .ising import IsingParams, conditional_exact_resample, heat_bath, sw_chain
 from .measures import ProbabilityTable
@@ -225,23 +226,29 @@ def eigenclue_verify(
     eigenfunction's expected clue and dominates random trial functions.
 
     With a degenerate top eigenspace every member still attains the same
-    expected clue, so any basis vector works.
+    expected clue, so any basis vector works. One `ClueKernel` scores the
+    stack whose row 0 is the eigenfunction and whose other rows are the
+    trials. The trials are drawn in chunks of the kernel's rows, which takes
+    the same numbers from `rng` as one `standard_normal(2^n)` per trial; a
+    support of several groups replays them from the saved generator state.
     """
-    from .clue import expected_clue
-
     rep = spectrum(block_operator(table, spec, graph))
+    kernel = ClueKernel.of_spec(table, spec, graph)
     f2 = rep.second_eigenfunction
-    achieved = expected_clue(table, f2, spec, graph)
-    residual = abs(rep.lambda_2 - achieved)
-    max_trial = -math.inf
-    for _ in range(trials):
-        f = rng.standard_normal(1 << table.n)
-        max_trial = max(max_trial, expected_clue(table, f, spec, graph))
-        if max_trial > rep.lambda_2 + 1e-9:
-            raise AssertionError(
-                f"trial clue {max_trial!r} exceeded lambda_2 {rep.lambda_2!r}"
-            )
-    return EigenclueReport(rep.lambda_2, achieved, max_trial, residual)
+    start = rng.bit_generator.state
+
+    def rows(a: int, b: int) -> np.ndarray:
+        if a == 0:
+            rng.bit_generator.state = start
+            return np.vstack([f2, rng.standard_normal((b - 1, len(f2)))])
+        return rng.standard_normal((b - a, len(f2)))
+
+    clues = kernel.stream(rows, trials + 1)
+    achieved = float(clues[0])
+    max_trial = float(clues[1:].max(initial=-math.inf))
+    if max_trial > rep.lambda_2 + 1e-9:
+        raise AssertionError(f"trial clue {max_trial!r} exceeded lambda_2 {rep.lambda_2!r}")
+    return EigenclueReport(rep.lambda_2, achieved, max_trial, abs(rep.lambda_2 - achieved))
 
 
 def bottleneck_ratio(op: BlockOperator, event_mask) -> float:

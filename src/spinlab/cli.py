@@ -350,8 +350,8 @@ def run_dirichlet_cheeger(params, seed, writer, budget):
     rep = block_dyn.spectrum(op)
     rng = stream(seed, 0)
     writer.table("cheeger", ["event", "mu", "phi", "expected_clue", "flux_floor"])
-    checks = []
     size = 1 << table.n
+    events, indicators = [], []  # the events with 0 < mu(E) <= 1/2
     for e in range(params["events"]):
         ind = np.zeros(size)
         members = rng.choice(size, size=rng.integers(1, size // 2), replace=False)
@@ -359,10 +359,13 @@ def run_dirichlet_cheeger(params, seed, writer, budget):
         if table.p @ ind > 0.5 or table.p @ ind <= 0:
             ind = 1.0 - ind
         mu_e = float(table.p @ ind)
-        if mu_e > 0.5 or mu_e <= 0:
-            continue
+        if 0 < mu_e <= 0.5:
+            events.append((e, mu_e))
+            indicators.append(ind)
+    clues = clue_mod.expected_clue(table, np.reshape(indicators, (-1, size)), spec, g)
+    checks = []
+    for (e, mu_e), ind, ec in zip(events, indicators, clues.tolist()):
         phi = block_dyn.bottleneck_ratio(op, ind)
-        ec = clue_mod.expected_clue(table, ind, spec, g)
         writer.row("cheeger", e, mu_e, phi, ec, 1.0 - 2.0 * phi)
         checks.append(check(
             f"flux-floor-event{e}", 1.0 - 2.0 * phi <= ec + 1e-9,

@@ -1,6 +1,10 @@
 """The clue functional (fraction of a function's variance explained by a
 subset of spins), exact and Monte Carlo, with the subset-averaging
 operators and entropy inequality built on it.
+
+The exact clue of one function or of a (T, 2^n) stack of them, on one
+subset or averaged over a spec's enumerated support, comes from one
+kernel, `ClueKernel`.
 """
 
 from __future__ import annotations
@@ -10,6 +14,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csc_matrix
 
 from . import _bits
 from .graphs import Graph, SubsetSpec, UnionOfKCopies, revealment, subset_support
@@ -17,6 +22,12 @@ from .measures import Observable, ProbabilityTable, values_of
 from .rng import bootstrap_se
 
 EXACT_RANGE_TOL = 1e-10
+
+#: Cells of 8 bytes that `ClueKernel` holds at once, whatever the number of
+#: functions or subsets: 1/32 for one chunk of rows streamed through it, the
+#: rest for the aggregator of one group of subsets and the transients of
+#: its construction.
+CLUE_CELL_BUDGET = 1 << 20
 
 
 def _subset_bits(subset) -> int:
@@ -33,36 +44,171 @@ class ClueEstimate:
     inner_samples: int = 0
 
 
-def clue_exact(table: ProbabilityTable, f, subset) -> float:
-    """Var(E[f | spins on subset]) / Var(f) by direct marginalization.
+class ClueKernel:
+    """sum_S P[U=S] Var(E[f | F_S]) / Var(f) for every row f of a
+    (T, 2^n) stack, over an enumerated support of (bitmask, probability)
+    pairs.
 
-    Constant f returns 0 by convention.
+    The support is cut into groups of subsets. A group's aggregator is one
+    sparse matrix with a row for each boundary pattern b of each subset S
+    (the pattern x & S ranked to 0 .. 2^|S| - 1) and a column for each
+    configuration x, holding 1/sqrt(mu(b)) where x shows b, and 0 where
+    mu(b) = 0. Applied to the p-weighted centred rows it gives
+    num_b / sqrt(mu(b)); the squares summed over the patterns of S are
+    Var(E[f | F_S]) = sum_b num_b^2 / mu(b). Each group takes all rows in
+    chunks, one sparse product per chunk. The last aggregator built is
+    kept, so a support of one group is built once however many calls
+    the kernel serves. Working memory stays under CLUE_CELL_BUDGET while
+    one subset's aggregator fits in a group, which holds for every subset
+    up to n = 17.
+
+    Every per-subset fraction is asserted to lie in [0, 1] up to
+    EXACT_RANGE_TOL and clamped there. Rows are shifted by their value at
+    the first state of positive mass before the two-pass variance, so a
+    row constant on the table's support has Var(f) = 0 exactly and scores
+    0. A finite `bound` is asserted on the largest value of every call.
+    """
+
+    def __init__(self, table: ProbabilityTable, support, bound: float = math.inf):
+        self.table = table
+        self.bound = bound
+        size = 1 << table.n
+        self._anchor = int(np.argmax(table.p > 0))
+        chunk_cells = CLUE_CELL_BUDGET // 32
+        room = CLUE_CELL_BUDGET - chunk_cells - 2 * size  # less the build transients
+        self._groups: list[list[tuple[int, float]]] = []
+        cells = 0
+        for bits, prob in support:
+            # 12 bytes per stored entry, two floats per boundary pattern
+            need = 3 * size // 2 + (2 << _popcount(bits, table.n))
+            if not self._groups or cells + need > room:
+                self._groups.append([])
+                cells = 0
+            self._groups[-1].append((int(bits), float(prob)))
+            cells += need
+        patterns = max((sum(1 << _popcount(b, table.n) for b, _ in group)
+                        for group in self._groups), default=0)
+        #: Rows per chunk: a chunk holds two copies of its rows and the
+        #: squared block sums of the widest group.
+        self.rows = max(1, chunk_cells // (2 * size + patterns))
+        self._built = None  # (group index, aggregator, pattern offsets, probabilities)
+
+    @classmethod
+    def of_spec(cls, table: ProbabilityTable, spec: SubsetSpec, graph: Graph) -> "ClueKernel":
+        """The kernel over the enumerated support of `spec` (`subset_support`
+        raises above `SUPPORT_CAP` subsets). On product tables it asserts
+        the low-revealment bound E[clue] <= max membership probability."""
+        support = subset_support(spec, graph)
+        bound = revealment(spec, graph)[1] if table.n <= 12 and _is_product(table) else math.inf
+        return cls(table, support, bound)
+
+    def __call__(self, stack) -> np.ndarray:
+        """Expected clue of every row of a (T, 2^n) stack."""
+        stack = np.asarray(stack, dtype=np.float64)
+        return self.stream(lambda a, b: stack[a:b], len(stack))
+
+    def stream(self, rows, count: int) -> np.ndarray:
+        """Expected clue of `count` rows that `rows(a, b)` returns as an
+        array of rows a .. b-1. Each group asks for all of them, in chunks
+        from row 0 on, so a source that can replay its rows (a seeded
+        stream restarted at row 0) never has to hold the whole stack."""
+        out = np.zeros(count)
+        for g in range(len(self._groups)):
+            self._add_group(g, rows, out)
+        if count and out.max() > self.bound + 1e-10:
+            raise AssertionError(
+                f"expected clue {out.max()!r} exceeded the revealment bound "
+                f"{self.bound!r} on a product table"
+            )
+        return out
+
+    def _add_group(self, g: int, rows, out: np.ndarray) -> None:
+        """Add group g's share of the expected clue of every row to `out`."""
+        agg, offsets, probs = self._aggregator(g)
+        p = self.table.p
+        for a in range(0, len(out), self.rows):
+            chunk = np.asarray(rows(a, min(a + self.rows, len(out))), dtype=np.float64)
+            c = chunk - chunk[:, self._anchor, None]
+            del chunk
+            c -= (c @ p)[:, None]
+            var = np.square(c) @ p
+            np.multiply(c, p, out=c)
+            weighted = np.ascontiguousarray(c.T)
+            del c
+            num = agg @ weighted
+            del weighted
+            explained = np.add.reduceat(np.square(num, out=num), offsets, axis=0)
+            frac = np.divide(explained, var, out=np.zeros_like(explained), where=var > 0)
+            bad = (frac < -EXACT_RANGE_TOL) | (frac > 1 + EXACT_RANGE_TOL)
+            if bad.any():
+                raise AssertionError(f"exact clue out of range: {frac[bad][0]!r}")
+            out[a:a + len(var)] += probs @ np.clip(frac, 0.0, 1.0)
+
+    def _aggregator(self, g: int):
+        if self._built is None or self._built[0] != g:
+            self._built = None  # release the previous group before building
+            self._built = (g, *self._build(self._groups[g]))
+        return self._built[1:]
+
+    def _build(self, group):
+        n, p = self.table.n, self.table.p
+        size = 1 << n
+        idx = np.arange(size, dtype=np.int32)
+        blocks = np.empty((size, len(group)), dtype=np.int32)  # aggregator row of each entry
+        scales = np.empty((size, len(group)))
+        offsets = np.empty(len(group), dtype=np.intp)
+        start = 0
+        for j, (bits, _) in enumerate(group):
+            key = np.zeros(size, dtype=np.int32)
+            for rank, v in enumerate(u for u in range(n) if bits >> u & 1):
+                key |= (idx >> v & 1) << rank
+            mass = np.bincount(key, weights=p, minlength=1 << _popcount(bits, n))
+            scale = np.divide(1.0, np.sqrt(mass), out=np.zeros_like(mass), where=mass > 0)
+            scales[:, j] = scale[key]
+            blocks[:, j] = key + start
+            offsets[j] = start
+            start += len(mass)
+        indptr = np.arange(0, blocks.size + 1, len(group), dtype=np.int32)
+        agg = csc_matrix((scales.ravel(), blocks.ravel(), indptr), shape=(start, size))
+        return agg, offsets, np.array([prob for _, prob in group])
+
+
+def _popcount(bits: int, n: int) -> int:
+    """Members of a subset bitmask among the first n vertices."""
+    return (bits & ((1 << n) - 1)).bit_count()
+
+
+def _stack_of(f, n: int) -> tuple[np.ndarray, bool]:
+    """f as a (T, 2^n) stack of values, and whether it was given as one."""
+    if not isinstance(f, Observable) and np.ndim(f) == 2:
+        stack = np.asarray(f, dtype=np.float64)
+        if stack.shape[1] != 1 << n:
+            raise ValueError("function values must cover all 2^n configurations")
+        return stack, True
+    return values_of(f, n)[None], False
+
+
+def clue_exact(table: ProbabilityTable, f, subset) -> float:
+    """Var(E[f | spins on subset]) / Var(f): `ClueKernel` on one subset.
+
+    f constant on the table's support returns 0 by convention.
     """
     values = values_of(f, table.n)
-    bits = _subset_bits(subset)
-    var_f = table.variance(values)
-    if var_f <= 0:
-        return 0.0
-    cond = table.conditional_mean(values, bits)
-    val = table.variance(cond) / var_f
-    if val < -EXACT_RANGE_TOL or val > 1 + EXACT_RANGE_TOL:
-        raise AssertionError(f"exact clue out of range: {val!r}")
-    return min(max(val, 0.0), 1.0)
+    return float(ClueKernel(table, [(_subset_bits(subset), 1.0)])(values[None])[0])
 
 
-def expected_clue(table: ProbabilityTable, f, spec: SubsetSpec, graph: Graph) -> float:
+def expected_clue(table: ProbabilityTable, f, spec: SubsetSpec, graph: Graph):
     """E over the random subset of the exact clue, by enumerating the spec
     support (`subset_support` raises above `SUPPORT_CAP` subsets).
 
-    On product tables the low-revealment bound E[clue] <= max membership
-    probability is asserted as a free invariant.
+    `f` is an Observable, one 2^n value vector, or a (T, 2^n) stack of
+    them; a stack gives a length-T array, the others a float. One kernel
+    build serves every row. On product tables the low-revealment bound
+    E[clue] <= max membership probability is asserted on the largest value.
     """
-    values = values_of(f, table.n)
-    val = 0.0
-    for bits, prob in subset_support(spec, graph):
-        val += prob * clue_exact(table, values, bits)
-    _maybe_assert_product_bound(table, spec, graph, val)
-    return val
+    stack, batched = _stack_of(f, table.n)
+    values = ClueKernel.of_spec(table, spec, graph)(stack)
+    return values if batched else float(values[0])
 
 
 def _is_product(table: ProbabilityTable) -> bool:
@@ -73,16 +219,6 @@ def _is_product(table: ProbabilityTable) -> bool:
         bit = ((idx >> np.uint64(v)) & np.uint64(1)).astype(bool)
         prod *= np.where(bit, marg[v], 1.0 - marg[v])
     return bool(np.abs(prod - table.p).max() < 1e-12)
-
-
-def _maybe_assert_product_bound(table, spec, graph, value):
-    if table.n <= 12 and _is_product(table):
-        _, delta = revealment(spec, graph)
-        if value > delta + 1e-10:
-            raise AssertionError(
-                f"expected clue {value!r} exceeded the revealment bound {delta!r} "
-                "on a product table"
-            )
 
 
 # -- conditional families and averaging operators ----------------------------

@@ -16,10 +16,11 @@ cells: it scales each row by its own maximum, exponentiates in place, and
 reduces the grid to four vectors over a: P[a], log P[a], E[S | a] and
 P[S > 0 | a]. The clue of the magnetization and of the majority, the
 information share and the majority-guess success are O(n) readouts of that
-`CwObservedLaw`, and `cw_threshold_k` bisects over laws of one pmf. The
-grid costs `_GRID_CELL_BYTES` per cell at its peak and is refused above
-`CW_GRID_BYTES_CAP` before anything is allocated; the O(n) total-spin
-arrays likewise cost `_PMF_POINT_BYTES` per value under `CW_PMF_BYTES_CAP`.
+`CwObservedLaw`, and `cw_threshold_k` searches laws of one pmf by
+doubling k, then bisecting. The grid costs `_GRID_CELL_BYTES` per cell at
+its peak and is refused above `CW_GRID_BYTES_CAP` before anything is
+allocated; the O(n) total-spin arrays likewise cost `_PMF_POINT_BYTES` per
+value under `CW_PMF_BYTES_CAP`.
 """
 
 from __future__ import annotations
@@ -325,12 +326,16 @@ def cw_observed_law(pmf: CwMagnetizationPmf, k: int) -> CwObservedLaw:
 def cw_threshold_k(
     n: int, beta: float, level: float = 0.5, target: str = "majority"
 ) -> int:
-    """Smallest k with clue(target | k) >= level, by bisection over laws of
-    one pmf (the clue is nondecreasing in k)."""
+    """Smallest k >= 1 with clue(target | k) >= level (the clue is
+    nondecreasing in k). k doubles from 1, capped at n, until the level is
+    reached; a bisection inside the last doubling step then finds it, so the
+    largest grid built has O(n k) cells for the returned k."""
     pmf = cw_magnetization_pmf(n, beta)
-    lo, hi = 0, n
-    if cw_observed_law(pmf, hi).clue(target) < level:
-        raise ValueError("level unreachable even with all spins")
+    lo, hi = 0, 1
+    while cw_observed_law(pmf, hi).clue(target) < level:
+        if hi == n:
+            raise ValueError("level unreachable even with all spins")
+        lo, hi = hi, min(2 * hi, n)
     while lo + 1 < hi:
         mid = (lo + hi) // 2
         if cw_observed_law(pmf, mid).clue(target) >= level:

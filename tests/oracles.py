@@ -6,6 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from spinlab import _bits
+from spinlab.graphs import subset_support
 from spinlab.measures import ProbabilityTable, values_of
 
 
@@ -77,3 +78,19 @@ def iclue_exact(table: ProbabilityTable, f, subset_bits: int) -> float:
         raise ValueError("degenerate function: zero entropy")
     i = h_z + ent(joint.sum(axis=0)) - ent(joint.reshape(-1))
     return min(max(i / h_z, 0.0), 1.0)
+
+
+def expected_clue_by_subset(table: ProbabilityTable, f, spec, graph) -> float:
+    """E over the support of `spec` of Var(E[f | F_S]) / Var(f), with one
+    `conditional_mean` and two two-pass variances per subset, each fraction
+    clamped to [0, 1]; 0 when f is constant on the table's support."""
+    values = values_of(f, table.n)
+    seen = values[table.p > 0]
+    if seen.min() == seen.max():
+        return 0.0
+    var_f = table.variance(values)
+    total = 0.0
+    for bits, prob in subset_support(spec, graph):
+        explained = table.variance(table.conditional_mean(values, bits)) / var_f
+        total += prob * min(max(explained, 0.0), 1.0)
+    return total

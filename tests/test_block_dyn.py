@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -95,6 +96,28 @@ def test_eigenclue_verify_ising_cycle():
         t, graphs.UniformK(2), g, trials=100, rng=stream(23, 0))
     assert rep.residual <= 1e-8
     assert rep.max_trial_clue <= rep.lambda_2 + 1e-9
+
+
+@pytest.mark.parametrize("budget", [None, 1 << 12])
+def test_eigenclue_trials_follow_the_per_trial_stream(budget):
+    # the trials come in chunks of the kernel's rows, and a support of
+    # several groups replays them; either way they, and the stream left
+    # behind, are those of one standard_normal(2^n) per trial
+    g = graphs.cycle(8)
+    t = exact_table(IsingMeasure(0.4), g)
+    spec = graphs.UniformK(2)
+    trials = 120
+    with mock.patch.object(clue, "CLUE_CELL_BUDGET", budget or clue.CLUE_CELL_BUDGET):
+        kernel = clue.ClueKernel.of_spec(t, spec, g)
+        assert kernel.rows < trials
+        assert (len(kernel._groups) > 1) == (budget is not None)
+        rng = stream(5, 0)
+        rep = block_dyn.eigenclue_verify(t, spec, g, trials, rng)
+    loop = stream(5, 0)
+    per_trial = [clue.expected_clue(t, loop.standard_normal(256), spec, g)
+                 for _ in range(trials)]
+    assert rep.max_trial_clue == pytest.approx(max(per_trial), abs=1e-12)
+    assert rng.standard_normal() == loop.standard_normal()
 
 
 def test_eigenclue_verify_single_site():

@@ -3,9 +3,12 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from spinlab import block_dyn, clue, graphs, measures
 from spinlab.cli import RECIPES, _validate_params, main, run_recipe
+from spinlab.rng import stream
 from test_acceptance import MINI_CONFIGS
 
 
@@ -230,3 +233,34 @@ def test_budget_status(tmp_path):
         budget_seconds=0.0)
     assert summary["status"] == "budget"
     assert any(a["status"] == "budget" for a in summary["assertions"])
+
+
+def test_dirichlet_cheeger_events_match_a_per_event_loop(tmp_path):
+    # all events are drawn first and scored in one expected_clue call; the
+    # event, mu and phi columns are those of drawing and scoring one by one
+    params = {"graph": {"type": "cycle", "n": 7}, "beta": 0.4,
+              "spec": {"kind": "uniform_k", "k": 2}, "events": 40}
+    run_recipe("dirichlet-cheeger", params, 3, tmp_path)
+    rows = [line.split(",") for line in
+            (tmp_path / "cheeger.csv").read_text().splitlines()[1:]]
+    g = graphs.cycle(7)
+    t = measures.exact_table(measures.IsingMeasure(0.4), g)
+    spec = graphs.UniformK(2)
+    op = block_dyn.block_operator(t, spec, g)
+    rng = stream(3, 0)
+    size = 1 << 7
+    expected = []
+    for e in range(40):
+        ind = np.zeros(size)
+        members = rng.choice(size, size=rng.integers(1, size // 2), replace=False)
+        ind[members] = 1.0
+        if t.p @ ind > 0.5 or t.p @ ind <= 0:
+            ind = 1.0 - ind
+        mu_e = float(t.p @ ind)
+        if mu_e > 0.5 or mu_e <= 0:
+            continue
+        phi = block_dyn.bottleneck_ratio(op, ind)
+        expected.append(([str(e), repr(mu_e), repr(phi)], clue.expected_clue(t, ind, spec, g)))
+    assert [row[:3] for row in rows] == [head for head, _ in expected]
+    for row, (_, ec) in zip(rows, expected):
+        assert float(row[3]) == pytest.approx(ec, abs=1e-12)

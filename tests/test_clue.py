@@ -1,8 +1,12 @@
 import math
+import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinlab import _bits, block_dyn, clue, graphs, ising, measures
 from spinlab.measures import (
@@ -16,7 +20,7 @@ from spinlab.measures import (
     exact_table,
 )
 from spinlab.rng import stream
-from oracles import iclue_exact
+from oracles import expected_clue_by_subset, iclue_exact
 
 
 def table_corr(table, a, b):
@@ -105,6 +109,123 @@ def test_expected_clue_product_bound():
         f = rng.standard_normal(1 << n)
         val = clue.expected_clue(t, f, spec, g)
         assert val <= 2 / n + 1e-10
+
+
+@st.composite
+def _clue_cases(draw):
+    """A graph of at most 8 vertices, a table on it (Ising with h != 0,
+    product, or random with zero-probability states), a spec of any
+    enumerable kind, a stack of functions holding a constant row, and a
+    cell budget (small ones split the support into groups and the stack
+    into chunks)."""
+    n = draw(st.integers(1, 8))
+    if n >= 4 and draw(st.booleans()):
+        g = graphs.cycle(n)  # translations and tiles need a lattice
+    else:
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        g = graphs.custom(n, draw(st.lists(st.sampled_from(pairs), unique=True))
+                          if pairs else [])
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    size = 1 << n
+    table_kind = draw(st.sampled_from(["ising", "product", "sparse"]))
+    if table_kind == "ising":
+        h = draw(st.floats(0.05, 1.0)) * draw(st.sampled_from([-1, 1]))
+        t = exact_table(IsingMeasure(draw(st.floats(0.0, 1.0)), draw(st.floats(0.2, 1.5)), h), g)
+    elif table_kind == "product":
+        t = exact_table(ProductMeasure(draw(st.floats(0.05, 0.95))), g)
+    else:
+        p = rng.dirichlet(np.ones(size)) * (rng.random(size) < 0.6)
+        p[rng.integers(size)] += 0.1  # at least one state of positive mass
+        t = measures.ProbabilityTable(n, p / p.sum())
+    mask = st.lists(st.booleans(), min_size=n, max_size=n).map(np.array)
+    base = st.one_of(
+        mask.map(graphs.Fixed),
+        st.one_of(st.floats(0.0, 1.0), st.lists(st.floats(0.0, 1.0), min_size=n,
+                                               max_size=n)).map(graphs.Bernoulli),
+        st.integers(0, n).map(graphs.UniformK),
+        st.lists(st.tuples(mask, st.floats(0.01, 1.0)), min_size=1, max_size=4).map(
+            lambda items: graphs.Explicit(
+                [(m, w / sum(w for _, w in items)) for m, w in items])),
+    )
+    if g.translations is not None:
+        base = st.one_of(base, mask.map(graphs.UniformTranslate), st.just(graphs.Tiled(1)))
+    spec = draw(base)
+    if draw(st.booleans()):
+        spec = graphs.UnionOfKCopies(spec, draw(st.integers(1, 2)))
+    rows = [rng.standard_normal(size), rng.integers(0, 3, size=size).astype(float),
+            np.full(size, draw(st.floats(-5.0, 5.0))), 1e-4 * rng.standard_normal(size)]
+    rows += list(rng.standard_normal((draw(st.integers(0, 9)), size)))
+    budget = draw(st.sampled_from([1 << 9, 1 << 12, 1 << 14, clue.CLUE_CELL_BUDGET]))
+    return g, t, spec, np.array(rows), budget
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(_clue_cases())
+def test_expected_clue_stack_matches_subset_loop(case):
+    g, t, spec, stack, budget = case
+    with mock.patch.object(clue, "CLUE_CELL_BUDGET", budget):
+        values = clue.expected_clue(t, stack, spec, g)
+        assert values.shape == (len(stack),)
+        for row, value in zip(stack, values):
+            assert value == pytest.approx(expected_clue_by_subset(t, row, spec, g), abs=1e-12)
+            assert clue.expected_clue(t, row, spec, g) == pytest.approx(value, abs=1e-12)
+        assert values[2] == 0.0  # the constant row
+        bits, _ = graphs.subset_support(spec, g)[0]
+        assert clue.clue_exact(t, stack[0], bits) == pytest.approx(
+            expected_clue_by_subset(t, stack[0], graphs.Fixed(_bits.bits_to_mask(bits, t.n)), g),
+            abs=1e-12)
+
+
+def test_expected_clue_stack_crosses_chunks_and_groups():
+    g = graphs.cycle(8)
+    t = exact_table(IsingMeasure(0.4, h=0.3), g)
+    spec = graphs.Bernoulli(0.5)
+    stack = stream(17, 5).standard_normal((10, 256))
+    with mock.patch.object(clue, "CLUE_CELL_BUDGET", 1 << 14):
+        kernel = clue.ClueKernel.of_spec(t, spec, g)
+        assert len(kernel._groups) > 1 and kernel.rows < len(stack)
+        values = clue.expected_clue(t, stack, spec, g)
+    for row, value in zip(stack, values):
+        assert value == pytest.approx(expected_clue_by_subset(t, row, spec, g), abs=1e-12)
+
+
+def test_expected_clue_shapes():
+    g = graphs.cycle(4)
+    t = exact_table(IsingMeasure(0.4), g)
+    spec = graphs.UniformK(2)
+    assert isinstance(clue.expected_clue(t, Majority(), spec, g), float)
+    assert isinstance(clue.expected_clue(t, np.arange(16.0), spec, g), float)
+    assert clue.expected_clue(t, np.zeros((0, 16)), spec, g).shape == (0,)
+    with pytest.raises(ValueError):
+        clue.expected_clue(t, np.zeros((2, 8)), spec, g)
+
+
+def _peak_bytes(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_expected_clue_memory_stays_under_the_cell_budget():
+    # 91 subsets of 2^14 states do not fit in one group at the default budget
+    g = graphs.cycle(14)
+    t = exact_table(IsingMeasure(0.4), g)
+    spec = graphs.UniformK(2)
+    stack = stream(17, 6).standard_normal((20, 1 << 14))
+    assert len(clue.ClueKernel.of_spec(t, spec, g)._groups) > 1
+    peak = _peak_bytes(lambda: clue.expected_clue(t, stack, spec, g))
+    assert peak <= 8 * clue.CLUE_CELL_BUDGET
+
+
+def test_eigenclue_verify_memory():
+    g = graphs.cycle(11)
+    t = exact_table(IsingMeasure(0.4), g)
+    spec = graphs.UniformK(2)
+    peak = _peak_bytes(lambda: block_dyn.eigenclue_verify(t, spec, g, 100, stream(1, 0)))
+    assert peak <= 2.5e6
 
 
 def test_p_operator_examples():

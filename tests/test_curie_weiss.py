@@ -254,6 +254,30 @@ def test_threshold_search_consistency():
     assert cw.cw_observed_law(pmf, k_star - 1).clue("majority") < 0.5
 
 
+def test_threshold_search_matches_linear_scan(monkeypatch):
+    # below, at and above the critical point; the doubling search returns
+    # the first k of a linear scan and probes no k beyond twice it
+    probed = []
+    law = cw.cw_observed_law
+    monkeypatch.setattr(cw, "cw_observed_law",
+                        lambda pmf, k: probed.append(k) or law(pmf, k))
+    for n in (1, 2, 7, 64, 200):
+        for beta in (0.5, 1.0, 1.5):
+            pmf = cw.cw_magnetization_pmf(n, beta)
+            for target in ("majority", "magnetization"):
+                clues = [law(pmf, k).clue(target) for k in range(n + 1)]
+                for level in (0.05, 0.5, 0.9, 1.0 - 1e-9, 1.5):
+                    scan = next((k for k in range(1, n + 1) if clues[k] >= level), None)
+                    probed.clear()
+                    if scan is None:
+                        with pytest.raises(ValueError, match="unreachable"):
+                            cw.cw_threshold_k(n, beta, level, target)
+                        assert max(probed) == n
+                        continue
+                    assert cw.cw_threshold_k(n, beta, level, target) == scan
+                    assert max(probed) <= min(2 * scan, n)
+
+
 def test_input_validation():
     with pytest.raises(ValueError):
         cw.cw_magnetization_pmf(0, 0.5)
