@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import block_dyn, clue as clue_mod, curie_weiss as cw, dac, graphs, ising, measures
-from .rng import bootstrap_se, stream
+from .rng import bootstrap_se, parallel_map, stream
 
 
 # ---------------------------------------------------------------------------
@@ -387,6 +387,13 @@ def _check_tiling(params):
         graphs.revealment(graphs.Tiled(L), g)
 
 
+def _tiled_chunk(g, params, seed, L, i, count):
+    rep = block_dyn.path_coupling_rate(g, params["beta"], L, count, stream(seed, L, i),
+                                       params["warmup_steps"], params["resample_sweeps"],
+                                       params["thin"])
+    return rep.eta1_mean, rep.eta1_se, count
+
+
 @recipe(
     "tiled-coupling",
     "One-step contraction of the tiled block chain: a seeded disagreement "
@@ -409,15 +416,9 @@ def run_tiled_coupling(params, seed, writer, budget):
         if budget.exceeded():
             checks.append(Assertion("budget", "budget", f"stopped before L={L}"))
             return checks
-        parts = []
-        for i, count in enumerate(_chunk_sizes(params["trials"], params["chunks"])):
-            rep = block_dyn.path_coupling_rate(
-                g, beta, L, count, stream(seed, L, i),
-                warmup_steps=params["warmup_steps"],
-                resample_sweeps=params["resample_sweeps"],
-                thin=params["thin"],
-            )
-            parts.append((rep.eta1_mean, rep.eta1_se, count))
+        sizes = _chunk_sizes(params["trials"], params["chunks"])
+        jobs = [(g, params, seed, L, i, c) for i, c in enumerate(sizes)]
+        parts = parallel_map(_tiled_chunk, jobs, ising.check_sw_bytes(g, 1))
         total = sum(c for _, _, c in parts)
         mean = sum(m * c for m, _, c in parts) / total
         if len(parts) > 1:
@@ -589,6 +590,15 @@ def _check_fk_bound(params):
     ising.check_sw_bytes(g, params["outer"])
 
 
+def _fk_clue_draw(g, params, seed, bi, r):
+    sampler = ising.ConditionalGibbsSampler(g, ising.IsingParams(params["betas"][bi]),
+                                            params["inner_sweeps"], params["sw_burnin"])
+    rng = stream(seed, 21, bi, r)
+    mask = graphs.sample_subset(graphs.UniformK(params["spec_k"]), g, rng)
+    return clue_mod.clue_mc(sampler, measures.Magnetization(), mask, params["outer"],
+                            params["inner"], rng, bootstrap=50).value
+
+
 @recipe(
     "fk-bound",
     "Monte Carlo explained-variance of the average magnetization stays "
@@ -620,18 +630,9 @@ def run_fk_bound(params, seed, writer, budget):
             g, beta, spec, params["fk_samples"], stream(seed, 20, bi),
             sweeps=params["fk_sweeps"],
         )
-        sampler = ising.ConditionalGibbsSampler(
-            g, ising.IsingParams(beta),
-            sw_burnin=params["sw_burnin"], sweeps_between=params["inner_sweeps"],
-        )
-        values = np.empty(params["u_draws"])
-        for r in range(params["u_draws"]):
-            rng = stream(seed, 21, bi, r)
-            mask = graphs.sample_subset(spec, g, rng)
-            values[r] = clue_mod.clue_mc(
-                sampler, measures.Magnetization(), mask,
-                outer=params["outer"], inner=params["inner"], rng=rng, bootstrap=50,
-            ).value
+        values = np.array(parallel_map(
+            _fk_clue_draw, [(g, params, seed, bi, r) for r in range(params["u_draws"])],
+            ising.check_sw_bytes(g, params["outer"])))
         mc = float(values.mean())
         se = float(values.std(ddof=1) / math.sqrt(len(values)))
         writer.row("fk_bound", beta, mc, se, bound.ratio_bound, bound.ratio_se,
@@ -731,6 +732,19 @@ def run_sublattice(params, seed, writer, budget):
     return checks
 
 
+def _supercrit_chunk(g, params, seed, i, count):
+    """(largest cluster, total spin, sparse guess hit or None) per sample."""
+    par, rng, cfg, rows = ising.IsingParams(params["beta"]), stream(seed, 40, i), None, []
+    for _ in range(count):
+        cfg = ising.sw_chain(g, par, rng, params["thin"] if rows else params["sw_burnin"], cfg)
+        labels = ising.fk_clusters(cfg[None], g, par, rng)[0]
+        mask = rng.random(g.n_vertices) < params["bern_p"]
+        maj = 1 if cfg.sum() > 0 else -1
+        hit = clue_mod.majority_guess(cfg, mask) == maj if mask.any() else None
+        rows.append((float(np.bincount(labels).max()), float(cfg.sum()), hit))
+    return rows
+
+
 @recipe(
     "supercrit-giant",
     "In the ordered phase the bond layer carries a giant cluster, a "
@@ -748,29 +762,14 @@ def run_sublattice(params, seed, writer, budget):
 )
 def run_supercrit(params, seed, writer, budget):
     g = graphs.torus(2, params["side"])
-    n = g.n_vertices
-    par = ising.IsingParams(params["beta"])
-    rows = []
-    for i, count in enumerate(_chunk_sizes(params["samples"], params["chunks"])):
-        rng = stream(seed, 40, i)
-        cfg = None
-        for _ in range(count):
-            steps = params["sw_burnin"] if cfg is None else params["thin"]
-            cfg = ising.sw_chain(g, par, rng, steps, cfg)
-            labels = ising.fk_clusters(cfg[None], g, par, rng)[0]
-            mask = rng.random(n) < params["bern_p"]
-            guess_hit = None
-            if mask.any():
-                guess = clue_mod.majority_guess(cfg, mask)
-                maj = 1 if cfg.sum() > 0 else -1
-                guess_hit = guess == maj
-            rows.append((
-                float(np.bincount(labels).max()), float(cfg.sum()), guess_hit,
-            ))
+    sizes = _chunk_sizes(params["samples"], params["chunks"])
+    jobs = [(g, params, seed, i, c) for i, c in enumerate(sizes)]
+    chunks = parallel_map(_supercrit_chunk, jobs, ising.check_sw_bytes(g, 1))
+    rows = [row for chunk in chunks for row in chunk]
     giants = np.array([r[0] for r in rows])
     sums = np.array([r[1] for r in rows])
     hits = [r[2] for r in rows if r[2] is not None]
-    giant_freq = float(np.mean(giants >= params["giant_fraction"] * n))
+    giant_freq = float(np.mean(giants >= params["giant_fraction"] * g.n_vertices))
     guess_freq = float(np.mean(hits)) if hits else math.nan
     pz_freq = float(np.mean(np.abs(sums) >= params["pz_coefficient"]
                             * math.sqrt(np.mean(sums**2))))

@@ -173,9 +173,9 @@ def heat_bath(
 SW_BYTES_CAP = 1 << 29
 
 
-def check_sw_bytes(graph: Graph, replicas: int) -> None:
-    """Raise `ValueError` if one `swendsen_wang` step of `replicas` copies of
-    `graph` would need more than `SW_BYTES_CAP` working bytes."""
+def check_sw_bytes(graph: Graph, replicas: int) -> int:
+    """The working bytes of one `swendsen_wang` step of `replicas` copies of
+    `graph`; raise `ValueError` if that is more than `SW_BYTES_CAP`."""
     n, m, degmax = graph.n_vertices, graph.n_edges, graph.geometry.max_degree
     size = replicas * n
     # column indices (int32) + open mask + CSR indices and data per slot;
@@ -185,6 +185,7 @@ def check_sw_bytes(graph: Graph, replicas: int) -> None:
         raise ValueError(
             f"swendsen_wang on {replicas} x {n} sites needs about {est} bytes "
             f"per step, over the cap of {SW_BYTES_CAP}")
+    return est
 
 
 def _cluster_labeller(graph: Graph, replicas: int, params: IsingParams):

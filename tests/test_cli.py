@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spinlab import block_dyn, clue, graphs, measures
+from spinlab import block_dyn, clue, graphs, measures, rng as rng_mod
 from spinlab.cli import RECIPES, _validate_params, main, run_recipe
 from spinlab.rng import stream
 from test_acceptance import MINI_CONFIGS
@@ -264,3 +264,28 @@ def test_dirichlet_cheeger_events_match_a_per_event_loop(tmp_path):
     assert [row[:3] for row in rows] == [head for head, _ in expected]
     for row, (_, ec) in zip(rows, expected):
         assert float(row[3]) == pytest.approx(ec, abs=1e-12)
+
+
+POOLED_RECIPES = ("tiled-coupling", "fk-bound", "supercrit-giant")
+
+
+def test_pooled_recipes_ignore_the_cpu_count(tmp_path, monkeypatch):
+    trees = {}
+    for cpus in (1, 2):
+        monkeypatch.setattr(rng_mod, "_cpus", lambda: cpus)
+        for name in POOLED_RECIPES:
+            outdir = tmp_path / str(cpus) / name
+            assert run_recipe(name, MINI_CONFIGS[name], 1300, outdir)["status"] == "pass"
+            trees[cpus, name] = {p.name: p.read_bytes() for p in sorted(outdir.iterdir())}
+    for name in POOLED_RECIPES:
+        assert trees[1, name] == trees[2, name], name
+
+
+def test_a_job_error_reaches_the_recipe_as_itself(tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise ValueError("refused in a worker")
+
+    monkeypatch.setattr(rng_mod, "_cpus", lambda: 2)
+    monkeypatch.setattr(block_dyn, "path_coupling_rate", refuse)
+    with pytest.raises(ValueError, match="refused in a worker"):
+        run_recipe("tiled-coupling", MINI_CONFIGS["tiled-coupling"], 1300, tmp_path)
