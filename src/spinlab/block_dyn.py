@@ -8,6 +8,10 @@ P = sum_S P[U=S] E_mu[. | F_S] is a mixture of orthogonal projections in
 L^2(mu): self-adjoint and positive semidefinite, so its second eigenvalue
 is also its largest nontrivial one in absolute value, and it equals the
 maximal expected explained-variance fraction over all observables.
+
+`BlockOperator` holds the boundary patterns of every subset in the sparse
+aggregator that `clue.ClueKernel` scores clues with, built by the same
+`clue.subset_aggregator`, so one apply is two sparse products.
 """
 
 from __future__ import annotations
@@ -20,12 +24,12 @@ import numpy as np
 from scipy.sparse.linalg import LinearOperator, eigsh
 
 from . import _bits
-from .clue import ClueKernel
+from .clue import ClueKernel, subset_aggregator
 from .graphs import Graph, SubsetSpec, component_labels, subset_support, tiled_complement_mask
 from .ising import IsingParams, conditional_exact_resample, heat_bath, sw_chain
 from .measures import ProbabilityTable
 
-#: Memory the boundary keys and block masses may take (bytes).
+#: Memory the block operator's aggregator and diagonal may take (bytes).
 OPERATOR_BYTES_CAP = 1 << 30
 #: Largest vertex count for which `BlockOperator.matrix` builds the dense
 #: 2^n x 2^n oracle.
@@ -39,41 +43,40 @@ EXACT_BLOCK_CAP = 16
 
 
 class BlockOperator:
-    """P f = sum_S P[U=S] E_mu[f | F_S], applied in O(|support| 2^n).
+    """P f = sum_S P[U=S] E_mu[f | F_S] as two sparse products.
 
-    For every subset S of the support other than the full vertex set
-    it stores the boundary key x & S of each configuration and the mass of
-    each boundary pattern. Boundary patterns of measure zero are never
-    entered from reachable states; there the chain stays put, which keeps
-    P1 = 1 on every state.
+    Every subset of the support other than the full vertex set goes into
+    one `clue.subset_aggregator` A, whose row for the boundary pattern b
+    holds 1/sqrt(mu(b)) at each configuration showing b. With pi the
+    probability of each row's subset, A^T (pi * (A (p * f))) sums
+    P[U=S] E[f 1_b] / mu(b) over the patterns b that x shows. The full
+    subset, on which P is the identity, and every pattern of measure zero
+    (never entered from reachable states; there the chain stays put, which
+    keeps P1 = 1 on every state) add up to the diagonal weight `stay`:
+    P f = stay * f + A^T (pi * (A (p * f))).
     """
 
     def __init__(self, table: ProbabilityTable, support):
         self.table = table
         size = 1 << table.n
-        idx = _bits.config_indices(table.n)
-        self._keep = 0.0  # weight of the full subset, on which P is the identity
-        self._terms = []  # (prob, subset bits, keys, pattern masses, stay mask)
-        for bits, prob in support:
-            if bits == size - 1:
-                self._keep += prob
-                continue
-            keys = (idx & np.uint64(bits)).astype(np.intp)
-            mass = np.bincount(keys, weights=table.p)
-            null = mass[keys] <= 0
-            mass[mass <= 0] = 1.0  # numerators vanish there; `stay` applies
-            self._terms.append((prob, bits, keys, mass, null if null.any() else None))
+        full = size - 1
+        self._agg = agg = subset_aggregator(table, [(b, q) for b, q in support if b != full])
+        self._agg_t = agg.matrix.T
+        #: boundary patterns of each stored subset
+        self._patterns = np.diff(agg.offsets, append=agg.matrix.shape[0])
+        self._row_prob = np.repeat(agg.probs, self._patterns)
+        self._stay = np.full(size, float(sum(q for b, q in support if b == full)))
+        if not agg.matrix.data.all():
+            # entries of zero scale show patterns of measure zero; entry e
+            # is subset e % m of configuration e // m
+            null = np.flatnonzero(agg.matrix.data == 0)
+            m = len(agg.probs)
+            self._stay += np.bincount(null // m, weights=agg.probs[null % m], minlength=size)
 
     def apply(self, f) -> np.ndarray:
         values = np.asarray(f, dtype=np.float64)
-        weighted = self.table.p * values
-        out = self._keep * values
-        for prob, _, keys, mass, stay in self._terms:
-            cond = (np.bincount(keys, weights=weighted) / mass)[keys]
-            if stay is not None:
-                cond = np.where(stay, values, cond)
-            out += prob * cond
-        return out
+        means = self._row_prob * (self._agg.matrix @ (self.table.p * values))
+        return self._stay * values + self._agg_t @ means
 
     @property
     def matrix(self) -> np.ndarray:
@@ -95,13 +98,14 @@ class BlockOperator:
         mass m and leaves mass r outside changes m (mu(B) - m) / mu(B) by
         a (r - m) / mu(B). Within each block the states keep their sweep
         order, and every block of S holds 2^(n - |S|) states, so each
-        subset's blocks form the rows of one array.
+        subset's blocks, read from the aggregator's ranked keys, form the
+        rows of one array.
         """
         mu = self.table.p[order]
         delta = np.zeros(len(order))
-        for prob, bits, keys, _, _ in self._terms:
-            rank = np.argsort(keys[order], kind="stable")
-            a = mu[rank].reshape(1 << bits.bit_count(), -1)
+        for j, prob in enumerate(self._agg.probs):
+            rank = np.argsort(self._agg.keys[order, j], kind="stable")
+            a = mu[rank].reshape(self._patterns[j], -1)
             held = np.zeros_like(a)
             np.cumsum(a[:, :-1], axis=1, out=held[:, 1:])
             rest = np.zeros_like(a)
@@ -112,23 +116,34 @@ class BlockOperator:
         return delta
 
 
-def check_operator_size(n: int, support) -> None:
-    """Raise `ValueError` unless the boundary keys and block masses of the
-    operator over `support` on n vertices fit under OPERATOR_BYTES_CAP."""
+def check_operator_size(n: int, support) -> int:
+    """Bytes of the operator over `support` on n vertices; raise
+    `ValueError`, before anything is allocated, when they exceed
+    OPERATOR_BYTES_CAP.
+
+    Each configuration holds one entry per stored subset (every subset but
+    the full one): a 4 B int32 pattern row and an 8 B scale. On top of those
+    come the aggregator's column pointers (4 B per configuration), the
+    stay weights (8 B per configuration), the subset probability of each
+    pattern row (8 B per pattern) and the offset, pattern count and
+    probability of each stored subset (24 B).
+    """
     size = 1 << n
-    stored = sum(1 for bits, _ in support if bits != size - 1)
-    nbytes = 16 * size * stored
+    stored = [bits for bits, _ in support if bits != size - 1]
+    patterns = sum(1 << (bits & (size - 1)).bit_count() for bits in stored)
+    nbytes = 12 * size * len(stored) + 12 * size + 4 + 8 * patterns + 24 * len(stored)
     if nbytes > OPERATOR_BYTES_CAP:
         raise ValueError(
-            f"block operator needs about {nbytes} bytes for {stored} subsets "
+            f"block operator needs about {nbytes} bytes for {len(stored)} subsets "
             f"over {size} configurations (cap {OPERATOR_BYTES_CAP})")
+    return nbytes
 
 
 def block_operator(table: ProbabilityTable, spec: SubsetSpec, graph: Graph) -> BlockOperator:
     """Transition operator of the keep-subset / redraw-complement chain.
 
-    Raises ValueError, before allocating, when the boundary keys and block
-    masses would exceed OPERATOR_BYTES_CAP. Checks P1 = 1 and, on seeded
+    Raises ValueError, before allocating, when the operator's arrays would
+    exceed OPERATOR_BYTES_CAP (`check_operator_size`). Checks P1 = 1 and, on seeded
     random pairs, the self-adjointness <f, Pg>_mu = <Pf, g>_mu that makes
     the chain reversible with mu stationary.
     """

@@ -762,6 +762,11 @@ def _supercrit_chunk(g, params, seed, i, count):
 )
 def run_supercrit(params, seed, writer, budget):
     g = graphs.torus(2, params["side"])
+    writer.table("supercrit_giant", [
+        "beta", "samples", "giant_freq", "guess_freq", "fluctuation_freq",
+    ])
+    if budget.exceeded():
+        return [Assertion("budget", "budget", "stopped before the chunks")]
     sizes = _chunk_sizes(params["samples"], params["chunks"])
     jobs = [(g, params, seed, i, c) for i, c in enumerate(sizes)]
     chunks = parallel_map(_supercrit_chunk, jobs, ising.check_sw_bytes(g, 1))
@@ -773,9 +778,6 @@ def run_supercrit(params, seed, writer, budget):
     guess_freq = float(np.mean(hits)) if hits else math.nan
     pz_freq = float(np.mean(np.abs(sums) >= params["pz_coefficient"]
                             * math.sqrt(np.mean(sums**2))))
-    writer.table("supercrit_giant", [
-        "beta", "samples", "giant_freq", "guess_freq", "fluctuation_freq",
-    ])
     writer.row("supercrit_giant", params["beta"], len(rows), giant_freq,
                guess_freq, pz_freq)
     return [

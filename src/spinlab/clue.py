@@ -4,7 +4,9 @@ operators and entropy inequality built on it.
 
 The exact clue of one function or of a (T, 2^n) stack of them, on one
 subset or averaged over a spec's enumerated support, comes from one
-kernel, `ClueKernel`.
+kernel, `ClueKernel`. Its sparse aggregator of boundary patterns comes
+from `subset_aggregator`, which also builds the block operator of
+`block_dyn`.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.sparse import csc_matrix
@@ -49,11 +52,12 @@ class ClueKernel:
     (T, 2^n) stack, over an enumerated support of (bitmask, probability)
     pairs.
 
-    The support is cut into groups of subsets. A group's aggregator is one
-    sparse matrix with a row for each boundary pattern b of each subset S
-    (the pattern x & S ranked to 0 .. 2^|S| - 1) and a column for each
-    configuration x, holding 1/sqrt(mu(b)) where x shows b, and 0 where
-    mu(b) = 0. Applied to the p-weighted centred rows it gives
+    The support is cut into groups of subsets. A group's aggregator
+    (`subset_aggregator`) is one sparse matrix with a row for each boundary
+    pattern b of each subset S (the pattern x & S ranked to
+    0 .. 2^|S| - 1) and a column for each configuration x, holding
+    1/sqrt(mu(b)) where x shows b, and 0 where mu(b) = 0. Applied to the
+    p-weighted centred rows it gives
     num_b / sqrt(mu(b)); the squares summed over the patterns of S are
     Var(E[f | F_S]) = sum_b num_b^2 / mu(b). Each group takes all rows in
     chunks, one sparse product per chunk. The last aggregator built is
@@ -91,7 +95,7 @@ class ClueKernel:
         #: Rows per chunk: a chunk holds two copies of its rows and the
         #: squared block sums of the widest group.
         self.rows = max(1, chunk_cells // (2 * size + patterns))
-        self._built = None  # (group index, aggregator, pattern offsets, probabilities)
+        self._built = None  # (group index, its SubsetAggregator)
 
     @classmethod
     def of_spec(cls, table: ProbabilityTable, spec: SubsetSpec, graph: Graph) -> "ClueKernel":
@@ -124,7 +128,7 @@ class ClueKernel:
 
     def _add_group(self, g: int, rows, out: np.ndarray) -> None:
         """Add group g's share of the expected clue of every row to `out`."""
-        agg, offsets, probs = self._aggregator(g)
+        agg, _, offsets, probs = self._aggregator(g)
         p = self.table.p
         for a in range(0, len(out), self.rows):
             chunk = np.asarray(rows(a, min(a + self.rows, len(out))), dtype=np.float64)
@@ -147,30 +151,67 @@ class ClueKernel:
     def _aggregator(self, g: int):
         if self._built is None or self._built[0] != g:
             self._built = None  # release the previous group before building
-            self._built = (g, *self._build(self._groups[g]))
-        return self._built[1:]
+            self._built = (g, subset_aggregator(self.table, self._groups[g]))
+        return self._built[1]
 
-    def _build(self, group):
-        n, p = self.table.n, self.table.p
-        size = 1 << n
-        idx = np.arange(size, dtype=np.int32)
-        blocks = np.empty((size, len(group)), dtype=np.int32)  # aggregator row of each entry
-        scales = np.empty((size, len(group)))
-        offsets = np.empty(len(group), dtype=np.intp)
-        start = 0
-        for j, (bits, _) in enumerate(group):
-            key = np.zeros(size, dtype=np.int32)
-            for rank, v in enumerate(u for u in range(n) if bits >> u & 1):
-                key |= (idx >> v & 1) << rank
-            mass = np.bincount(key, weights=p, minlength=1 << _popcount(bits, n))
-            scale = np.divide(1.0, np.sqrt(mass), out=np.zeros_like(mass), where=mass > 0)
-            scales[:, j] = scale[key]
-            blocks[:, j] = key + start
-            offsets[j] = start
-            start += len(mass)
-        indptr = np.arange(0, blocks.size + 1, len(group), dtype=np.int32)
-        agg = csc_matrix((scales.ravel(), blocks.ravel(), indptr), shape=(start, size))
-        return agg, offsets, np.array([prob for _, prob in group])
+
+class SubsetAggregator(NamedTuple):
+    """The boundary-pattern partitions of a list of subsets, as one sparse
+    matrix; see `subset_aggregator`."""
+
+    #: (patterns, 2^n) CSC matrix: 1/sqrt(mu(b)) at (row of b, x) where x
+    #: shows pattern b, 0 there when mu(b) = 0.
+    matrix: csc_matrix
+    #: (2^n, subsets) int32: the row of each configuration's pattern under
+    #: each subset; the matrix's own `indices`, viewed per configuration.
+    keys: np.ndarray
+    #: First row of each subset's patterns.
+    offsets: np.ndarray
+    #: P[U = S] of each subset.
+    probs: np.ndarray
+
+
+def subset_aggregator(table: ProbabilityTable, subsets) -> SubsetAggregator:
+    """Aggregator of the (bitmask, probability) pairs `subsets` on `table`.
+
+    Subset j owns rows offsets[j] .. offsets[j] + 2^|S_j| - 1, one per
+    boundary pattern b, ranked by the spins of x & S_j read in vertex
+    order; each configuration has exactly one entry per subset. Applied to
+    p * f it gives E[f 1_b] / sqrt(mu(b)) on every row of positive mass.
+
+    A configuration x = hi * 2^h + lo splits at vertex h = n // 2, and its
+    row under S is the sum of the ranked keys of lo and of hi (plus the
+    offset of S), each a small integer product over 2^(n/2) values; the
+    sum over all (hi, lo) pairs writes the keys once. The pattern masses
+    are the product of the 0/1 aggregator with p, which sums each pattern
+    in configuration order like a `bincount`; the scales then overwrite
+    the ones.
+    """
+    n, p = table.n, table.p
+    size = 1 << n
+    m = len(subsets)
+    members = np.array([bits for bits, _ in subsets], dtype=np.int64)[:, None] >> np.arange(n) & 1
+    sizes = 1 << members.sum(axis=1)
+    offsets = np.cumsum(sizes) - sizes
+    places = (members << (np.cumsum(members, axis=1) - members)).T  # 2^rank of each member
+    h = n // 2
+    low = np.arange(1 << h)[:, None] >> np.arange(h) & 1
+    high = np.arange(1 << (n - h))[:, None] >> np.arange(n - h) & 1
+    keys = np.empty((size, m), dtype=np.int32)
+    np.add((high @ places[h:] + offsets)[:, None].astype(np.int32),
+           (low @ places[:h]).astype(np.int32), out=keys.reshape(1 << (n - h), 1 << h, m))
+    scales = np.ones((size, m))
+    indptr = np.arange(size + 1, dtype=np.int32) * m
+    matrix = csc_matrix((scales.ravel(), keys.ravel(), indptr), shape=(sizes.sum(), size))
+    mass = matrix @ p
+    scale = np.divide(1.0, np.sqrt(mass), out=np.zeros_like(mass), where=mass > 0)
+    # `take` copies the keys it reads as intp: a block at a time, within the
+    # 2^(n+1) cells of build transients and the chunk's cells that
+    # `ClueKernel` leaves free while it builds
+    step = max(1, (2 * size + CLUE_CELL_BUDGET // 32) // max(m, 1))
+    for a in range(0, size, step):
+        np.take(scale, keys[a:a + step], out=scales[a:a + step], mode="clip")
+    return SubsetAggregator(matrix, keys, offsets, np.array([prob for _, prob in subsets]))
 
 
 def _popcount(bits: int, n: int) -> int:

@@ -63,6 +63,21 @@ def test_transition_matrix_cap():
         op.matrix
 
 
+@pytest.mark.parametrize("spec", [graphs.UniformK(2), graphs.Bernoulli(0.3)],
+                         ids=["uniform_k(2)", "bernoulli(0.3)"])
+@pytest.mark.parametrize("n", [8, 9, 10, 11, 12])
+def test_operator_size_estimate_covers_the_built_arrays(n, spec):
+    g = graphs.cycle(n)
+    t = exact_table(IsingMeasure(0.4), g)
+    support = graphs.subset_support(spec, g)
+    estimate = block_dyn.check_operator_size(n, support)
+    op = block_dyn.BlockOperator(t, support)
+    agg = op._agg  # keys share the matrix's indices
+    arrays = (agg.matrix.data, agg.matrix.indices, agg.matrix.indptr, agg.offsets,
+              agg.probs, op._patterns, op._row_prob, op._stay)
+    assert estimate >= sum(a.nbytes for a in arrays)
+
+
 def test_matrix_reversibility_and_stationarity():
     g = graphs.cycle(6)
     t = exact_table(IsingMeasure(0.4), g)

@@ -235,6 +235,14 @@ def test_budget_status(tmp_path):
     assert any(a["status"] == "budget" for a in summary["assertions"])
 
 
+def test_supercrit_budget_stops_before_the_chunks(tmp_path):
+    # a spent budget returns before any chunk is sampled: no data row
+    summary = run_recipe("supercrit-giant", {}, 0, tmp_path, budget_seconds=0.0)
+    assert summary["status"] == "budget"
+    assert [a["status"] for a in summary["assertions"]] == ["budget"]
+    assert len((tmp_path / "supercrit_giant.csv").read_text().splitlines()) == 1
+
+
 def test_dirichlet_cheeger_events_match_a_per_event_loop(tmp_path):
     # all events are drawn first and scored in one expected_clue call; the
     # event, mu and phi columns are those of drawing and scoring one by one

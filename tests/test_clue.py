@@ -176,6 +176,62 @@ def test_expected_clue_stack_matches_subset_loop(case):
             abs=1e-12)
 
 
+@st.composite
+def _aggregator_cases(draw):
+    n = draw(st.integers(1, 10))
+    size = 1 << n
+    kind = draw(st.sampled_from(["ising", "product", "holes"]))
+    if kind == "ising":
+        t = exact_table(IsingMeasure(draw(st.floats(0.0, 1.0))), graphs.cycle(n) if n >= 3
+                        else graphs.custom(n, []))
+    elif kind == "product":  # q in {0, 1} leaves one state of positive mass
+        t = exact_table(ProductMeasure(draw(st.sampled_from([0.0, 1.0, 0.3]))),
+                        graphs.custom(n, []))
+    else:  # a random table with a random share of its states at mass 0
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        p = rng.dirichlet(np.ones(size)) * (rng.random(size) < draw(st.floats(0.05, 1.0)))
+        p[rng.integers(size)] += 1e-3
+        t = measures.ProbabilityTable(n, p / p.sum())
+    subsets = draw(st.lists(st.tuples(st.integers(0, size - 1), st.floats(0.0, 1.0)),
+                            max_size=6))
+    return t, subsets
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_aggregator_cases())
+def test_subset_aggregator_is_the_literal_partition(case):
+    # the one builder behind ClueKernel and BlockOperator, against the
+    # partition of the configurations by x & bits, subset by subset
+    t, subsets = case
+    size = 1 << t.n
+    agg = clue.subset_aggregator(t, subsets)
+    idx = np.arange(size)
+    assert agg.keys.shape == (size, len(subsets)) and agg.keys.dtype == np.int32
+    assert not subsets or np.shares_memory(agg.keys, agg.matrix.indices)
+    assert agg.matrix.nnz == size * len(subsets)
+    assert list(agg.probs) == [prob for _, prob in subsets]
+    start = 0
+    for j, (bits, _) in enumerate(subsets):
+        patterns = 1 << bin(bits).count("1")
+        assert agg.offsets[j] == start
+        rows = agg.keys[:, j]
+        assert ((rows >= start) & (rows < start + patterns)).all()
+        # two configurations share a row exactly when x & bits agree
+        shown = idx & bits
+        assert np.array_equal(rows[:, None] == rows[None, :], shown[:, None] == shown[None, :])
+        # rows are ranked by x & bits, so the row of pattern b is its rank
+        assert np.array_equal(np.unique(rows), start + np.arange(patterns))
+        assert np.array_equal(np.argsort(rows, kind="stable"),
+                              np.argsort(shown, kind="stable"))
+        mass = np.array([t.p[shown == b].sum() for b in shown])
+        scale = agg.matrix.data.reshape(size, -1)[:, j]
+        pos = mass > 0
+        assert np.abs(scale[pos] ** 2 * mass[pos] - 1.0).max(initial=0.0) < 1e-12
+        assert (scale[~pos] == 0).all()
+        start += patterns
+    assert agg.matrix.shape == (start, size)
+
+
 def test_expected_clue_stack_crosses_chunks_and_groups():
     g = graphs.cycle(8)
     t = exact_table(IsingMeasure(0.4, h=0.3), g)
