@@ -29,8 +29,6 @@ from .graphs import Graph, SubsetSpec, component_labels, subset_support, tiled_c
 from .ising import IsingParams, conditional_exact_resample, heat_bath, sw_chain
 from .measures import ProbabilityTable
 
-#: Memory the block operator's aggregator and diagonal may take (bytes).
-OPERATOR_BYTES_CAP = 1 << 30
 #: Largest vertex count for which `BlockOperator.matrix` builds the dense
 #: 2^n x 2^n oracle.
 ORACLE_CAP = 10
@@ -116,39 +114,15 @@ class BlockOperator:
         return delta
 
 
-def check_operator_size(n: int, support) -> int:
-    """Bytes of the operator over `support` on n vertices; raise
-    `ValueError`, before anything is allocated, when they exceed
-    OPERATOR_BYTES_CAP.
-
-    Each configuration holds one entry per stored subset (every subset but
-    the full one): a 4 B int32 pattern row and an 8 B scale. On top of those
-    come the aggregator's column pointers (4 B per configuration), the
-    stay weights (8 B per configuration), the subset probability of each
-    pattern row (8 B per pattern) and the offset, pattern count and
-    probability of each stored subset (24 B).
-    """
-    size = 1 << n
-    stored = [bits for bits, _ in support if bits != size - 1]
-    patterns = sum(1 << (bits & (size - 1)).bit_count() for bits in stored)
-    nbytes = 12 * size * len(stored) + 12 * size + 4 + 8 * patterns + 24 * len(stored)
-    if nbytes > OPERATOR_BYTES_CAP:
-        raise ValueError(
-            f"block operator needs about {nbytes} bytes for {len(stored)} subsets "
-            f"over {size} configurations (cap {OPERATOR_BYTES_CAP})")
-    return nbytes
-
-
 def block_operator(table: ProbabilityTable, spec: SubsetSpec, graph: Graph) -> BlockOperator:
     """Transition operator of the keep-subset / redraw-complement chain.
 
     Raises ValueError, before allocating, when the operator's arrays would
-    exceed OPERATOR_BYTES_CAP (`check_operator_size`). Checks P1 = 1 and, on seeded
+    exceed their cap (`clue.check_aggregator_size`). Checks P1 = 1 and, on seeded
     random pairs, the self-adjointness <f, Pg>_mu = <Pf, g>_mu that makes
     the chain reversible with mu stationary.
     """
     support = subset_support(spec, graph)
-    check_operator_size(table.n, support)
     size = 1 << table.n
     always = size - 1
     for bits, prob in support:

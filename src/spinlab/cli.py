@@ -289,7 +289,7 @@ def _check_block_chain(params):
     g = graphs.build_graph(params["graph"])
     measures.check_exact_size(g.n_vertices)
     spec = graphs.SubsetSpec.from_json(params["spec"], g.n_vertices)
-    block_dyn.check_operator_size(g.n_vertices, graphs.subset_support(spec, g))
+    clue_mod.check_aggregator_size(g.n_vertices, graphs.subset_support(spec, g))
 
 
 @recipe(

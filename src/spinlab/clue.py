@@ -1,12 +1,14 @@
 """The clue functional (fraction of a function's variance explained by a
 subset of spins), exact and Monte Carlo, with the subset-averaging
-operators and entropy inequality built on it.
+operator and entropy inequality built on it.
 
-The exact clue of one function or of a (T, 2^n) stack of them, on one
-subset or averaged over a spec's enumerated support, comes from one
-kernel, `ClueKernel`. Its sparse aggregator of boundary patterns comes
-from `subset_aggregator`, which also builds the block operator of
-`block_dyn`.
+Every exact law of the boundary patterns of a subset comes from one sparse
+aggregator, `subset_aggregator`. The exact clue of one function or of a
+(T, 2^n) stack of them, on one subset or averaged over a spec's enumerated
+support, comes from one kernel, `ClueKernel`, that scores with it. The
+normalized subset average (`normalized_average`), the Shearer check and
+the block operator of `block_dyn` each apply one aggregator over the whole
+support, whose bytes `check_aggregator_size` bounds before it is built.
 """
 
 from __future__ import annotations
@@ -25,6 +27,10 @@ from .measures import Observable, ProbabilityTable, values_of
 from .rng import bootstrap_se
 
 EXACT_RANGE_TOL = 1e-10
+
+#: Memory one `subset_aggregator` and a vector beside it may take (bytes);
+#: see `check_aggregator_size`.
+AGGREGATOR_BYTES_CAP = 1 << 30
 
 #: Cells of 8 bytes that `ClueKernel` holds at once, whatever the number of
 #: functions or subsets: 1/32 for one chunk of rows streamed through it, the
@@ -185,8 +191,9 @@ def subset_aggregator(table: ProbabilityTable, subsets) -> SubsetAggregator:
     sum over all (hi, lo) pairs writes the keys once. The pattern masses
     are the product of the 0/1 aggregator with p, which sums each pattern
     in configuration order like a `bincount`; the scales then overwrite
-    the ones.
+    the ones. Raises ValueError first when `check_aggregator_size` does.
     """
+    check_aggregator_size(table.n, subsets)
     n, p = table.n, table.p
     size = 1 << n
     m = len(subsets)
@@ -262,53 +269,65 @@ def _is_product(table: ProbabilityTable) -> bool:
     return bool(np.abs(prod - table.p).max() < 1e-12)
 
 
-# -- conditional families and averaging operators ----------------------------
+# -- the normalized subset average and the entropy inequality ----------------
 
 
-class ConditionalFamily:
-    """For each subset S in a spec's support, an F_S-measurable variable Y_S
-    given as a value vector over all configurations (exact mode)."""
+def check_aggregator_size(n: int, subsets) -> int:
+    """Bytes of `subset_aggregator` over the (bitmask, probability) pairs
+    `subsets` on n vertices, with one float vector per configuration beside
+    it; raise `ValueError`, before anything is allocated, when they exceed
+    AGGREGATOR_BYTES_CAP.
 
-    def __init__(self, table: ProbabilityTable, members: dict[int, np.ndarray]):
-        self.table = table
-        self.members = {int(k): np.asarray(v, dtype=np.float64)
-                        for k, v in members.items()}
-
-    @staticmethod
-    def of_conditionals(
-        table: ProbabilityTable, f, support_bits
-    ) -> "ConditionalFamily":
-        """Y_S = E[f | F_S] for every S in the support list."""
-        values = values_of(f, table.n)
-        return ConditionalFamily(
-            table, {int(s): table.conditional_mean(values, int(s)) for s in support_bits}
-        )
-
-    def get(self, bits: int) -> np.ndarray:
-        return self.members[int(bits)]
-
-
-def apply_M_operator(
-    family: ConditionalFamily, spec: SubsetSpec, graph: Graph, table: ProbabilityTable
-) -> tuple[np.ndarray, list[int]]:
-    """Normalized subset average: sum of P[U=S] Y_S / sd(Y_S).
-
-    Zero-variance members are excluded from the sum and reported; the
-    normalized form is undefined there.
+    Each configuration holds one entry per subset: a 4 B int32 pattern row
+    and an 8 B scale. On top of those come the column pointers and the
+    vector (12 B per configuration), one float per pattern row (8 B) and
+    the offset, pattern count and probability of each subset (24 B).
     """
-    out = np.zeros(1 << table.n)
-    dropped: list[int] = []
-    used = 0
-    for bits, prob in subset_support(spec, graph):
-        y = family.get(bits)
-        sd = math.sqrt(max(table.variance(y), 0.0))
-        if sd <= 0:
-            dropped.append(bits)
-            continue
-        out += prob * y / sd
-        used += 1
-    if used == 0:
+    size = 1 << n
+    patterns = sum(1 << _popcount(bits, n) for bits, _ in subsets)
+    nbytes = 12 * size * len(subsets) + 12 * size + 4 + 8 * patterns + 24 * len(subsets)
+    if nbytes > AGGREGATOR_BYTES_CAP:
+        raise ValueError(
+            f"subset aggregator needs about {nbytes} bytes for {len(subsets)} subsets "
+            f"over {size} configurations (cap {AGGREGATOR_BYTES_CAP})")
+    return nbytes
+
+
+def normalized_average(
+    table: ProbabilityTable, f, spec: SubsetSpec, graph: Graph
+) -> tuple[np.ndarray, list[int]]:
+    """M f = sum_S P[U=S] Y_S / sd(Y_S) over the conditional means
+    Y_S = E[f | F_S] of every subset the spec draws, and the bitmasks of the
+    members it dropped.
+
+    One `subset_aggregator` A over the support serves every member: with
+    c = f - E f, a = A (p * c) holds E[c 1_b] / sqrt(mu(b)) on the row of
+    each pattern b, so the squares summed over the patterns of S give
+    Var(Y_S), and A^T (w * a) with w = P[U=S] / sd(Y_S) on the rows of S
+    sums w (Y_S - E f) at every configuration; the constant sum of w E f
+    adds the means back (Y_S reads E f on patterns of measure zero). A
+    member whose explained fraction Var(Y_S) / Var(f) is at most
+    EXACT_RANGE_TOL is dropped with a warning, the normalized form being
+    undefined there. Var(M f) is then exactly E[Corr(Y_U1, Y_U2)] over two
+    independent draws, pairs with a dropped member counting 0.
+    """
+    values = values_of(f, table.n)
+    support = [(bits, prob) for bits, prob in subset_support(spec, graph) if prob > 0]
+    agg = subset_aggregator(table, support)
+    p = table.p
+    # shifted by the value at a state of positive mass, so that f constant
+    # on the support centres to 0 exactly and drops every member
+    c = values - values[np.argmax(p > 0)]
+    c -= p @ c
+    rows = agg.matrix @ (p * c)
+    var = np.add.reduceat(np.square(rows), agg.offsets)
+    kept = var > EXACT_RANGE_TOL * (p @ np.square(c))
+    if not kept.any():
         raise ValueError("all family members are degenerate")
+    weight = np.divide(agg.probs, np.sqrt(var), out=np.zeros_like(var), where=kept)
+    patterns = np.diff(agg.offsets, append=len(rows))
+    out = agg.matrix.T @ (np.repeat(weight, patterns) * rows) + weight.sum() * (p @ values)
+    dropped = [bits for (bits, _), keep in zip(support, kept) if not keep]
     if dropped:
         warnings.warn(
             f"dropped {len(dropped)} zero-variance member(s) from the "
@@ -316,55 +335,6 @@ def apply_M_operator(
             stacklevel=2,
         )
     return out, dropped
-
-
-def average_correlation(
-    family: ConditionalFamily, spec: SubsetSpec, graph: Graph, table: ProbabilityTable
-) -> float:
-    """E[Corr(Y_U1, Y_U2)] over two independent subset draws.
-
-    Pairs involving a zero-variance member contribute 0, matching the
-    convention that such members are dropped from the normalized average;
-    with that convention Var(M-average) equals this quantity exactly.
-    """
-    support = subset_support(spec, graph)
-    normalized = []
-    probs = []
-    for bits, prob in support:
-        y = family.get(bits)
-        mu = table.expectation(y)
-        sd = math.sqrt(max(table.variance(y), 0.0))
-        probs.append(prob)
-        normalized.append(None if sd <= 0 else (y - mu) / sd)
-    total = 0.0
-    for i, yi in enumerate(normalized):
-        if yi is None:
-            continue
-        for j, yj in enumerate(normalized):
-            if yj is None:
-                continue
-            total += probs[i] * probs[j] * table.expectation(yi * yj)
-    return total
-
-
-def mean_correlation_with(
-    z, family: ConditionalFamily, spec: SubsetSpec, graph: Graph, table: ProbabilityTable
-) -> float:
-    """E[Corr(Z, Y_U)] over the subset draw, zero-variance members contributing 0."""
-    z_values = values_of(z, table.n)
-    mu_z = table.expectation(z_values)
-    sd_z = math.sqrt(max(table.variance(z_values), 0.0))
-    if sd_z <= 0:
-        raise ValueError("reference variable is constant")
-    total = 0.0
-    for bits, prob in subset_support(spec, graph):
-        y = family.get(bits)
-        mu = table.expectation(y)
-        sd = math.sqrt(max(table.variance(y), 0.0))
-        if sd <= 0:
-            continue
-        total += prob * table.expectation((z_values - mu_z) * (y - mu)) / (sd_z * sd)
-    return total
 
 
 @dataclass(frozen=True)
@@ -383,21 +353,18 @@ def boost_reconstruction(
     """Partial-to-full amplification: build the normalized subset average of
     the conditional means, observe the union of k independent subset draws,
     and verify the guaranteed lower bound
-    1 - 1/(1 + k * E[Corr(Y_U1, Y_U2)]) on the achieved expected clue.
+    1 - 1/(1 + k * E[Corr(Y_U1, Y_U2)]) on the achieved expected clue, with
+    E[Corr(Y_U1, Y_U2)] read as Var(M f) (`normalized_average`).
     """
-    values = values_of(f, table.n)
-    support = subset_support(spec, graph)
-    family = ConditionalFamily.of_conditionals(table, values, [s for s, _ in support])
-    for bits, prob in support:
-        if prob > 0 and table.variance(family.get(bits)) <= 0:
-            raise ValueError(
-                "spec support contains a subset with degenerate conditional mean; "
-                "the amplification bound needs unit-variance members"
-            )
-    avg_corr = average_correlation(family, spec, graph, table)
+    g, dropped = normalized_average(table, f, spec, graph)
+    if dropped:
+        raise ValueError(
+            "spec support contains a subset with degenerate conditional mean; "
+            "the amplification bound needs unit-variance members"
+        )
+    avg_corr = table.variance(g)
     if avg_corr <= 0:
         raise ValueError("zero average correlation: nothing to amplify")
-    g, _ = apply_M_operator(family, spec, graph, table)
     boosted = UnionOfKCopies(spec, k)
     achieved = expected_clue(table, g, boosted, graph)
     bound = 1.0 - 1.0 / (1.0 + k * avg_corr)
@@ -405,11 +372,8 @@ def boost_reconstruction(
         raise AssertionError(
             f"amplified clue {achieved!r} fell below the bound {bound!r}"
         )
-    unboosted = expected_clue(table, values, spec, graph)
+    unboosted = expected_clue(table, f, spec, graph)
     return BoostReport(g, boosted, achieved, bound, avg_corr, unboosted)
-
-
-# -- entropy inequality -------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -419,21 +383,20 @@ class ShearerReport:
     holds: bool
 
 
+def _entropy_terms(w: np.ndarray) -> np.ndarray:
+    """-w log2 w, and 0 where w = 0."""
+    return -w * np.log2(w, out=np.zeros_like(w), where=w > 0)
+
+
 def shearer_check(table: ProbabilityTable, spec: SubsetSpec, graph: Graph) -> ShearerReport:
-    """Subadditivity of entropy over a random subset independent of the spins."""
-
-    def entropy_bits(weights: np.ndarray) -> float:
-        pos = weights[weights > 0]
-        return float(-(pos * np.log2(pos)).sum())
-
+    """Subadditivity of entropy over a random subset independent of the
+    spins. Each subset's pattern law is mu(b) = (A p)_b^2 on the rows of
+    one `subset_aggregator` A over the support."""
     vec, _ = revealment(spec, graph)
-    lhs = entropy_bits(table.p) * float(vec.min())
-    idx = _bits.config_indices(table.n)
-    rhs = 0.0
-    for bits, prob in subset_support(spec, graph):
-        # law of the observed pattern idx & bits
-        keys = (idx & np.uint64(bits)).astype(np.int64)
-        rhs += prob * entropy_bits(np.bincount(keys, weights=table.p))
+    lhs = float(_entropy_terms(table.p).sum()) * float(vec.min())
+    agg = subset_aggregator(table, subset_support(spec, graph))
+    laws = np.square(agg.matrix @ table.p)
+    rhs = float(agg.probs @ np.add.reduceat(_entropy_terms(laws), agg.offsets))
     return ShearerReport(lhs, rhs, lhs <= rhs + 1e-10)
 
 

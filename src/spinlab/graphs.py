@@ -306,6 +306,9 @@ def component_labels(graph: Graph, open_edges) -> tuple[np.ndarray, int]:
 
 
 SUPPORT_CAP = 10**6
+#: Pairs of subsets that one copy of `UnionOfKCopies` may combine while it
+#: enumerates its support: several seconds of dictionary updates.
+SUPPORT_PAIR_CAP = 10**7
 
 
 class SubsetSpec:
@@ -584,8 +587,16 @@ class UnionOfKCopies(SubsetSpec):
         return 1.0 - (1.0 - inner_vec) ** self.k
 
     def _support(self, graph, cap):
-        inner = acc = subset_support(self.inner, graph, cap)
+        # each copy after the first pairs every subset so far with every
+        # inner one; the first pairing needs |inner|^2 <= SUPPORT_PAIR_CAP,
+        # which kinds that count their support refuse before enumerating it
+        inner_cap = min(cap, math.isqrt(SUPPORT_PAIR_CAP)) if self.k > 1 else cap
+        inner = acc = subset_support(self.inner, graph, inner_cap)
         for _ in range(self.k - 1):
+            if len(acc) * len(inner) > SUPPORT_PAIR_CAP:
+                raise ValueError(
+                    f"union of copies would combine {len(acc) * len(inner)} pairs of "
+                    f"subsets (cap {SUPPORT_PAIR_CAP})")
             acc = _merged(
                 ((b1 | b2, q1 * q2) for b1, q1 in acc for b2, q2 in inner), cap
             )

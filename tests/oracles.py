@@ -1,11 +1,13 @@
 """Exact reference computations that more than one test module checks the
 package against."""
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from spinlab import _bits
+from spinlab.clue import EXACT_RANGE_TOL
 from spinlab.graphs import subset_support
 from spinlab.measures import ProbabilityTable, values_of
 
@@ -93,4 +95,52 @@ def expected_clue_by_subset(table: ProbabilityTable, f, spec, graph) -> float:
     for bits, prob in subset_support(spec, graph):
         explained = table.variance(table.conditional_mean(values, bits)) / var_f
         total += prob * min(max(explained, 0.0), 1.0)
+    return total
+
+
+def _normalized_members(table: ProbabilityTable, f, spec, graph):
+    """(P[U=S], (Y_S - E Y_S) / sd(Y_S)) for every subset of the support,
+    with Y_S = E[f | F_S] from one `conditional_mean` per subset, and None
+    for a member whose explained fraction Var(Y_S) / Var(f) is at most
+    EXACT_RANGE_TOL."""
+    values = values_of(f, table.n)
+    var_f = table.variance(values)
+    members = []
+    for bits, prob in subset_support(spec, graph):
+        y = table.conditional_mean(values, bits)
+        var = table.variance(y)
+        keep = var > EXACT_RANGE_TOL * var_f
+        members.append((prob, (y - table.expectation(y)) / math.sqrt(var) if keep else None))
+    return members
+
+
+def average_correlation_by_subset(table: ProbabilityTable, f, spec, graph) -> float:
+    """E[Corr(Y_U1, Y_U2)] over two independent subset draws, as the double
+    sum over pairs of subsets; pairs with a dropped member contribute 0."""
+    members = [(q, y) for q, y in _normalized_members(table, f, spec, graph) if y is not None]
+    return sum(qi * qj * table.expectation(yi * yj)
+               for qi, yi in members for qj, yj in members)
+
+
+def mean_correlation_by_subset(table: ProbabilityTable, z, f, spec, graph) -> float:
+    """E[Corr(Z, Y_U)] over the subset draw, one subset at a time; dropped
+    members contribute 0."""
+    z_values = values_of(z, table.n)
+    sd_z = math.sqrt(table.variance(z_values))
+    if sd_z <= 0:
+        raise ValueError("reference variable is constant")
+    centred = z_values - table.expectation(z_values)
+    return sum(q * table.expectation(centred * y) / sd_z
+               for q, y in _normalized_members(table, f, spec, graph) if y is not None)
+
+
+def shearer_rhs_by_subset(table: ProbabilityTable, spec, graph) -> float:
+    """E[H(spins on U)] in bits, with one `bincount` of the observed
+    patterns x & S per subset."""
+    idx = _bits.config_indices(table.n)
+    total = 0.0
+    for bits, prob in subset_support(spec, graph):
+        law = np.bincount((idx & np.uint64(bits)).astype(np.int64), weights=table.p)
+        law = law[law > 0]
+        total += prob * float(-(law * np.log2(law)).sum())
     return total

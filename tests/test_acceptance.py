@@ -16,10 +16,10 @@ from spinlab.measures import (
     Majority,
     Parity,
     ProductMeasure,
-    SingleSpin,
     exact_table,
 )
 from spinlab.rng import stream
+from oracles import average_correlation_by_subset, mean_correlation_by_subset
 
 
 def report(num, name, ok, detail=""):
@@ -154,33 +154,28 @@ def test_criterion_06_operator_identities():
         f = rng.standard_normal(1 << n)
         k = int(rng.integers(1, max(2, n // 2)))
         spec = graphs.UniformK(k)
-        support = [s for s, _ in graphs.subset_support(spec, g)]
-        fam = clue.ConditionalFamily.of_conditionals(table, f, support)
-        mvals, _ = clue.apply_M_operator(fam, spec, g, table)
+        mvals, _ = clue.normalized_average(table, f, spec, g)
         mu_f, mu_m = table.expectation(f), table.expectation(mvals)
         corr_zm = table.expectation((f - mu_f) * (mvals - mu_m)) / math.sqrt(
             table.variance(f) * table.variance(mvals))
-        lhs = corr_zm * clue.mean_correlation_with(mvals, fam, spec, g, table)
-        rhs = clue.mean_correlation_with(f, fam, spec, g, table)
+        lhs = corr_zm * mean_correlation_by_subset(table, mvals, f, spec, g)
+        rhs = mean_correlation_by_subset(table, f, f, spec, g)
         worst = max(worst, abs(lhs - rhs))
         ok &= abs(lhs - rhs) <= 1e-9
-        strange_lhs = clue.average_correlation(fam, spec, g, table)
-        strange_rhs = clue.mean_correlation_with(mvals, fam, spec, g, table) ** 2
-        worst = max(worst, abs(strange_lhs - strange_rhs))
+        strange_lhs = average_correlation_by_subset(table, f, spec, g)
+        strange_rhs = mean_correlation_by_subset(table, mvals, f, spec, g) ** 2
+        worst = max(worst, abs(strange_lhs - strange_rhs), abs(strange_lhs - table.variance(mvals)))
         ok &= abs(strange_lhs - strange_rhs) <= 1e-9
+        ok &= abs(strange_lhs - table.variance(mvals)) <= 1e-9
         boost = clue.boost_reconstruction(f, spec, 3, table, g)
         ok &= boost.achieved >= boost.lower_bound - 1e-12
-    # the worked two-coordinate instance
+    # the worked two-coordinate instance: members sigma_0 and sigma_1
     g2 = graphs.custom(2, [])
     t2 = exact_table(ProductMeasure(), g2)
-    fam2 = clue.ConditionalFamily(t2, {
-        0b01: SingleSpin(0).table_values(2),
-        0b10: SingleSpin(1).table_values(2),
-    })
     spec2 = graphs.UniformK(1)
-    hand = clue.average_correlation(fam2, spec2, g2, t2)
-    hand2 = clue.mean_correlation_with(
-        clue.apply_M_operator(fam2, spec2, g2, t2)[0], fam2, spec2, g2, t2) ** 2
+    hand = average_correlation_by_subset(t2, Magnetization(), spec2, g2)
+    m2, _ = clue.normalized_average(t2, Magnetization(), spec2, g2)
+    hand2 = mean_correlation_by_subset(t2, m2, Magnetization(), spec2, g2) ** 2
     ok &= abs(hand - 0.5) <= 1e-12 and abs(hand2 - 0.5) <= 1e-12
     report(6, "subset-averaging operator identities and amplification bound",
            ok, f"50 random systems, worst residual {worst:.2e}, hand value 1/2")

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from spinlab import _bits, block_dyn, clue, graphs, measures
 from spinlab.measures import IsingMeasure, ProductMeasure, exact_table
 from spinlab.rng import stream
+from oracles import expected_clue_by_subset
 
 
 def delta_spec(n, members, q):
@@ -70,7 +71,7 @@ def test_operator_size_estimate_covers_the_built_arrays(n, spec):
     g = graphs.cycle(n)
     t = exact_table(IsingMeasure(0.4), g)
     support = graphs.subset_support(spec, g)
-    estimate = block_dyn.check_operator_size(n, support)
+    estimate = clue.check_aggregator_size(n, support)
     op = block_dyn.BlockOperator(t, support)
     agg = op._agg  # keys share the matrix's indices
     arrays = (agg.matrix.data, agg.matrix.indices, agg.matrix.indptr, agg.offsets,
@@ -133,6 +134,39 @@ def test_eigenclue_trials_follow_the_per_trial_stream(budget):
                  for _ in range(trials)]
     assert rep.max_trial_clue == pytest.approx(max(per_trial), abs=1e-12)
     assert rng.standard_normal() == loop.standard_normal()
+
+
+@st.composite
+def _eigen_cases(draw):
+    n = draw(st.integers(2, 7))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    t = measures.ProbabilityTable(n, rng.dirichlet(np.ones(1 << n)))
+    mask = st.lists(st.booleans(), min_size=n, max_size=n).map(np.array)
+    spec = draw(st.one_of(
+        st.integers(0, n).map(graphs.UniformK),
+        st.floats(0.0, 1.0).map(graphs.Bernoulli),
+        st.lists(st.tuples(mask, st.floats(0.01, 1.0)), min_size=1, max_size=4).map(
+            lambda items: graphs.Explicit(
+                [(m, w / sum(w for _, w in items)) for m, w in items])),
+    ))
+    return t, spec, rng
+
+
+@pytest.mark.filterwarnings("ignore:some vertex is kept")
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_eigen_cases())
+def test_lambda2_is_the_clue_of_the_second_eigenfunction(case):
+    # against the clue of one conditional_mean per subset, which shares no
+    # arithmetic with the operator's aggregator
+    t, spec, rng = case
+    g = graphs.custom(t.n, [])
+    rep = block_dyn.spectrum(block_dyn.block_operator(t, spec, g))
+    assert expected_clue_by_subset(t, rep.second_eigenfunction, spec, g) == pytest.approx(
+        rep.lambda_2, abs=1e-8)
+    verified = block_dyn.eigenclue_verify(t, spec, g, trials=20, rng=rng)
+    assert verified.lambda_2 == pytest.approx(rep.lambda_2, abs=1e-12)
+    assert verified.residual <= 1e-8
+    assert verified.max_trial_clue <= rep.lambda_2 + 1e-9
 
 
 def test_eigenclue_verify_single_site():

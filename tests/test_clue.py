@@ -20,7 +20,13 @@ from spinlab.measures import (
     exact_table,
 )
 from spinlab.rng import stream
-from oracles import expected_clue_by_subset, iclue_exact
+from oracles import (
+    average_correlation_by_subset,
+    expected_clue_by_subset,
+    iclue_exact,
+    mean_correlation_by_subset,
+    shearer_rhs_by_subset,
+)
 
 
 def table_corr(table, a, b):
@@ -342,19 +348,17 @@ def test_p_is_good_inequality():
 
 
 def test_m_operator_hand_instance():
+    # members sigma_0 and sigma_1 once normalized
     g = graphs.custom(2, [])
     t = exact_table(ProductMeasure(), g)
-    fam = clue.ConditionalFamily(t, {
-        0b01: SingleSpin(0).table_values(2),
-        0b10: SingleSpin(1).table_values(2),
-    })
     spec = graphs.UniformK(1)
-    vals, dropped = clue.apply_M_operator(fam, spec, g, t)
+    vals, dropped = clue.normalized_average(t, Magnetization(), spec, g)
     assert dropped == []
     assert t.variance(vals) == pytest.approx(0.5, abs=1e-12)
-    assert clue.average_correlation(fam, spec, g, t) == pytest.approx(0.5, abs=1e-12)
+    assert average_correlation_by_subset(t, Magnetization(), spec, g) == pytest.approx(
+        0.5, abs=1e-12)
     # the bizarre identity evaluates to 1/2 here
-    assert clue.mean_correlation_with(vals, fam, spec, g, t) ** 2 == pytest.approx(
+    assert mean_correlation_by_subset(t, vals, Magnetization(), spec, g) ** 2 == pytest.approx(
         0.5, abs=1e-12)
 
 
@@ -362,30 +366,27 @@ def test_m_operator_fixed_spec_unit_variance():
     g = graphs.cycle(4)
     t = exact_table(IsingMeasure(0.3), g)
     spec = graphs.Fixed(_bits.indices_to_mask([0, 1], 4))
-    fam = clue.ConditionalFamily.of_conditionals(
-        t, Magnetization(), [0b0011])
-    vals, _ = clue.apply_M_operator(fam, spec, g, t)
+    vals, _ = clue.normalized_average(t, Magnetization(), spec, g)
     assert t.variance(vals) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_m_operator_drops_degenerate_members():
+    # E[sigma_0 | nothing] is constant; the other member is sigma_0
     g = graphs.custom(2, [])
     t = exact_table(ProductMeasure(), g)
-    fam = clue.ConditionalFamily(t, {
-        0b00: np.zeros(4),
-        0b01: SingleSpin(0).table_values(2),
-    })
     spec = graphs.Explicit([
         (np.zeros(2, dtype=bool), 0.5),
         (_bits.indices_to_mask([0], 2), 0.5),
     ])
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        vals, dropped = clue.apply_M_operator(fam, spec, g, t)
+        vals, dropped = clue.normalized_average(t, SingleSpin(0), spec, g)
     assert dropped == [0]
     assert len(caught) == 1
     # remaining term: 0.5 * sigma_0 / 1
     assert np.allclose(vals, 0.5 * SingleSpin(0).table_values(2))
+    with pytest.raises(ValueError, match="degenerate"):
+        clue.normalized_average(t, np.full(4, 2.5), spec, g)
 
 
 def test_var_m_equals_average_correlation():
@@ -396,11 +397,9 @@ def test_var_m_equals_average_correlation():
         t = random_table(n, rng)
         f = rng.standard_normal(1 << n)
         spec = graphs.UniformK(int(rng.integers(1, n + 1)))
-        support = [s for s, _ in graphs.subset_support(spec, g)]
-        fam = clue.ConditionalFamily.of_conditionals(t, f, support)
-        vals, _ = clue.apply_M_operator(fam, spec, g, t)
+        vals, _ = clue.normalized_average(t, f, spec, g)
         assert t.variance(vals) == pytest.approx(
-            clue.average_correlation(fam, spec, g, t), abs=1e-10)
+            average_correlation_by_subset(t, f, spec, g), abs=1e-10)
 
 
 def test_correlation_identity_random_tables():
@@ -412,12 +411,9 @@ def test_correlation_identity_random_tables():
         t = random_table(n, rng)
         f = rng.standard_normal(1 << n)
         spec = graphs.UniformK(int(rng.integers(1, n)))
-        support = [s for s, _ in graphs.subset_support(spec, g)]
-        fam = clue.ConditionalFamily.of_conditionals(t, f, support)
-        mvals, _ = clue.apply_M_operator(fam, spec, g, t)
-        lhs = table_corr(t, f, mvals) * clue.mean_correlation_with(
-            mvals, fam, spec, g, t)
-        rhs = clue.mean_correlation_with(f, fam, spec, g, t)
+        mvals, _ = clue.normalized_average(t, f, spec, g)
+        lhs = table_corr(t, f, mvals) * mean_correlation_by_subset(t, mvals, f, spec, g)
+        rhs = mean_correlation_by_subset(t, f, f, spec, g)
         assert lhs == pytest.approx(rhs, abs=1e-9)
 
 
@@ -443,18 +439,33 @@ def test_boost_covers_everything_in_the_limit():
 def test_boost_on_ordered_mean_field():
     g = graphs.complete(12)
     t = exact_table(CurieWeissMeasure(1.5), g)
-    rep = clue.boost_reconstruction(
-        Magnetization(), graphs.UniformK(1), 6, t, g)
+    spec = graphs.UniformK(1)
+    rep = clue.boost_reconstruction(Magnetization(), spec, 6, t, g)
     assert rep.achieved >= rep.lower_bound
     assert rep.achieved > rep.unboosted
+    assert rep.average_correlation == pytest.approx(
+        average_correlation_by_subset(t, Magnetization(), spec, g), abs=1e-10)
 
 
 def test_boost_rejects_degenerate_support():
     g = graphs.custom(2, [])
     t = exact_table(ProductMeasure(), g)
     spec = graphs.Bernoulli(0.5)  # includes the empty subset
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError), pytest.warns(UserWarning, match="dropped 1"):
         clue.boost_reconstruction(Magnetization(), spec, 2, t, g)
+
+
+def test_aggregator_bytes_refused_before_building():
+    # 1140 subsets of 3 among 20 vertices: about 14 GB of entries
+    n = 20
+    g = graphs.custom(n, [])
+    t = measures.ProbabilityTable(n, np.full(1 << n, 1.0 / (1 << n)))
+    spec = graphs.UniformK(3)
+    for run in (lambda: clue.boost_reconstruction(Magnetization(), spec, 2, t, g),
+                lambda: clue.normalized_average(t, Magnetization(), spec, g),
+                lambda: clue.shearer_check(t, spec, g)):
+        with pytest.raises(ValueError, match=r"about \d+ bytes for 1140 subsets"):
+            run()
 
 
 def test_shearer_examples():
@@ -474,6 +485,19 @@ def test_shearer_examples():
     rep2 = clue.shearer_check(t6, graphs.UniformK(2), g6)
     assert rep2.holds
     assert rep2.lhs <= rep2.rhs + 1e-10
+
+
+def test_shearer_rhs_matches_subset_loop():
+    rng = stream(17, 8)
+    for _ in range(10):
+        n = int(rng.integers(2, 8))
+        g = graphs.custom(n, [])
+        p = rng.dirichlet(np.ones(1 << n)) * (rng.random(1 << n) < 0.7)
+        p[0] += 0.1  # holes: patterns of measure zero
+        t = measures.ProbabilityTable(n, p / p.sum())
+        for spec in (graphs.UniformK(int(rng.integers(0, n + 1))), graphs.Bernoulli(0.4)):
+            assert clue.shearer_check(t, spec, g).rhs == pytest.approx(
+                shearer_rhs_by_subset(t, spec, g), abs=1e-10)
 
 
 def test_majority_guess():

@@ -1,4 +1,6 @@
 import itertools
+import time
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -430,4 +432,19 @@ def test_subset_support_cap():
     g = graphs.torus(2, 5)
     with pytest.raises(ValueError):
         graphs.subset_support(graphs.UniformK(12), g, cap=1000)
+
+
+def test_union_support_refuses_before_pairing():
+    # C(20, 10)^2 = 3.4e10 pairs of subsets: refused before any is formed
+    start = time.perf_counter()
+    with pytest.raises(ValueError):
+        graphs.subset_support(graphs.UnionOfKCopies(graphs.UniformK(10), 2), graphs.cycle(20))
+    assert time.perf_counter() - start < 1.0
+    # later copies pair the merged support with the inner one
+    with mock.patch.object(graphs, "SUPPORT_PAIR_CAP", 100):
+        assert len(graphs.subset_support(
+            graphs.UnionOfKCopies(graphs.UniformK(1), 2), graphs.custom(8, []))) == 36
+        with pytest.raises(ValueError, match="288 pairs"):
+            graphs.subset_support(
+                graphs.UnionOfKCopies(graphs.UniformK(1), 3), graphs.custom(8, []))
 
