@@ -325,67 +325,75 @@ def _coupled_block_resample(
     y_cfg[block] = pair[1, block]
 
 
+def _seeded_disagreement(graph: Graph, params: IsingParams | None, cfg: np.ndarray, L: int,
+                         rng: np.random.Generator, sweeps: int) -> float:
+    """Disagreements left by one tiled block step from `cfg` and a copy of
+    it with one uniform vertex flipped (`params` None: beta = 0)."""
+    n = graph.n_vertices
+    v = int(rng.integers(n))
+    anchor = rng.integers(L + 3, size=len(graph.shape))
+    removed = tiled_complement_mask(graph, L, anchor)
+    if removed[v]:
+        # The seed itself is redrawn; all boundaries agree, so both
+        # copies coalesce under the shared randomness.
+        return 0.0
+    row = graph.geometry.nbrs[v]
+    row = row[row < n]  # without the sentinel n
+    touched = row[removed[row]]
+    if params is None or not len(touched):
+        return 1.0
+    x, y = cfg.copy(), cfg.copy()
+    y[v] = -y[v]
+    # The blocks are the clusters of the edges with both ends removed, on
+    # the actual graph (torus seams can merge clipped blocks); each kept
+    # vertex is a cluster of its own.
+    labels, _ = component_labels(graph, removed[graph.edges].all(axis=1))
+    for label in np.unique(labels[touched]):
+        block = np.flatnonzero(labels == label)
+        _coupled_block_resample(graph, params, x, y, block, rng, sweeps)
+    return float((x != y).sum())
+
+
 def path_coupling_rate(
     graph: Graph,
     beta: float,
-    L: int,
+    Ls: list[int],
     trials: int,
     rng: np.random.Generator,
     warmup_steps: int = 60,
     resample_sweeps: int = 40,
     thin: int = 3,
-) -> PathCouplingReport:
+) -> list[PathCouplingReport]:
     """One-step contraction of the tiled block chain from a single seeded
-    disagreement.
+    disagreement, one report per block side in `Ls`.
 
-    Each trial: advance one long-running cluster chain `thin` steps for a
-    near-stationary configuration, flip one uniform vertex in the copy,
+    Each trial advances one long-running cluster chain `thin` steps for a
+    near-stationary configuration (at beta = 0, a fresh uniform one), and
+    every L scores that configuration: flip one uniform vertex in a copy,
     draw one tiled subset, redraw all removed blocks under the
     identical-randomness coupling, and count disagreements. Blocks not
     adjacent to the seed redraw identically and are skipped; the blocks it
-    touches are redrawn in label order.
+    touches are redrawn in label order. The chain draws from the first
+    stream of `rng.spawn(1 + len(Ls))` and `Ls[j]` from stream j + 1, so
+    each report has the law of a run for its L alone, and appending an L
+    leaves the earlier reports unchanged.
     """
     if graph.kind != "torus" or len(graph.shape) not in (2, 3):
         raise ValueError("path coupling runs on 2D or 3D tori")
     if beta < 0:
         raise ValueError(f"need beta >= 0, got {beta}")
-    d = len(graph.shape)
     params = IsingParams(beta=beta, J=1.0) if beta > 0 else None
-    etas = np.empty(trials)
-    n = graph.n_vertices
-    nbrs = graph.geometry.nbrs
-    chain = sw_chain(graph, params, rng, warmup_steps) if beta > 0 else None
+    chain_rng, *trial_rngs = rng.spawn(1 + len(Ls))
+    etas = np.empty((len(Ls), trials))
+    chain = sw_chain(graph, params, chain_rng, warmup_steps) if beta > 0 else None
     for t in range(trials):
         if beta > 0:
-            chain = sw_chain(graph, params, rng, thin, chain)
-            x = chain.copy()
+            chain = sw_chain(graph, params, chain_rng, thin, chain)
         else:
-            x = rng.choice(_bits.SPINS, size=graph.n_vertices)
-        v = int(rng.integers(graph.n_vertices))
-        anchor = rng.integers(L + 3, size=d)
-        removed = tiled_complement_mask(graph, L, anchor)
-        if removed[v]:
-            # The seed itself is redrawn; all boundaries agree, so both
-            # copies coalesce under the shared randomness.
-            etas[t] = 0.0
-            continue
-        y = x.copy()
-        y[v] = -y[v]
-        eta = 1.0
-        if beta > 0:
-            row = nbrs[v][nbrs[v] < n]  # without the sentinel n
-            touched = row[removed[row]]
-            if len(touched):
-                # The blocks are the clusters of the edges with both ends
-                # removed, on the actual graph (torus seams can merge
-                # clipped blocks); each kept vertex is a cluster of its own.
-                labels, _ = component_labels(graph, removed[graph.edges].all(axis=1))
-                for label in np.unique(labels[touched]):
-                    block = np.flatnonzero(labels == label)
-                    _coupled_block_resample(
-                        graph, params, x, y, block, rng, resample_sweeps
-                    )
-                eta = float((x != y).sum())
-        etas[t] = eta
-    se = float(etas.std(ddof=1) / math.sqrt(trials)) if trials > 1 else math.nan
-    return PathCouplingReport(float(etas.mean()), se)
+            chain = chain_rng.choice(_bits.SPINS, size=graph.n_vertices)
+        for j, L in enumerate(Ls):
+            etas[j, t] = _seeded_disagreement(
+                graph, params, chain, L, trial_rngs[j], resample_sweeps)
+    se = (etas.std(ddof=1, axis=1) / math.sqrt(trials) if trials > 1
+          else np.full(len(Ls), math.nan))
+    return [PathCouplingReport(float(m), float(s)) for m, s in zip(etas.mean(axis=1), se)]

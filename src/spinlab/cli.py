@@ -385,13 +385,15 @@ def _check_tiling(params):
     g = graphs.torus(params["d"], params["side"])
     for L in params["Ls"]:
         graphs.revealment(graphs.Tiled(L), g)
+    if sorted(set(params["Ls"])) != params["Ls"]:
+        raise ValueError(f"Ls must be strictly increasing, got {params['Ls']}")
 
 
-def _tiled_chunk(g, params, seed, L, i, count):
-    rep = block_dyn.path_coupling_rate(g, params["beta"], L, count, stream(seed, L, i),
-                                       params["warmup_steps"], params["resample_sweeps"],
-                                       params["thin"])
-    return rep.eta1_mean, rep.eta1_se, count
+def _tiled_chunk(g, params, seed, i, count):
+    reps = block_dyn.path_coupling_rate(g, params["beta"], params["Ls"], count, stream(seed, i),
+                                        params["warmup_steps"], params["resample_sweeps"],
+                                        params["thin"])
+    return [(rep.eta1_mean, rep.eta1_se, count) for rep in reps]
 
 
 @recipe(
@@ -409,16 +411,14 @@ def _tiled_chunk(g, params, seed, L, i, count):
 def run_tiled_coupling(params, seed, writer, budget):
     g = graphs.torus(params["d"], params["side"])
     writer.table("tiled_coupling", ["beta", "L", "eta1_mean", "eta1_se", "trials"])
-    checks = []
+    if budget.exceeded():
+        return [Assertion("budget", "budget", "stopped before the chunks")]
+    sizes = _chunk_sizes(params["trials"], params["chunks"])
+    jobs = [(g, params, seed, i, c) for i, c in enumerate(sizes)]
+    chunks = parallel_map(_tiled_chunk, jobs, ising.check_sw_bytes(g, 1))
     beta = params["beta"]
     results = []
-    for L in params["Ls"]:
-        if budget.exceeded():
-            checks.append(Assertion("budget", "budget", f"stopped before L={L}"))
-            return checks
-        sizes = _chunk_sizes(params["trials"], params["chunks"])
-        jobs = [(g, params, seed, L, i, c) for i, c in enumerate(sizes)]
-        parts = parallel_map(_tiled_chunk, jobs, ising.check_sw_bytes(g, 1))
+    for L, parts in zip(params["Ls"], zip(*chunks)):
         total = sum(c for _, _, c in parts)
         mean = sum(m * c for m, _, c in parts) / total
         if len(parts) > 1:
@@ -428,6 +428,7 @@ def run_tiled_coupling(params, seed, writer, budget):
             se = parts[0][1]
         writer.row("tiled_coupling", beta, L, mean, se, total)
         results.append((L, mean, se))
+    checks = []
     if beta == 0.0:
         for L, mean, se in results:
             target = 1.0 - (L / (L + 3)) ** params["d"]

@@ -337,35 +337,54 @@ def test_one_step_simulation_matches_matrix_rows():
 def test_path_coupling_beta0_formula():
     g = graphs.torus(2, 16)
     for L in (3, 5):
-        rep = block_dyn.path_coupling_rate(g, 0.0, L, 4000, stream(23, 10 + L))
+        [rep] = block_dyn.path_coupling_rate(g, 0.0, [L], 4000, stream(23, 10 + L))
         target = 1 - (L / (L + 3)) ** 2
         assert abs(rep.eta1_mean - target) <= 3 * rep.eta1_se
 
 
+def test_path_coupling_beta0_formula_for_every_L_of_one_call():
+    # both Ls score the same uniform configurations, each with its own draws
+    g = graphs.torus(2, 16)
+    reps = block_dyn.path_coupling_rate(g, 0.0, [3, 5], 4000, stream(23, 14))
+    for L, rep in zip((3, 5), reps):
+        target = 1 - (L / (L + 3)) ** 2
+        assert abs(rep.eta1_mean - target) <= 3 * rep.eta1_se
+
+
+def test_path_coupling_appending_an_L_keeps_the_earlier_reports():
+    g = graphs.torus(2, 16)
+
+    def run(Ls, path):
+        return block_dyn.path_coupling_rate(g, 0.3, Ls, 30, stream(23, path), warmup_steps=10)
+
+    first = run([3, 5], 15)
+    assert run([3, 5, 8], 15)[:2] == first
+    assert run([3], 15) == first[:1]
+    assert run([3, 5], 15) == first  # a function of the seed
+    assert run([3, 5], 16) != first
+
+
 def test_path_coupling_requires_lattice():
     with pytest.raises(ValueError):
-        block_dyn.path_coupling_rate(graphs.cycle(8), 0.1, 2, 5, stream(23, 20))
+        block_dyn.path_coupling_rate(graphs.cycle(8), 0.1, [2], 5, stream(23, 20))
     with pytest.raises(ValueError):
-        block_dyn.path_coupling_rate(graphs.torus(2, 6), 0.1, 5, 5, stream(23, 21))
+        block_dyn.path_coupling_rate(graphs.torus(2, 6), 0.1, [5], 5, stream(23, 21))
 
 
 def test_path_coupling_rejects_negative_beta():
     g = graphs.torus(2, 6)
     with pytest.raises(ValueError):
-        block_dyn.path_coupling_rate(g, -0.1, 2, 5, stream(23, 22))
+        block_dyn.path_coupling_rate(g, -0.1, [2], 5, stream(23, 22))
     # beta = 0 stays the coin-flip path: each trial leaves 0 or 1 disagreement
-    assert 0.0 <= block_dyn.path_coupling_rate(g, 0.0, 2, 5, stream(23, 22)).eta1_mean <= 1.0
+    [rep] = block_dyn.path_coupling_rate(g, 0.0, [2], 5, stream(23, 22))
+    assert 0.0 <= rep.eta1_mean <= 1.0
 
 
 def test_path_coupling_contraction_small():
-    # moderate-size check that disagreement production shrinks with L
+    # moderate-size check that disagreement production shrinks with L, both
+    # sides scored on one chain as tiled-coupling does
     g = graphs.torus(2, 26)
-    reps = {
-        L: block_dyn.path_coupling_rate(
-            g, 0.25, L, 220, stream(23, 30 + L), warmup_steps=20)
-        for L in (3, 8)
-    }
-    r3, r8 = reps[3], reps[8]
+    r3, r8 = block_dyn.path_coupling_rate(g, 0.25, [3, 8], 220, stream(23, 30), warmup_steps=20)
     assert r3.eta1_mean - r8.eta1_mean > 2 * math.hypot(r3.eta1_se, r8.eta1_se)
 
 

@@ -130,6 +130,8 @@ def test_exit_codes(tmp_path):
                                "spec": {"kind": "uniform_k", "k": 1}}),  # no room for an event
         ("tiled-coupling", {"Ls": [0]}),
         ("tiled-coupling", {"Ls": [58]}),  # the tiling period L+3 exceeds the side
+        ("tiled-coupling", {"Ls": [5, 3]}),  # the contraction checks need increasing Ls
+        ("tiled-coupling", {"Ls": [3, 3]}),
         ("tiled-coupling", {"thin": 0}),
         ("tiled-coupling", {"beta": -0.1}),
         ("dac-identities", {"extra_edges": 7}),
@@ -241,6 +243,12 @@ def test_supercrit_budget_stops_before_the_chunks(tmp_path):
     assert summary["status"] == "budget"
     assert [a["status"] for a in summary["assertions"]] == ["budget"]
     assert len((tmp_path / "supercrit_giant.csv").read_text().splitlines()) == 1
+
+
+def test_tiled_budget_stops_before_the_chunks(tmp_path):
+    summary = run_recipe("tiled-coupling", {}, 0, tmp_path, budget_seconds=0.0)
+    assert [a["status"] for a in summary["assertions"]] == ["budget"]
+    assert len((tmp_path / "tiled_coupling.csv").read_text().splitlines()) == 1
 
 
 def test_dirichlet_cheeger_events_match_a_per_event_loop(tmp_path):
