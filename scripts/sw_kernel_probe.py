@@ -4,7 +4,10 @@ replica (the path of `sw_chain`), on graphs of 5 to 780 edges, plus the
 large single chain and replica batch that the recipes run, and one
 `graphs.component_labels` call (`labels`) on the graph sizes that call it:
 cycle(5), the 6-vertex path with 2 extra edges of `dac-bounds`, and the
-16x16 and 60x60 tori, each with every edge open with probability 1/2.
+16x16 and 60x60 tori, each with every edge open with probability 1/2;
+and one colour-class redraw of `ising.heat_bath` (`heat_bath_class_step_us`)
+on the 8x8 torus at beta_c with 4 frozen sites, as `fk-bound` runs it,
+for R = 2, 10, 80 and 240 replicas.
 
     PYTHONPATH=src python3 scripts/sw_kernel_probe.py [--repeat 5]
 
@@ -63,6 +66,17 @@ def time_labels(g, calls, repeat):
     return per_step_us(run, calls, repeat)
 
 
+def time_class_step(g, replicas, sweeps, repeat):
+    rng = np.random.default_rng(0)
+    par = ising.IsingParams(ising.BETA_C_2D)
+    frozen = np.zeros(g.n_vertices, dtype=bool)
+    frozen[[0, 9, 18, 27]] = True
+    cfgs = rng.choice(np.array([-1, 1], dtype=np.int8), size=(replicas, g.n_vertices))
+    steps = sweeps * len(g.geometry.classes)
+    return per_step_us(lambda: ising.heat_bath(cfgs, g, par, sweeps, rng, frozen=frozen),
+                       steps, repeat)
+
+
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--repeat", type=int, default=5)
@@ -99,8 +113,10 @@ def main():
                                ("torus 16x16", graphs.torus(2, 16), 500),
                                ("torus 60x60", t60, 100)]
     }
+    class_step = {f"torus 8x8, R={r}": round(time_class_step(t8, r, 600, args.repeat), 2)
+                  for r in (2, 10, 80, 240)}
     print(json.dumps({"beta": BETA, "single_chain": single_chain, "batches": batches,
-                      "labels_us": labels}, indent=1))
+                      "labels_us": labels, "heat_bath_class_step_us": class_step}, indent=1))
 
 
 if __name__ == "__main__":

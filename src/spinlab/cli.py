@@ -582,20 +582,29 @@ def run_dac_bounds(params, seed, writer, budget):
     return checks
 
 
-def _check_fk_bound(params):
+def _check_fk_bound(params) -> int:
+    """Refuse a config whose batches exceed their caps, before any work;
+    return the bytes of the largest job."""
     g = graphs.torus(2, params["side"])
     graphs.revealment(graphs.UniformK(params["spec_k"]), g)
     # the fk_samples chains and each clue_mc's `outer` full draws are
-    # replica batches of one swendsen_wang call
-    ising.check_sw_bytes(g, params["fk_samples"])
-    ising.check_sw_bytes(g, params["outer"])
+    # replica batches of one swendsen_wang call, its inner draws one heat_bath batch
+    return max(ising.check_sw_bytes(g, params["fk_samples"]),
+               ising.check_sw_bytes(g, params["outer"]),
+               clue_mod.check_batch_bytes(params["outer"], params["inner"], g.n_vertices))
 
 
-def _fk_clue_draw(g, params, seed, bi, r):
-    sampler = ising.ConditionalGibbsSampler(g, ising.IsingParams(params["betas"][bi]),
+def _fk_job(g, params, seed, bi, r):
+    """Job r of the bi-th beta: its cluster-moment bound for r = -1, else
+    the clue of the magnetization on the r-th drawn subset."""
+    beta, spec = params["betas"][bi], graphs.UniformK(params["spec_k"])
+    if r < 0:
+        return dac.fk_magnetization_bound(g, beta, spec, params["fk_samples"],
+                                          stream(seed, 20, bi), sweeps=params["fk_sweeps"])
+    sampler = ising.ConditionalGibbsSampler(g, ising.IsingParams(beta),
                                             params["inner_sweeps"], params["sw_burnin"])
     rng = stream(seed, 21, bi, r)
-    mask = graphs.sample_subset(graphs.UniformK(params["spec_k"]), g, rng)
+    mask = graphs.sample_subset(spec, g, rng)
     return clue_mod.clue_mc(sampler, measures.Magnetization(), mask, params["outer"],
                             params["inner"], rng, bootstrap=50).value
 
@@ -617,25 +626,21 @@ def _fk_clue_draw(g, params, seed, bi, r):
 )
 def run_fk_bound(params, seed, writer, budget):
     g = graphs.torus(2, params["side"])
-    spec = graphs.UniformK(params["spec_k"])
     writer.table("fk_bound", [
         "beta", "clue_mc", "clue_se", "ratio_bound", "ratio_se",
         "max_cluster_bound",
     ])
+    if budget.exceeded():
+        return [Assertion("budget", "budget", "stopped before the chunks")]
+    per_beta = params["u_draws"] + 1  # the bound, then the clue draws
+    jobs = [(g, params, seed, bi, r)
+            for bi in range(len(params["betas"])) for r in range(-1, params["u_draws"])]
+    results = parallel_map(_fk_job, jobs, _check_fk_bound(params))
     checks = []
     for bi, beta in enumerate(params["betas"]):
-        if budget.exceeded():
-            checks.append(Assertion("budget", "budget", f"stopped before beta={beta}"))
-            return checks
-        bound = dac.fk_magnetization_bound(
-            g, beta, spec, params["fk_samples"], stream(seed, 20, bi),
-            sweeps=params["fk_sweeps"],
-        )
-        values = np.array(parallel_map(
-            _fk_clue_draw, [(g, params, seed, bi, r) for r in range(params["u_draws"])],
-            ising.check_sw_bytes(g, params["outer"])))
-        mc = float(values.mean())
-        se = float(values.std(ddof=1) / math.sqrt(len(values)))
+        bound, *values = results[bi * per_beta:(bi + 1) * per_beta]
+        mc = float(np.mean(values))
+        se = float(np.std(values, ddof=1) / math.sqrt(len(values)))
         writer.row("fk_bound", beta, mc, se, bound.ratio_bound, bound.ratio_se,
                    bound.max_cluster_bound)
         comb = math.sqrt(se**2 + bound.ratio_se**2)

@@ -23,6 +23,7 @@ from scipy.sparse import csc_matrix
 
 from . import _bits
 from .graphs import Graph, SubsetSpec, UnionOfKCopies, revealment, subset_support
+from .ising import SW_BYTES_CAP
 from .measures import Observable, ProbabilityTable, values_of
 from .rng import bootstrap_se
 
@@ -415,6 +416,22 @@ def majority_guess(config: np.ndarray, subset_mask: np.ndarray) -> int:
 # -- Monte Carlo estimator ----------------------------------------------------
 
 
+#: Bytes per site of each row of `clue_mc`'s batch of inner draws: three
+#: copies of the configurations, and one colour class's gather (up to 8 slots
+#: per site), sums, uniforms, probabilities and new spins.
+BATCH_SITE_BYTES = 32
+
+
+def check_batch_bytes(outer: int, inner: int, n: int) -> int:
+    """The bytes of `clue_mc`'s (outer * inner, n) batch of inner draws;
+    raise `ValueError` if that is more than `SW_BYTES_CAP`."""
+    est = BATCH_SITE_BYTES * outer * inner * n
+    if est > SW_BYTES_CAP:
+        raise ValueError(f"clue_mc's batch of {outer} x {inner} draws of {n} sites needs "
+                         f"about {est} bytes, over the cap of {SW_BYTES_CAP}")
+    return est
+
+
 def clue_mc(
     sampler,
     f: Observable,
@@ -427,23 +444,23 @@ def clue_mc(
     """Nested-variance estimator of the explained-variance fraction.
 
     Draw one full configuration per outer group, freeze the observed
-    spins, and resample the complement of all groups together `inner`
-    times (`sampler.resample_free` takes the groups as the rows of one
-    array); the between-group mean
-    square minus (within mean square)/inner removes the O(1/inner) bias of
-    the naive conditional-mean variance. The ratio is clamped to [0, 1] and
-    its standard error comes from a replica bootstrap over outer groups.
+    spins, and redraw the complement of each `inner` times: all
+    outer * inner rows go through one `sampler.resample_free` call, each
+    from a copy of its group's configuration, so the inner draws of a group
+    are independent chains from it. The between-group mean square minus
+    (within mean square)/inner removes the O(1/inner) bias of the naive
+    conditional-mean variance. The ratio is clamped to [0, 1] and its
+    standard error comes from a replica bootstrap over outer groups.
     """
     if inner < 2:
         raise ValueError("need at least 2 inner samples per group")
     if outer < 2:
         raise ValueError("need at least 2 outer groups")
     frozen_mask = np.asarray(frozen_mask, dtype=bool)
-    ys = np.empty((outer, inner))
-    cfgs = sampler.draw_full(rng, outer)
-    for j in range(inner):
-        cfgs = sampler.resample_free(cfgs, frozen_mask, rng)
-        ys[:, j] = [f.evaluate(cfg) for cfg in cfgs]
+    check_batch_bytes(outer, inner, len(frozen_mask))
+    cfgs = np.repeat(sampler.draw_full(rng, outer), inner, axis=0)
+    cfgs = sampler.resample_free(cfgs, frozen_mask, rng)
+    ys = np.array([f.evaluate(cfg) for cfg in cfgs]).reshape(outer, inner)
 
     def ratio(groups: np.ndarray) -> float:
         means = groups.mean(axis=1)

@@ -290,12 +290,12 @@ def component_labels(graph: Graph, open_edges) -> tuple[np.ndarray, int]:
     size = len(rows) * n
     is_open = np.zeros((len(rows), m + 1), dtype=bool)  # column m: the padding slot
     is_open[:, :m] = rows
-    open_slots = is_open.take(geom.slot_edge.ravel(), axis=1).ravel()
+    open_slots = np.flatnonzero(is_open.take(geom.slot_edge.ravel(), axis=1))
     indptr = np.zeros(size + 1, dtype=np.int32)
     if degmax:
-        indptr[1:] = np.cumsum(open_slots, dtype=np.int32)[degmax - 1::degmax]
+        np.cumsum(np.bincount(open_slots // degmax, minlength=size), out=indptr[1:])
     offsets = n * np.arange(len(rows), dtype=np.int32)[:, None]
-    indices = np.compress(open_slots, geom.nbrs.ravel().astype(np.int32) + offsets)
+    indices = np.take(geom.nbrs.ravel().astype(np.int32) + offsets, open_slots)
     mat = csr_matrix((np.ones(len(indices)), indices, indptr), shape=(size, size))
     k, labels = connected_components(mat, directed=True, connection="strong")
     return labels.reshape(opens.shape[:-1] + (n,)), k

@@ -151,21 +151,23 @@ def heat_bath(
     degmax = geom.max_degree
     # P[+1 | neighbour sum m] at index m, negative m counting from the end
     p_plus = np.roll(_heat_bath_tables(params, degmax), -degmax)
+    acc = np.int8 if degmax <= 127 else np.int16  # holds every sum in -degmax..degmax
     plan = []  # (sites, neighbour slots by degree, shape of one draw of uniforms)
     for sites in geom.classes:
         if frozen is not None:
             sites = sites[~np.asarray(frozen, dtype=bool)[sites]]
         if len(sites):
-            shape = len(sites) if coupled else (len(cfgs), len(sites))
+            shape = (1 if coupled else len(cfgs), len(sites))
             plan.append((sites, geom.nbrs[sites].T.copy(), shape))
-    work = np.zeros((len(cfgs), n + 1), dtype=np.int8)  # column n: the sentinel 0
-    work[:, :n] = cfgs
-    up, down = np.int8(1), np.int8(-1)
+    # site-major, so that the neighbour sum adds whole rows of replicas;
+    # row n is the sentinel 0
+    work = np.zeros((n + 1, len(cfgs)), dtype=np.int8)
+    work[:n] = cfgs.T
     for _ in range(sweeps):
         for sites, slots, shape in plan:
-            m = work.take(slots, axis=1).sum(axis=1)
-            work[:, sites] = np.where(rng.random(shape) < p_plus[m], up, down)
-    cfgs[:] = work[:, :n]
+            m = work.take(slots, axis=0).sum(axis=0, dtype=acc)
+            work[sites] = (rng.random(shape).T < p_plus[m]).view(np.int8) * 2 - 1
+    cfgs[:] = work[:n].T
     return cfgs
 
 
@@ -196,10 +198,10 @@ def _cluster_labeller(graph: Graph, replicas: int, params: IsingParams):
     if params.h != 0.0:
         raise ValueError("cluster moves need zero external field")
     check_sw_bytes(graph, replicas)
-    ends, m, p_bond = graph.edges.T, graph.n_edges, params.p_bond
+    (a, b), m, p_bond = graph.edges.T.copy(), graph.n_edges, params.p_bond
 
     def label(cfgs: np.ndarray, rng: np.random.Generator) -> tuple[np.ndarray, int]:
-        return component_labels(graph, (cfgs[:, ends[0]] == cfgs[:, ends[1]])
+        return component_labels(graph, (cfgs.take(a, axis=1) == cfgs.take(b, axis=1))
                                 & (rng.random((replicas, m)) < p_bond))
 
     return label
@@ -208,7 +210,7 @@ def _cluster_labeller(graph: Graph, replicas: int, params: IsingParams):
 def _cluster_coins(labels: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     """One fair +-1 int8 coin per cluster, drawn as `rng.random(k) < 0.5` in
     label order, spread over the sites by their cluster labels."""
-    return np.where(rng.random(k) < 0.5, np.int8(1), np.int8(-1))[labels]
+    return ((rng.random(k) < 0.5).view(np.int8) * 2 - 1)[labels]
 
 
 def swendsen_wang(

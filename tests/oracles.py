@@ -1,14 +1,17 @@
-"""Exact reference computations that more than one test module checks the
-package against."""
+"""Exact reference computations, and the earlier forms of the sampling kernels,
+that the tests check the package against."""
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 from spinlab import _bits
 from spinlab.clue import EXACT_RANGE_TOL
 from spinlab.graphs import subset_support
+from spinlab.ising import _heat_bath_tables
 from spinlab.measures import ProbabilityTable, values_of
 
 
@@ -144,3 +147,62 @@ def shearer_rhs_by_subset(table: ProbabilityTable, spec, graph) -> float:
         law = law[law > 0]
         total += prob * float(-(law * np.log2(law)).sum())
     return total
+
+
+def heat_bath_reference(cfgs, graph, params, sweeps, rng, frozen=None, coupled=False):
+    """`ising.heat_bath` in its replica-major form: each colour class sums its
+    neighbours with one (R, degree, sites) gather added up in int64 and sets
+    the new spins with `np.where`. It draws the same uniforms in the same
+    order, so the kernel must match it bit for bit."""
+    n = graph.n_vertices
+    geom = graph.geometry
+    degmax = geom.max_degree
+    p_plus = np.roll(_heat_bath_tables(params, degmax), -degmax)
+    plan = []
+    for sites in geom.classes:
+        if frozen is not None:
+            sites = sites[~np.asarray(frozen, dtype=bool)[sites]]
+        if len(sites):
+            shape = len(sites) if coupled else (len(cfgs), len(sites))
+            plan.append((sites, geom.nbrs[sites].T.copy(), shape))
+    work = np.zeros((len(cfgs), n + 1), dtype=np.int8)  # column n: the sentinel 0
+    work[:, :n] = cfgs
+    for _ in range(sweeps):
+        for sites, slots, shape in plan:
+            m = work.take(slots, axis=1).sum(axis=1)
+            work[:, sites] = np.where(rng.random(shape) < p_plus[m], np.int8(1), np.int8(-1))
+    cfgs[:] = work[:, :n]
+    return cfgs
+
+
+def component_labels_reference(graph, open_edges):
+    """`graphs.component_labels` with its CSR row pointers read off a cumsum
+    over every neighbour slot and its column indices compressed from all
+    slots; the same matrix, so the same labels and count."""
+    opens = np.asarray(open_edges, dtype=bool)
+    geom = graph.geometry
+    n, m, degmax = graph.n_vertices, graph.n_edges, geom.max_degree
+    rows = np.atleast_2d(opens)
+    size = len(rows) * n
+    is_open = np.zeros((len(rows), m + 1), dtype=bool)
+    is_open[:, :m] = rows
+    open_slots = is_open.take(geom.slot_edge.ravel(), axis=1).ravel()
+    indptr = np.zeros(size + 1, dtype=np.int32)
+    if degmax:
+        indptr[1:] = np.cumsum(open_slots, dtype=np.int32)[degmax - 1::degmax]
+    offsets = n * np.arange(len(rows), dtype=np.int32)[:, None]
+    indices = np.compress(open_slots, geom.nbrs.ravel().astype(np.int32) + offsets)
+    mat = csr_matrix((np.ones(len(indices)), indices, indptr), shape=(size, size))
+    k, labels = connected_components(mat, directed=True, connection="strong")
+    return labels.reshape(opens.shape[:-1] + (n,)), k
+
+
+def swendsen_wang_step_reference(cfgs, graph, params, rng):
+    """One step of `ising.swendsen_wang` on the (R, n) array `cfgs` with its
+    bond ends read by fancy indexing, `component_labels_reference` and the
+    cluster coins from `np.where`; returns (labels, k, new configurations)."""
+    u, v = graph.edges.T
+    opens = (cfgs[:, u] == cfgs[:, v]) & (rng.random((len(cfgs), graph.n_edges))
+                                          < params.p_bond)
+    labels, k = component_labels_reference(graph, opens)
+    return labels, k, np.where(rng.random(k) < 0.5, np.int8(1), np.int8(-1))[labels]

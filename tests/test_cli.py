@@ -102,6 +102,8 @@ def test_exit_codes(tmp_path):
         # Swendsen-Wang step bytes of the fk_samples and the outer replica batches
         ("fk-bound", {"fk_samples": 100000, "betas": [0.3]}),
         ("fk-bound", {"outer": 100000, "betas": [0.3], "fk_samples": 10}),
+        # bytes of each clue draw's one (outer x inner, n) heat-bath batch
+        ("fk-bound", {"outer": 1000, "inner": 100000, "betas": [0.3], "fk_samples": 10}),
         ("cw-guess", {"budget_seconds": 5}),
         ("ffiid-demo", {"draws": 0}),
         ("ffiid-demo", {"n_half": 1}),

@@ -576,6 +576,40 @@ def test_clue_mc_validation():
                      outer=1, inner=4, rng=stream(17, 10))
 
 
+def test_clue_mc_inner_draws_start_from_their_outer_configuration():
+    # with no sweeps between draws, every inner draw is its group's full draw
+    g = graphs.torus(2, 4)
+    sampler = ising.ConditionalGibbsSampler(g, ising.IsingParams(0.3), sweeps_between=0,
+                                            sw_burnin=10)
+    seen = {}
+
+    def record(name, method):
+        def wrapped(*args):
+            seen[name] = method(*args)
+            return seen[name]
+        return wrapped
+
+    sampler.draw_full = record("full", sampler.draw_full)
+    sampler.resample_free = record("inner", sampler.resample_free)
+    est = clue.clue_mc(sampler, Magnetization(), _bits.indices_to_mask([0, 5], 16),
+                       outer=6, inner=3, rng=stream(17, 12))
+    assert seen["inner"].shape == (18, 16)
+    assert np.array_equal(seen["inner"].reshape(6, 3, 16),
+                          np.broadcast_to(seen["full"][:, None], (6, 3, 16)))
+    # no within-group spread: the conditional variance is all of Var(M)
+    assert est.value == 1.0
+
+
+def test_clue_mc_refuses_an_oversized_batch_before_drawing():
+    class Refuse:
+        def draw_full(self, rng, count):
+            raise AssertionError("drew before checking the batch bytes")
+
+    with pytest.raises(ValueError, match="bytes"):
+        clue.clue_mc(Refuse(), Magnetization(), np.zeros(64, bool),
+                     outer=1000, inner=100000, rng=stream(17, 13))
+
+
 def test_clue_mc_matches_mean_field_oracle():
     from spinlab import curie_weiss as cw
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from spinlab import _bits, graphs
 from spinlab.rng import stream
+from oracles import component_labels_reference
 from test_block_dyn import _chains
 
 
@@ -345,6 +346,19 @@ def test_component_labels_ranked_and_match_union_find(g, replicas, p, seed):
         assert np.array_equal(one + offset, labels[r])
         offset += k_r
     assert offset == k
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.one_of(_custom_with_isolated(), st.just(graphs.complete(130)),
+                 st.builds(graphs.torus, st.just(2), st.integers(3, 8))),
+       st.sampled_from([None, 1, 2, 7]), st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
+def test_component_labels_match_reference_csr(g, replicas, p, seed):
+    # the same CSR matrix as a cumsum over every slot builds: labels and count
+    shape = (g.n_edges,) if replicas is None else (replicas, g.n_edges)
+    opens = np.random.default_rng(seed).random(shape) < p
+    labels, k = graphs.component_labels(g, opens)
+    ref, ref_k = component_labels_reference(g, opens)
+    assert k == ref_k and labels.shape == ref.shape and np.array_equal(labels, ref)
 
 
 def test_tiled_rejects_oversized_blocks():

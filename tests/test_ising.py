@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from spinlab import _bits, graphs, ising
 from spinlab.measures import IsingMeasure, exact_table
 from spinlab.rng import stream
-from oracles import susceptibility
+from oracles import heat_bath_reference, susceptibility, swendsen_wang_step_reference
 from test_graphs import _custom_with_isolated, _union_find_labels
 
 
@@ -410,6 +411,52 @@ def test_heat_bath_kernel_properties(g, beta, J, h, replicas, seed):
     ising.heat_bath(pair, g, par, 3, rng, frozen=frozen, coupled=True)
     assert (pair[0] >= pair[1]).all()
     assert np.array_equal(pair[:, frozen], np.stack([x, below])[:, frozen])
+
+
+def _kernel_graphs():
+    """Lattices, complete graphs, custom graphs of irregular degree with an
+    isolated vertex, and complete(130), whose neighbour sums need 16 bits."""
+    return st.one_of(_graphs(), _custom_with_isolated(), st.just(graphs.complete(130)))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(_kernel_graphs(), st.floats(0.0, 1.5), st.floats(-0.5, 0.5),
+       st.sampled_from([1, 2, 7]), st.sampled_from([None, 0.0, 0.4, 1.0]), st.booleans(),
+       st.integers(0, 2**32 - 1))
+def test_heat_bath_matches_reference_kernel(g, beta, h, replicas, p_frozen, coupled, seed):
+    # site for site and draw for draw, against the replica-major class step
+    n = g.n_vertices
+    rng = np.random.default_rng(seed)
+    frozen = None if p_frozen is None else rng.random(n) < p_frozen
+    cfgs = rng.choice(np.array([-1, 1], dtype=np.int8), size=(replicas, n))
+    ref, twin = cfgs.copy(), copy.deepcopy(rng)
+    par = ising.IsingParams(beta, h=h)
+    out = ising.heat_bath(cfgs, g, par, 3, rng, frozen=frozen, coupled=coupled)
+    heat_bath_reference(ref, g, par, 3, twin, frozen=frozen, coupled=coupled)
+    assert out is cfgs and cfgs.dtype == np.int8
+    assert np.array_equal(cfgs, ref)
+    assert rng.random() == twin.random()
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(_kernel_graphs(), st.floats(0.0, 1.5), st.sampled_from([1, 2, 7]),
+       st.integers(0, 2**32 - 1))
+def test_swendsen_wang_matches_reference_step(g, beta, replicas, seed):
+    # bond draw, labels, cluster count and coins, against the reference step
+    rng = np.random.default_rng(seed)
+    cfgs = rng.choice(np.array([-1, 1], dtype=np.int8), size=(replicas, g.n_vertices))
+    par = ising.IsingParams(beta)
+    twin = copy.deepcopy(rng)
+    labels, k = ising._cluster_labeller(g, replicas, par)(cfgs, rng)
+    ref_labels, ref_k, ref_cfgs = swendsen_wang_step_reference(cfgs, g, par, twin)
+    assert k == ref_k and np.array_equal(labels, ref_labels)
+    cfgs = ising._cluster_coins(labels, k, rng)
+    assert cfgs.dtype == np.int8 and np.array_equal(cfgs, ref_cfgs)
+    assert rng.random() == twin.random()
+    # and the kernel's next step from there
+    ising.swendsen_wang(cfgs, g, par, 1, rng)
+    assert np.array_equal(cfgs, swendsen_wang_step_reference(ref_cfgs, g, par, twin)[2])
+    assert rng.random() == twin.random()
 
 
 @pytest.mark.parametrize("g, beta, J, frozen_sites, n_classes", [
