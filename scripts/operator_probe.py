@@ -24,6 +24,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 import numpy as np  # noqa: E402
 
 from spinlab import block_dyn, graphs, measures  # noqa: E402
+from spinlab.rng import stream  # noqa: E402
 
 BETA = 0.4
 
@@ -41,7 +42,7 @@ def probe(g, repeat: int) -> dict:
         return block_dyn.block_operator(table, spec, g)
 
     op = build()
-    f = np.random.default_rng(0).standard_normal(1 << g.n_vertices)
+    f = stream(0).standard_normal(1 << g.n_vertices)
     small = g.n_vertices <= 12
     out = {
         "n": g.n_vertices,

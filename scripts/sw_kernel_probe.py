@@ -7,7 +7,10 @@ cycle(5), the 6-vertex path with 2 extra edges of `dac-bounds`, and the
 16x16 and 60x60 tori, each with every edge open with probability 1/2;
 and one colour-class redraw of `ising.heat_bath` (`heat_bath_class_step_us`)
 on the 8x8 torus at beta_c with 4 frozen sites, as `fk-bound` runs it,
-for R = 2, 10, 80 and 240 replicas.
+for R = 2, 10, 80 and 240 replicas; and one bulk draw of uniforms
+(`uniforms_us`) of 2560 doubles (one heat-bath class of `fk-bound`'s
+R = 80 batch) and 7200 doubles (one bond draw on the 60x60 torus).
+Every draw comes from `rng.stream`, the generator the recipes run.
 
     PYTHONPATH=src python3 scripts/sw_kernel_probe.py [--repeat 5]
 
@@ -27,6 +30,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 import numpy as np  # noqa: E402
 
 from spinlab import graphs, ising  # noqa: E402
+from spinlab.rng import stream  # noqa: E402
 
 BETA = 0.4
 
@@ -37,7 +41,7 @@ def per_step_us(fn, steps: int, repeat: int) -> float:
 
 
 def time_step_path(g, steps, repeat):
-    rng = np.random.default_rng(0)
+    rng = stream(0)
     par = ising.IsingParams(BETA)
     cfg = rng.choice(np.array([-1, 1], dtype=np.int8), size=g.n_vertices)
 
@@ -50,14 +54,14 @@ def time_step_path(g, steps, repeat):
 
 
 def time_kernel(g, replicas, steps, repeat):
-    rng = np.random.default_rng(0)
+    rng = stream(0)
     par = ising.IsingParams(BETA)
     cfgs = rng.choice(np.array([-1, 1], dtype=np.int8), size=(replicas, g.n_vertices))
     return per_step_us(lambda: ising.swendsen_wang(cfgs, g, par, steps, rng), steps, repeat)
 
 
 def time_labels(g, calls, repeat):
-    opens = np.random.default_rng(0).random(g.n_edges) < 0.5
+    opens = stream(0).random(g.n_edges) < 0.5
 
     def run():
         for _ in range(calls):
@@ -67,7 +71,7 @@ def time_labels(g, calls, repeat):
 
 
 def time_class_step(g, replicas, sweeps, repeat):
-    rng = np.random.default_rng(0)
+    rng = stream(0)
     par = ising.IsingParams(ising.BETA_C_2D)
     frozen = np.zeros(g.n_vertices, dtype=bool)
     frozen[[0, 9, 18, 27]] = True
@@ -75,6 +79,16 @@ def time_class_step(g, replicas, sweeps, repeat):
     steps = sweeps * len(g.geometry.classes)
     return per_step_us(lambda: ising.heat_bath(cfgs, g, par, sweeps, rng, frozen=frozen),
                        steps, repeat)
+
+
+def time_uniforms(size, calls, repeat):
+    rng = stream(0)
+
+    def run():
+        for _ in range(calls):
+            rng.random(size)
+
+    return per_step_us(run, calls, repeat)
 
 
 def main():
@@ -115,8 +129,11 @@ def main():
     }
     class_step = {f"torus 8x8, R={r}": round(time_class_step(t8, r, 600, args.repeat), 2)
                   for r in (2, 10, 80, 240)}
+    uniforms = {f"{size} doubles": round(time_uniforms(size, 2000, args.repeat), 2)
+                for size in (2560, 7200)}
     print(json.dumps({"beta": BETA, "single_chain": single_chain, "batches": batches,
-                      "labels_us": labels, "heat_bath_class_step_us": class_step}, indent=1))
+                      "labels_us": labels, "heat_bath_class_step_us": class_step,
+                      "uniforms_us": uniforms}, indent=1))
 
 
 if __name__ == "__main__":

@@ -28,6 +28,7 @@ from .clue import ClueKernel, subset_aggregator
 from .graphs import Graph, SubsetSpec, component_labels, subset_support, tiled_complement_mask
 from .ising import IsingParams, conditional_exact_resample, heat_bath, sw_chain
 from .measures import ProbabilityTable
+from .rng import stream
 
 #: Largest vertex count for which `BlockOperator.matrix` builds the dense
 #: 2^n x 2^n oracle.
@@ -138,7 +139,7 @@ def block_operator(table: ProbabilityTable, spec: SubsetSpec, graph: Graph) -> B
     if np.abs(op.apply(np.ones(size)) - 1.0).max() > 1e-12:
         raise AssertionError("P must fix constants")
     mu = table.p
-    rng = np.random.default_rng(0)
+    rng = stream(0)
     for _ in range(3):
         f, g = rng.standard_normal((2, size))
         if abs(mu @ (f * op.apply(g)) - mu @ (op.apply(f) * g)) > 1e-10:
@@ -172,7 +173,7 @@ def spectrum(op: BlockOperator) -> SpectrumReport:
         sym = LinearOperator(
             (size, size), matvec=lambda v: root * op.apply(v / root), dtype=np.float64
         )
-        start = root * np.random.default_rng(0).standard_normal(size)
+        start = root * stream(0).standard_normal(size)
         vals, vecs = eigsh(sym, k=2, which="LA", v0=start)
     else:
         vals, vecs = np.linalg.eigh(root[:, None] * op.matrix / root[None, :])

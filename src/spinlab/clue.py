@@ -473,6 +473,5 @@ def clue_mc(
         return min(max(var_cond / var_f, 0.0), 1.0)
 
     value = ratio(ys)
-    boot_rng = np.random.Generator(np.random.Philox(int(rng.integers(2**63))))
-    se = bootstrap_se(lambda pick: ratio(ys[pick]), outer, bootstrap, boot_rng)
+    se = bootstrap_se(lambda pick: ratio(ys[pick]), outer, bootstrap, rng)
     return ClueEstimate(value, se, outer, inner)

@@ -291,9 +291,8 @@ def fk_magnetization_bound(
     sum2 = (sizes**2).sum(axis=1)
     maxc = sizes.max(axis=1)
     ratio = delta * sum2.mean() / sum1.mean()
-    boot_rng = np.random.Generator(np.random.Philox(int(rng.integers(2**63))))
     se = bootstrap_se(lambda pick: delta * sum2[pick].mean() / sum1[pick].mean(),
-                      samples, bootstrap, boot_rng)
+                      samples, bootstrap, rng)
     return FkBoundReport(
         ratio_bound=float(ratio),
         ratio_se=se,

@@ -166,7 +166,7 @@ def heat_bath(
     for _ in range(sweeps):
         for sites, slots, shape in plan:
             m = work.take(slots, axis=0).sum(axis=0, dtype=acc)
-            work[sites] = (rng.random(shape).T < p_plus[m]).view(np.int8) * 2 - 1
+            work[sites] = (rng.random(shape).T < p_plus.take(m)).view(np.int8) * 2 - 1
     cfgs[:] = work[:n].T
     return cfgs
 

@@ -1,10 +1,10 @@
-"""Seeded, counter-based random streams.
+"""Seeded random streams: the one module that builds a generator.
 
 All stochastic operations in this package take an explicit
-``numpy.random.Generator``. Streams are backed by Philox (counter-based), so
-each chunk or replica gets a statistically independent, reproducible stream
-from a root seed plus an integer path. `parallel_map` runs such chunks on
-forked worker processes, so their results do not depend on the CPU count.
+``numpy.random.Generator``: PCG64 seeded by a ``SeedSequence`` of a root seed
+and an integer path, its spawn key. Distinct paths give independent streams
+because their spawn keys differ, whatever the bit generator. `parallel_map`
+runs such chunks on forked workers, so results do not depend on the CPU count.
 """
 
 from __future__ import annotations
@@ -23,14 +23,15 @@ def stream(seed: int, *path: int) -> np.random.Generator:
     independent. Use one path per chunk or replica.
     """
     ss = np.random.SeedSequence(seed, spawn_key=tuple(int(p) for p in path))
-    return np.random.Generator(np.random.Philox(ss))
+    return np.random.Generator(np.random.PCG64(ss))
 
 
 def bootstrap_se(statistic, n: int, reps: int, rng: np.random.Generator) -> float:
-    """Bootstrap standard error of `statistic(pick)` over `reps` resamples,
-    each `pick` being n indices drawn uniformly with replacement from
-    range(n); the spread is the ddof=1 standard deviation."""
-    values = np.array([statistic(rng.integers(0, n, size=n)) for _ in range(reps)])
+    """Bootstrap SE (ddof=1) of `statistic(pick)` over `reps` resamples of n
+    indices drawn with replacement from range(n), by a stream seeded with one
+    draw of `rng`: a bootstrap spends one draw of its caller's stream."""
+    picks = stream(int(rng.integers(2**63)))
+    values = np.array([statistic(picks.integers(0, n, size=n)) for _ in range(reps)])
     return float(values.std(ddof=1))
 
 

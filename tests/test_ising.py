@@ -201,16 +201,17 @@ def test_fk_two_point_equals_connection_probability():
 
 # SHA-256 of 2000 stacked int8 configurations of one chain per sampler, one
 # public call per step, recorded from the numpy-array versions of the scalar
-# kernels; a kernel that changes or reorders a draw changes its digest.
+# kernels on the PCG64 streams of `rng.stream`; a kernel that changes or
+# reorders a draw, or another bit generator, changes its digest.
 _STREAM_DIGESTS = {
     "glauber-cycle6":
-        "6616cd821b9970a7dc996289c04f5e63bd7bbfcda6f627728321e726dab799a7",
+        "9ceaa361b3ed4d8c5bc331f4ffd4656a50743addf171c828dbfe345b1cde30e5",
     "glauber-complete5":
-        "05f79fe9c36d21422986fb284c441d9cf2e87e80393b157e35562430b0d6d829",
+        "c690dfc1971a980726a4d56e7460e6784e35899c78183c2b6cf7a30f6b384487",
     "glauber-cycle6-frozen":
-        "eefb478436b65903173cd40f64ae3f6eda6c6416a345bffd0818268b5d61cadb",
+        "12f15100c5ad15fec1f9980dd19caed73b85ccf7d18ba934944902a1c601414e",
     "sw-cycle5":
-        "9a3df118c7df7c85932fd4e7d39a64c6643e94ccfa9f6765cde086789f0cd528",
+        "2d0fef8edacbaf2ea7eb979c33e4ad211e69f8619fc0d1d06185613120903f93",
 }
 
 
