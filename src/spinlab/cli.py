@@ -44,10 +44,39 @@ class Assertion:
     name: str
     status: str  # pass | fail | budget
     detail: str = ""
+    margin: float | None = None  # a numeric check's slack: see _numeric
+    z: float | None = None
 
 
 def check(name: str, ok: bool, detail: str = "") -> Assertion:
     return Assertion(name, "pass" if ok else "fail", detail)
+
+
+def _numeric(name, ok, slack, se, z, detail) -> Assertion:
+    """Record a numeric check with margin = its smallest slack, in SEs (with
+    `z` beside it) when se > 0 and absolute otherwise; NaN fails, margin None."""
+    margin = float(np.min(slack / se if se > 0 else slack))
+    return Assertion(name, "pass" if np.all(ok) else "fail", f"{detail} (margin {margin!r})",
+                     margin if math.isfinite(margin) else None, z if se > 0 else None)
+
+
+def at_most(name, value, limit, tol=0.0, se=0.0, z=0.0, strict=False) -> Assertion:
+    """Check value <= limit + z*se + tol (< if strict) entrywise. A floor is
+    at_most(name, floor, value); z < 0 asks for |z| SEs of clearance."""
+    value, limit = np.asarray(value, dtype=float), np.asarray(limit, dtype=float)
+    bound = limit + z * se + tol
+    ok, op = (value < bound, "<") if strict else (value <= bound, "<=")
+    return _numeric(name, ok, bound - value, se, z,
+                    f"{value.tolist()} {op} {limit.tolist()} + {z}*{se} + {tol}")
+
+
+def close(name, value, target, tol=0.0, se=0.0, z=0.0, rel=False) -> Assertion:
+    """Check |value - target| <= z*se + tol entrywise; `rel` scales tol by max(1, |target|)."""
+    value, target = np.asarray(value, dtype=float), np.asarray(target, dtype=float)
+    tol = np.asarray(tol, dtype=float) * (np.maximum(1.0, np.abs(target)) if rel else 1.0)
+    gap, bound = np.abs(value - target), z * se + tol
+    return _numeric(name, gap <= bound, bound - gap, se, z,
+                    f"|{value.tolist()} - {target.tolist()}| <= {z}*{se} + {tol.tolist()}")
 
 
 def _fmt(x) -> str:
@@ -140,6 +169,17 @@ def _chunk_sizes(total: int, chunks: int) -> list[int]:
     return [base + (i < extra) for i in range(n)]
 
 
+def _pooled(parts) -> tuple[float, float, int]:
+    """Pool chunk results (mean, se, count) into the count-weighted mean, its
+    between-chunk standard error (a lone chunk keeps its own) and the total."""
+    total = sum(c for _, _, c in parts)
+    mean = sum(m * c for m, _, c in parts) / total
+    if len(parts) == 1:
+        return mean, parts[0][1], total
+    between = sum((c / total) * (m - mean) ** 2 for m, _, c in parts)
+    return mean, math.sqrt(between / (len(parts) - 1)), total
+
+
 def recipe(name: str, claim: str, defaults: dict, ranges=None, check=lambda params: None):
     def wrap(fn):
         RECIPES[name] = Recipe(name, claim, defaults, fn, ranges or {}, check)
@@ -181,8 +221,7 @@ def run_cw_clue(params, seed, writer, budget):
     for beta in params["betas"]:
         pmf = cw.cw_magnetization_pmf(n, beta)
         deficit = pmf.entropy.deficit_bits
-        prev = -1.0
-        monotone = True
+        curves = []  # (clue_m, clue_maj, iclue_maj) per k
         for k in sorted(params["ks"]):
             if budget.exceeded():
                 checks.append(Assertion("budget", "budget", f"stopped at beta={beta}, k={k}"))
@@ -191,13 +230,12 @@ def run_cw_clue(params, seed, writer, budget):
             cm, cj = law.clue("magnetization"), law.clue("majority")
             ic, gs = law.iclue(), law.guess_success()
             writer.row("cw_clue", n, beta, k, cm, cj, ic.iclue, gs, deficit)
-            monotone &= cm >= prev - 1e-12
-            prev = cm
-            checks.append(check(
-                f"iclue-entropy-bound-beta{beta}-k{k}", ic.iclue <= ic.bound + 1e-9,
-                f"iclue={ic.iclue!r} bound={ic.bound!r}",
-            ))
-        checks.append(check(f"clue-monotone-in-k-beta{beta}", monotone))
+            curves.append((cm, cj, ic.iclue))
+            checks.append(at_most(f"iclue-entropy-bound-beta{beta}-k{k}", ic.iclue, ic.bound,
+                                  tol=1e-9))
+        for label, curve in zip(("clue", "clue-maj", "iclue-maj"), zip(*curves)):
+            checks.append(check(f"{label}-monotone-in-k-beta{beta}",
+                                all(b >= a - 1e-12 for a, b in zip((-1.0,) + curve, curve))))
     return checks
 
 
@@ -221,16 +259,11 @@ def run_cw_entropy(params, seed, writer, budget):
             ent, rel = pmf.entropy, pmf.relative_entropy
             writer.row("cw_entropy", n, beta, ent.entropy_bits, ent.deficit_bits,
                        rel.d_bits, rel.moment_bound_bits, rel.gap_bits)
-            checks.append(check(
-                f"identity-deficit-equals-d-n{n}-beta{beta}",
-                abs(ent.deficit_bits - rel.d_bits) <= 1e-9 * max(1.0, rel.d_bits),
-            ))
-            checks.append(check(
-                f"gap-nonnegative-n{n}-beta{beta}", rel.gap_bits >= -1e-12))
-            checks.append(check(
-                f"moment-bound-n{n}-beta{beta}",
-                rel.d_bits <= rel.moment_bound_bits + 1e-9,
-            ))
+            checks += [close(f"identity-deficit-equals-d-n{n}-beta{beta}", ent.deficit_bits,
+                             rel.d_bits, tol=1e-9, rel=True),
+                       at_most(f"gap-nonnegative-n{n}-beta{beta}", 0.0, rel.gap_bits, tol=1e-12),
+                       at_most(f"moment-bound-n{n}-beta{beta}", rel.d_bits,
+                               rel.moment_bound_bits, tol=1e-9)]
     return checks
 
 
@@ -249,8 +282,8 @@ def run_cw_guess(params, seed, writer, budget):
         for k in sorted(params["ks"]):
             s = cw.cw_observed_law(pmf, k).guess_success()
             writer.row("cw_guess", params["n"], beta, k, s)
-            checks.append(check(
-                f"success-in-range-beta{beta}-k{k}", 0.0 <= s <= 1.0 + 1e-12))
+            checks.append(at_most(f"success-in-range-beta{beta}-k{k}", [0.0, s],
+                                  [s, 1.0 + 1e-12]))
     return checks
 
 
@@ -273,11 +306,8 @@ def run_en_moments(params, seed, writer, budget):
             m2, m4 = pmf.moment(2).value, pmf.moment(4)
             writer.row("en_moments", n, beta, m2, m2 / math.sqrt(n),
                        m4.lebowitz_ratio)
-            checks.append(check(
-                f"fourth-moment-bound-n{n}-beta{beta}",
-                m4.lebowitz_ratio <= 1.0 + 1e-12,
-                f"ratio={m4.lebowitz_ratio!r}",
-            ))
+            checks.append(at_most(f"fourth-moment-bound-n{n}-beta{beta}",
+                                  m4.lebowitz_ratio, 1.0, tol=1e-12))
     return checks
 
 
@@ -314,12 +344,8 @@ def run_eigenclue(params, seed, writer, budget):
                                "residual", "max_trial_clue"])
     writer.row("eigenclue", rep.lambda_2, rep.clue_of_eigenfunction,
                rep.residual, rep.max_trial_clue)
-    return [
-        check("eigenfunction-attains-lambda2", rep.residual <= 1e-8,
-              f"residual={rep.residual!r}"),
-        check("trials-below-lambda2",
-              rep.max_trial_clue <= rep.lambda_2 + 1e-9),
-    ]
+    return [at_most("eigenfunction-attains-lambda2", rep.residual, 0.0, tol=1e-8),
+            at_most("trials-below-lambda2", rep.max_trial_clue, rep.lambda_2, tol=1e-9)]
 
 
 def _check_cheeger(params):
@@ -367,17 +393,11 @@ def run_dirichlet_cheeger(params, seed, writer, budget):
     for (e, mu_e), ind, ec in zip(events, indicators, clues.tolist()):
         phi = block_dyn.bottleneck_ratio(op, ind)
         writer.row("cheeger", e, mu_e, phi, ec, 1.0 - 2.0 * phi)
-        checks.append(check(
-            f"flux-floor-event{e}", 1.0 - 2.0 * phi <= ec + 1e-9,
-            f"1-2phi={1 - 2 * phi!r} clue={ec!r}",
-        ))
+        checks.append(at_most(f"flux-floor-event{e}", 1.0 - 2.0 * phi, ec, tol=1e-9))
     sweep = block_dyn.sweep_cut_bottleneck(op, rep.second_eigenfunction)
     writer.table("cheeger_summary", ["lambda_2", "gap", "sweep_cut_phi"])
     writer.row("cheeger_summary", rep.lambda_2, rep.gap, sweep)
-    checks.append(check(
-        "sweep-cut-certifies-gap", sweep**2 / 2.0 <= rep.gap + 1e-12,
-        f"phi^2/2={sweep ** 2 / 2!r} gap={rep.gap!r}",
-    ))
+    checks.append(at_most("sweep-cut-certifies-gap", sweep**2 / 2.0, rep.gap, tol=1e-12))
     return checks
 
 
@@ -417,34 +437,16 @@ def run_tiled_coupling(params, seed, writer, budget):
     jobs = [(g, params, seed, i, c) for i, c in enumerate(sizes)]
     chunks = parallel_map(_tiled_chunk, jobs, ising.check_sw_bytes(g, 1))
     beta = params["beta"]
-    results = []
-    for L, parts in zip(params["Ls"], zip(*chunks)):
-        total = sum(c for _, _, c in parts)
-        mean = sum(m * c for m, _, c in parts) / total
-        if len(parts) > 1:
-            between = sum((c / total) * (m - mean) ** 2 for m, _, c in parts)
-            se = math.sqrt(between / (len(parts) - 1))
-        else:
-            se = parts[0][1]
-        writer.row("tiled_coupling", beta, L, mean, se, total)
-        results.append((L, mean, se))
-    checks = []
+    results = [(L, *_pooled(parts)) for L, parts in zip(params["Ls"], zip(*chunks))]
+    for row in results:
+        writer.row("tiled_coupling", beta, *row)
     if beta == 0.0:
-        for L, mean, se in results:
-            target = 1.0 - (L / (L + 3)) ** params["d"]
-            checks.append(check(
-                f"coin-flip-survival-L{L}", abs(mean - target) <= 3 * se + 1e-12,
-                f"mean={mean!r} target={target!r} se={se!r}",
-            ))
-    else:
-        for (l1, m1, s1), (l2, m2, s2) in zip(results, results[1:]):
-            gap = m1 - m2
-            checks.append(check(
-                f"contraction-improves-L{l1}-to-L{l2}",
-                gap > 2.0 * math.sqrt(s1**2 + s2**2),
-                f"drop={gap!r} combined_se={math.sqrt(s1 ** 2 + s2 ** 2)!r}",
-            ))
-    return checks
+        return [close(f"coin-flip-survival-L{L}", mean, 1.0 - (L / (L + 3)) ** params["d"],
+                      tol=1e-12, se=se, z=3) for L, mean, se, _ in results]
+    # the drop m1 - m2 must exceed 2 combined SEs, strictly
+    return [at_most(f"contraction-improves-L{l1}-to-L{l2}", 0.0, m1 - m2,
+                    se=math.sqrt(s1**2 + s2**2), z=-2.0, strict=True)
+            for (l1, m1, s1, _), (l2, m2, s2, _) in zip(results, results[1:])]
 
 
 # ---------------------------------------------------------------------------
@@ -508,28 +510,22 @@ def run_dac_identities(params, seed, writer, budget):
         rep = dac.dac_expectation(fv, labelled, g, g=gv)
         writer.row("dac_identities", inst, rep.e_f, rep.direct_e_f, rep.e_fg,
                    rep.direct_e_fg)
-        checks.append(check(
-            f"moment-formulas-match-{inst}",
-            abs(rep.e_f - rep.direct_e_f) <= 1e-9 * max(1, abs(rep.direct_e_f))
-            and abs(rep.e_fg - rep.direct_e_fg) <= 1e-9 * max(1, abs(rep.direct_e_fg)),
-        ))
-        # class-size law and feasibility semantics on one bond mask
+        checks.append(close(f"moment-formulas-match-{inst}", [rep.e_f, rep.e_fg],
+                            [rep.direct_e_f, rep.direct_e_fg], tol=1e-9, rel=True))
+        # class-size law and feasibility semantics on one bond mask, read off
+        # the literal classes: 2^k classes of class_count that cover 2^n are disjoint
         bonds = labelled[rng.integers(len(labelled))][0]
-        checks.append(check(
-            f"class-count-{inst}",
-            dac.class_count(bonds) == 2 ** (n - bonds.k),
-        ))
         cf = dac.dac_coefficients(fv, bonds)
         ubits = int(rng.integers(0, 1 << n))
-        ok = True
+        sized, feasible, seen = True, True, set()
         for profile in range(1 << bonds.k):
-            rep_bits = cf.representative(profile)
-            literal = any(
-                (s | ubits) == ubits
-                for s in _class_members(rep_bits, bonds, n)
-            )
-            ok &= literal == dac.class_within(profile, bonds, ubits)
-        checks.append(check(f"class-feasibility-{inst}", ok))
+            members = set(_class_members(cf.representative(profile), bonds, n))
+            sized &= len(members) == dac.class_count(bonds)
+            seen |= members
+            literal = any((s | ubits) == ubits for s in members)
+            feasible &= literal == dac.class_within(profile, bonds, ubits)
+        checks.append(check(f"class-count-{inst}", sized and len(seen) == 1 << n))
+        checks.append(check(f"class-feasibility-{inst}", feasible))
     return checks
 
 
@@ -565,20 +561,11 @@ def run_dac_bounds(params, seed, writer, budget):
         repm = dac.dac_clue_upper_bound(measures.Magnetization(), labelled, spec, g)
         writer.row("dac_bounds", inst, rep.exact_expected_clue, rep.spectral_bound,
                    rep.theorem_bound, rep.cluster_ratio_bound)
-        checks.append(check(
-            f"bound-chain-{inst}",
-            rep.exact_expected_clue <= rep.spectral_bound + 1e-9
-            and rep.spectral_bound <= rep.theorem_bound + 1e-9,
-            f"exact={rep.exact_expected_clue!r} spectral={rep.spectral_bound!r} "
-            f"theorem={rep.theorem_bound!r}",
-        ))
-        checks.append(check(
-            f"magnetization-singleton-identity-{inst}",
-            abs(repm.singleton_bound_for_magnetization - repm.cluster_ratio_bound)
-            <= 1e-9 * max(1.0, repm.cluster_ratio_bound),
-            f"singleton={repm.singleton_bound_for_magnetization!r} "
-            f"ratio={repm.cluster_ratio_bound!r}",
-        ))
+        checks += [at_most(f"bound-chain-{inst}", [rep.exact_expected_clue, rep.spectral_bound],
+                           [rep.spectral_bound, rep.theorem_bound], tol=1e-9),
+                   close(f"magnetization-singleton-identity-{inst}",
+                         repm.singleton_bound_for_magnetization, repm.cluster_ratio_bound,
+                         tol=1e-9, rel=True)]
     return checks
 
 
@@ -643,12 +630,8 @@ def run_fk_bound(params, seed, writer, budget):
         se = float(np.std(values, ddof=1) / math.sqrt(len(values)))
         writer.row("fk_bound", beta, mc, se, bound.ratio_bound, bound.ratio_se,
                    bound.max_cluster_bound)
-        comb = math.sqrt(se**2 + bound.ratio_se**2)
-        checks.append(check(
-            f"clue-below-cluster-ratio-beta{beta:.6g}",
-            mc <= bound.ratio_bound + 3 * comb,
-            f"clue={mc!r} rhs={bound.ratio_bound!r} combined_se={comb!r}",
-        ))
+        checks.append(at_most(f"clue-below-cluster-ratio-beta{beta:.6g}", mc,
+                              bound.ratio_bound, se=math.sqrt(se**2 + bound.ratio_se**2), z=3))
     return checks
 
 
@@ -657,17 +640,19 @@ def run_fk_bound(params, seed, writer, budget):
 
 
 def _integrated_autocorr(x: np.ndarray) -> float:
+    """Integrated autocorrelation time tau(W) = 1 + 2 sum_{t<=W} rho(t) of
+    the series x, at Sokal's automatic window: the smallest W >= 6 tau(W)
+    (Madras & Sokal, J. Stat. Phys. 50, 1988)."""
     x = x - x.mean()
+    n = len(x)
     denom = float(x @ x)
     if denom <= 0:
         return 1.0
-    tau = 1.0
-    for t in range(1, len(x) // 2):
-        rho = float(x[:-t] @ x[t:]) / denom
-        if rho < 0.05:
-            break
-        tau += 2.0 * rho
-    return tau
+    spec = np.fft.rfft(x, 2 * n)  # zero-padded: no wrap-around
+    rho = np.fft.irfft(spec * spec.conj(), 2 * n)[:n] / denom
+    tau = 2.0 * np.cumsum(rho) - 1.0
+    window = np.arange(n) >= 6.0 * tau
+    return float(tau[np.argmax(window) if window.any() else n - 1])
 
 
 @recipe(
@@ -709,8 +694,9 @@ def run_sublattice(params, seed, writer, budget):
         m_full[i] = cfg.mean()
         for s in params["meshes"]:
             m_sub[s][i] = cfg[sub_idx[s]].mean()
-    tau = _integrated_autocorr(m_full)
-    ess = N / tau
+    # SW cluster coins re-randomise the sign of M every step, so the
+    # statistic's memory is that of M^2
+    ess = N / _integrated_autocorr(m_full**2)
     boot = stream(seed, 31)
     writer.table("sublattice", ["mesh", "sublattice_size", "corr", "corr_se"])
     results = []
@@ -723,19 +709,11 @@ def run_sublattice(params, seed, writer, budget):
     writer.table("sublattice_summary", ["beta", "samples", "ess"])
     writer.row("sublattice_summary", params["beta"], N, ess)
     checks = [] if budget_note is None else [budget_note]
-    checks += [
-        check("effective-samples", ess >= params["min_ess"], f"ess={ess!r}"),
-        check("finest-mesh-correlation",
-              results[0][1] >= params["corr_floor"],
-              f"corr={results[0][1]!r}"),
-    ]
-    for (s1, c1, e1), (s2, c2, e2) in zip(results, results[1:]):
-        checks.append(check(
-            f"nonincreasing-mesh{s1}-to-{s2}",
-            c2 <= c1 + 2.0 * math.sqrt(e1**2 + e2**2),
-            f"corr{s1}={c1!r} corr{s2}={c2!r}",
-        ))
-    return checks
+    checks += [at_most("effective-samples", params["min_ess"], ess),
+               at_most("finest-mesh-correlation", params["corr_floor"], results[0][1])]
+    return checks + [at_most(f"nonincreasing-mesh{s1}-to-{s2}", c2, c1,
+                             se=math.sqrt(e1**2 + e2**2), z=2)
+                     for (s1, c1, e1), (s2, c2, e2) in zip(results, results[1:])]
 
 
 def _supercrit_chunk(g, params, seed, i, count):
@@ -786,14 +764,9 @@ def run_supercrit(params, seed, writer, budget):
                             * math.sqrt(np.mean(sums**2))))
     writer.row("supercrit_giant", params["beta"], len(rows), giant_freq,
                guess_freq, pz_freq)
-    return [
-        check("giant-cluster-frequency", giant_freq >= params["giant_floor"],
-              f"freq={giant_freq!r}"),
-        check("sparse-majority-guess", guess_freq >= params["guess_floor"],
-              f"freq={guess_freq!r}"),
-        check("macroscopic-fluctuations", pz_freq >= params["pz_floor"],
-              f"freq={pz_freq!r}"),
-    ]
+    return [at_most("giant-cluster-frequency", params["giant_floor"], giant_freq),
+            at_most("sparse-majority-guess", params["guess_floor"], guess_freq),
+            at_most("macroscopic-fluctuations", params["pz_floor"], pz_freq)]
 
 
 @recipe(
@@ -822,11 +795,8 @@ def run_ffiid_demo(params, seed, writer, budget):
         "forbidden_patterns_off_error",
     ])
     writer.row("ffiid_demo", n, draws, freq, p_err, forbidden_off_error)
-    return [
-        check("no-forbidden-patterns-off-error", forbidden_off_error == 0),
-        check("error-branch-frequency", abs(freq - p_err) <= 4 * se + 1e-12,
-              f"freq={freq!r} expected={p_err!r}"),
-    ]
+    return [check("no-forbidden-patterns-off-error", forbidden_off_error == 0),
+            close("error-branch-frequency", freq, p_err, tol=1e-12, se=se, z=4)]
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from spinlab import block_dyn, clue, graphs, measures, rng as rng_mod
-from spinlab.cli import RECIPES, _validate_params, main, run_recipe
+from spinlab import block_dyn, cli, clue, graphs, measures, rng as rng_mod
+from spinlab.cli import RECIPES, _validate_params, at_most, close, main, run_recipe
 from spinlab.rng import stream
 from test_acceptance import MINI_CONFIGS
 
@@ -307,3 +309,112 @@ def test_a_job_error_reaches_the_recipe_as_itself(tmp_path, monkeypatch):
     monkeypatch.setattr(block_dyn, "path_coupling_rate", refuse)
     with pytest.raises(ValueError, match="refused in a worker"):
         run_recipe("tiled-coupling", MINI_CONFIGS["tiled-coupling"], 1300, tmp_path)
+
+
+# Every numeric check of a recipe is one of these helper calls; each must
+# decide exactly as the inline comparison it replaced, NaN and inf included.
+_REALS = st.floats(allow_nan=True, allow_infinity=True)
+_SES = st.one_of(st.floats(min_value=0.0, allow_infinity=True), st.just(math.nan))
+_TOLS = st.sampled_from([0.0, 1e-12, 1e-9, 1e-8])
+_ZS = st.sampled_from([2, 3, 4])
+
+
+def _passes(assertion) -> bool:
+    return assertion.status == "pass"
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_REALS, _REALS, _TOLS, _SES, _ZS)
+@example(1.0, 1.0 - 1e-9, 1e-9, 0.0, 2)  # value == limit + tol after rounding
+@example(0.2, 0.0, 0.0, 0.1, 2)  # value == limit + z*se exactly
+@example(0.2, 0.1, 0.0, 0.1, 2)  # the strict drop == 2*se exactly
+def test_check_helpers_decide_as_the_inline_comparisons(a, b, tol, se, z):
+    # bounds with a tolerance, k*SE bounds, floors, and the strict contraction drop
+    assert _passes(at_most("x", a, b, tol=tol)) == (a <= b + tol)
+    assert _passes(at_most("x", a, b, se=se, z=z)) == (a <= b + z * se)
+    assert _passes(at_most("x", b, a)) == (a >= b)
+    assert _passes(at_most("x", 0.0, a, tol=tol)) == (a >= -tol)
+    assert _passes(at_most("x", 0.0, a, se=se, z=-2.0, strict=True)) == (a > 2.0 * se)
+    # equalities: k*SE plus an absolute floor, and the relative max(1, |target|) scaling
+    assert _passes(close("x", a, b, tol=tol, se=se, z=z)) == (abs(a - b) <= z * se + tol)
+    assert _passes(close("x", a, b, tol=tol, rel=True)) == (abs(a - b) <= tol * max(1.0, abs(b)))
+    # conjunctions in one assertion: a range and two relative equalities
+    assert _passes(at_most("x", [0.0, a], [a, 1.0 + 1e-12])) == (0.0 <= a <= 1.0 + 1e-12)
+    assert _passes(close("x", [a, b], [b, a], tol=tol, rel=True)) == (
+        abs(a - b) <= tol * max(1, abs(b)) and abs(b - a) <= tol * max(1, abs(a)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(-400, 400), st.integers(-400, 400), st.integers(0, 40), _ZS)
+def test_check_margin_is_the_slack_in_ses(a8, b8, se8, z):
+    """margin >= 0 exactly when the check passes; it is in SEs, with z beside
+    it, when se > 0, and absolute otherwise (eighths are exact in binary)."""
+    a, b, se = a8 / 8, b8 / 8, se8 / 8
+    rec = at_most("x", a, b, se=se, z=z)
+    assert (rec.margin >= 0) == _passes(rec)
+    assert rec.margin == ((b + z * se - a) / se if se > 0 else b - a)
+    assert rec.z == (z if se > 0 else None)
+    rec = close("x", a, b, tol=0.5, se=se, z=z)
+    assert (rec.margin >= 0) == _passes(rec)
+
+
+def test_nan_fails_every_shape_with_no_margin():
+    nan = math.nan
+    for rec in (at_most("x", nan, 1.0), at_most("x", 0.5, nan), at_most("x", 0.0, 1.0, se=nan, z=2),
+                close("x", nan, 0.0, tol=1.0), close("x", 0.0, 0.0, tol=1e-12, se=nan, z=3),
+                close("x", 0.0, nan, tol=1e-9, rel=True)):
+        assert rec.status == "fail" and rec.margin is None
+
+
+def test_pooled_weights_chunks_by_count():
+    assert cli._pooled([(0.25, 0.5, 7)]) == (0.25, 0.5, 7)  # one chunk keeps its own SE
+    mean, se, total = cli._pooled([(0.0, 1.0, 1), (1.0, 1.0, 3)])
+    assert (mean, total) == (0.75, 4)
+    assert se == pytest.approx(math.sqrt(0.25 * 0.75**2 + 0.75 * 0.25**2))  # 2 - 1 dof
+
+
+@pytest.mark.parametrize("rho", [0.0, 0.5, 0.8])
+def test_integrated_autocorr_matches_ar1(rho):
+    """tau_int of an AR(1) series is (1 + rho) / (1 - rho)."""
+    noise = stream(5, int(rho * 10)).standard_normal(200_000)
+    x = np.empty_like(noise)
+    x[0] = noise[0] / math.sqrt(1 - rho**2)
+    for t in range(1, len(x)):
+        x[t] = rho * x[t - 1] + noise[t]
+    assert cli._integrated_autocorr(x) == pytest.approx((1 + rho) / (1 - rho), rel=0.1)
+
+
+def test_sublattice_ess_reads_the_memory_of_m_squared(tmp_path):
+    """Swendsen-Wang re-randomises the sign of M each step, so tau on signed
+    M reads 1 and ESS = samples; the recipe must read tau > 1 from M^2."""
+    params = MINI_CONFIGS["ising2d-sublattice"]
+    assert run_recipe("ising2d-sublattice", params, 1300, tmp_path)["status"] == "pass"
+    _, row = (tmp_path / "sublattice_summary.csv").read_text().splitlines()
+    samples, ess = (float(v) for v in row.split(",")[1:])
+    assert samples == params["samples"] and ess < samples
+    # the same on a synthetic series: |x| remembers, its sign does not
+    walk = np.abs(np.cumsum(stream(6).standard_normal(4000)) * 0.01) + 1.0
+    signed = walk * stream(7).choice([-1.0, 1.0], size=walk.size)
+    assert cli._integrated_autocorr(signed) < 1.5 < cli._integrated_autocorr(signed**2)
+
+
+def test_cw_clue_checks_every_curve_it_claims_monotone(tmp_path):
+    summary = run_recipe("cw-clue", MINI_CONFIGS["cw-clue"], 1300, tmp_path)
+    names = {a["name"]: a["status"] for a in summary["assertions"]}
+    for beta in RECIPES["cw-clue"].defaults["betas"]:
+        for curve in ("clue", "clue-maj", "iclue-maj"):
+            assert names[f"{curve}-monotone-in-k-beta{beta}"] == "pass"
+
+
+@pytest.mark.parametrize("mutant, fails", [
+    (lambda members: members, False),
+    (lambda members: members[: max(1, len(members) // 2)], True),  # a class too small
+    (lambda members: list(range(len(members))), True),  # right sizes, classes overlap
+])
+def test_class_count_reads_the_literal_classes(tmp_path, monkeypatch, mutant, fails):
+    original = cli._class_members
+    monkeypatch.setattr(cli, "_class_members", lambda *a: mutant(original(*a)))
+    summary = run_recipe("dac-identities", {"instances": 6}, 1300, tmp_path)
+    assert fails == any(a["status"] == "fail" for a in summary["assertions"]
+                        if a["name"].startswith("class-count-"))
