@@ -39,20 +39,40 @@ def total_spin(idx: np.ndarray, n: int) -> np.ndarray:
 
 
 def index_to_config(idx: int, n: int) -> np.ndarray:
-    """Configuration index -> +-1 int8 vector."""
-    bits = (np.uint64(idx) >> np.arange(n, dtype=np.uint64)) & np.uint64(1)
-    return (2 * bits.astype(np.int8) - 1).astype(np.int8)
+    """Configuration index -> +-1 int8 vector of any length n."""
+    packed = np.frombuffer(int(idx).to_bytes((n + 7) // 8, "little"), dtype=np.uint8)
+    return np.unpackbits(packed, count=n, bitorder="little").view(np.int8) * 2 - 1
 
 
 def config_to_index(config: np.ndarray) -> int:
-    """+-1 vector -> configuration index."""
-    bits = (np.asarray(config) > 0).astype(np.uint64)
-    return int((bits << np.arange(len(bits), dtype=np.uint64)).sum())
+    """+-1 vector of any length -> configuration index."""
+    packed = np.packbits(np.asarray(config) > 0, bitorder="little")
+    return int.from_bytes(packed.tobytes(), "little")
+
+
+def spin_rows(n: int) -> np.ndarray:
+    """All 2^n configurations as (2^n, n) int8 +-1 rows; row i is configuration i."""
+    if n > 24:
+        raise ValueError(f"exact enumeration capped at 24 vertices, got {n}")
+    count = np.arange(1 << n, dtype="<u4").view(np.uint8).reshape(-1, 4)
+    rows = np.unpackbits(count, axis=1, count=n, bitorder="little")
+    rows *= 2
+    rows -= 1  # wraps 0 to 255, which is -1 as int8
+    return rows.view(np.int8)
+
+
+def row_indices(spins: np.ndarray) -> np.ndarray:
+    """Configuration index (uint64) of each +-1 row of a (..., n) array, n <= 64."""
+    spins = np.asarray(spins)
+    if spins.shape[-1] > 64:
+        raise ValueError(f"rows of {spins.shape[-1]} spins have no uint64 index")
+    packed = np.packbits(spins > 0, axis=-1, bitorder="little").astype(np.uint64)
+    return (packed << 8 * np.arange(packed.shape[-1], dtype=np.uint64)).sum(axis=-1)
 
 
 def mask_to_bits(mask: np.ndarray) -> int:
     """Boolean vertex mask -> integer bitmask."""
-    return config_to_index(2 * np.asarray(mask, dtype=np.int8) - 1)
+    return config_to_index(np.asarray(mask, dtype=bool))
 
 
 def bits_to_mask(bits: int, n: int) -> np.ndarray:

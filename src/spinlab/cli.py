@@ -696,14 +696,20 @@ def run_sublattice(params, seed, writer, budget):
             m_sub[s][i] = cfg[sub_idx[s]].mean()
     # SW cluster coins re-randomise the sign of M every step, so the
     # statistic's memory is that of M^2
-    ess = N / _integrated_autocorr(m_full**2)
+    tau = _integrated_autocorr(m_full**2)
+    ess = N / tau
+    # the bootstrap resamples non-overlapping blocks of ceil(tau) samples
+    # (at least two blocks), so the SE carries the chain's memory
+    size = min(max(math.ceil(tau), 1), N // 2)
+    blocks = np.arange(N // size * size).reshape(-1, size)
     boot = stream(seed, 31)
     writer.table("sublattice", ["mesh", "sublattice_size", "corr", "corr_se"])
     results = []
     for s in params["meshes"]:
         c = float(np.corrcoef(m_full, m_sub[s])[0, 1])
-        se = bootstrap_se(lambda pick: np.corrcoef(m_full[pick], m_sub[s][pick])[0, 1],
-                          N, params["bootstrap"], boot)
+        pair = np.stack([m_full, m_sub[s]])[:, blocks]  # (2, blocks, size)
+        se = bootstrap_se(lambda pick: np.corrcoef(pair[:, pick].reshape(2, -1))[0, 1],
+                          len(blocks), params["bootstrap"], boot)
         writer.row("sublattice", s, len(sub_idx[s]), c, se)
         results.append((s, c, se))
     writer.table("sublattice_summary", ["beta", "samples", "ess"])
@@ -719,12 +725,12 @@ def run_sublattice(params, seed, writer, budget):
 def _supercrit_chunk(g, params, seed, i, count):
     """(largest cluster, total spin, sparse guess hit or None) per sample."""
     par, rng, cfg, rows = ising.IsingParams(params["beta"]), stream(seed, 40, i), None, []
+    maj = measures.Majority()
     for _ in range(count):
         cfg = ising.sw_chain(g, par, rng, params["thin"] if rows else params["sw_burnin"], cfg)
         labels = ising.fk_clusters(cfg[None], g, par, rng)[0]
         mask = rng.random(g.n_vertices) < params["bern_p"]
-        maj = 1 if cfg.sum() > 0 else -1
-        hit = clue_mod.majority_guess(cfg, mask) == maj if mask.any() else None
+        hit = clue_mod.majority_guess(cfg, mask) == maj.evaluate(cfg) if mask.any() else None
         rows.append((float(np.bincount(labels).max()), float(cfg.sum()), hit))
     return rows
 

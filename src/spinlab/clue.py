@@ -24,7 +24,7 @@ from scipy.sparse import csc_matrix
 from . import _bits
 from .graphs import Graph, SubsetSpec, UnionOfKCopies, revealment, subset_support
 from .ising import SW_BYTES_CAP
-from .measures import Observable, ProbabilityTable, values_of
+from .measures import Majority, Observable, ProbabilityTable, values_of
 from .rng import bootstrap_se
 
 EXACT_RANGE_TOL = 1e-10
@@ -405,12 +405,10 @@ def shearer_check(table: ProbabilityTable, spec: SubsetSpec, graph: Graph) -> Sh
 
 
 def majority_guess(config: np.ndarray, subset_mask: np.ndarray) -> int:
-    """Sign of the observed sum; ties break to -1."""
-    members = _bits.mask_to_indices(subset_mask)
-    if len(members) == 0:
+    """`Majority` of the observed spins: sign of their sum, ties to -1."""
+    if not np.any(subset_mask):
         raise ValueError("cannot guess from an empty observation set")
-    total = float(np.asarray(config)[members].sum())
-    return 1 if total > 0 else -1
+    return int(Majority().evaluate(np.asarray(config)[np.asarray(subset_mask, dtype=bool)]))
 
 
 # -- Monte Carlo estimator ----------------------------------------------------
@@ -460,7 +458,7 @@ def clue_mc(
     check_batch_bytes(outer, inner, len(frozen_mask))
     cfgs = np.repeat(sampler.draw_full(rng, outer), inner, axis=0)
     cfgs = sampler.resample_free(cfgs, frozen_mask, rng)
-    ys = np.array([f.evaluate(cfg) for cfg in cfgs]).reshape(outer, inner)
+    ys = f.values(cfgs).reshape(outer, inner)
 
     def ratio(groups: np.ndarray) -> float:
         means = groups.mean(axis=1)

@@ -553,6 +553,8 @@ class Tiled(SubsetSpec):
 
     def _support(self, graph, cap):
         d = _tiled_geometry(graph, self.L)
+        if (self.L + 3) ** d > cap:  # every anchor gives a distinct subset
+            raise ValueError("tiled support too large to enumerate")
         anchors = list(itertools.product(range(self.L + 3), repeat=d))
         w = 1.0 / len(anchors)
         return [

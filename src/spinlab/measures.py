@@ -7,7 +7,8 @@ every identity test in the package.
 
 An `Observable` is one frozen dataclass per kind (`TotalSum`,
 `Magnetization`, `Majority`, `Parity`, `SingleSpin`, `Indicator`,
-`Custom`), each giving its value on one configuration and on all 2^n.
+`Custom`), each one vectorised rule on ±1 rows, read on one
+configuration, on a batch of rows or on all 2^n.
 Functions that accept "an Observable or a 2^n value vector" turn either
 into a checked vector with `values_of`.
 
@@ -93,11 +94,7 @@ class ProductMeasure:
     p_plus: float = 0.5
 
 
-@dataclass(frozen=True)
-class IsingMeasure:
-    beta: float
-    J: float = 1.0
-    h: float = 0.0
+IsingMeasure = IsingParams  # an Ising measure is described by its parameters
 
 
 @dataclass(frozen=True)
@@ -135,12 +132,10 @@ def exact_table(measure, graph: Graph) -> ProbabilityTable:
     if isinstance(measure, CurieWeissMeasure):
         if graph.kind != "complete":
             raise ValueError("Curie-Weiss tables live on complete graphs")
-        measure = IsingMeasure(beta=measure.beta, J=1.0 / n, h=0.0)
+        measure = IsingParams(beta=measure.beta, J=1.0 / n)
 
-    if isinstance(measure, IsingMeasure):
-        params = IsingParams(beta=measure.beta, J=measure.J, h=measure.h)
-        energies = hamiltonian_all(graph, params)
-        logw = -params.beta * energies
+    if isinstance(measure, IsingParams):
+        logw = -measure.beta * hamiltonian_all(graph, measure)
         return ProbabilityTable(n, np.exp(logw - logsumexp(logw)))
 
     if isinstance(measure, DacMeasure):
@@ -163,48 +158,43 @@ def exact_table(measure, graph: Graph) -> ProbabilityTable:
 class Observable:
     """A real function of the spin configuration.
 
-    Each kind is one frozen dataclass below holding its value on one
-    configuration (`_value`) and on all 2^n of them at once (`_table`);
-    `evaluate` and `table_values` are the entry points for every kind.
+    Each kind is one frozen dataclass below whose one rule, `_of`, maps a
+    (..., n) ±1 array to the values of its rows: `evaluate` reads it on one
+    configuration, `values` on (R, n) rows, `table_values` on all 2^n.
     """
 
     def evaluate(self, config) -> float:
         """Value on one ±1 configuration."""
-        return float(self._value(np.asarray(config)))
+        return float(self._of(np.asarray(config)))
+
+    def values(self, configs) -> np.ndarray:
+        """Values on the rows of an (R, n) ±1 array."""
+        return np.asarray(self._of(np.asarray(configs)), dtype=np.float64)
 
     def table_values(self, n: int) -> np.ndarray:
         """Values over all 2^n configurations."""
         check_exact_size(n)
-        return self._table(_bits.config_indices(n), n)
+        return self.values(_bits.spin_rows(n))
 
 
 @dataclass(frozen=True)
 class TotalSum(Observable):
-    def _value(self, config):
-        return config.sum()
-
-    def _table(self, idx, n):
-        return _bits.total_spin(idx, n)
+    def _of(self, spins):
+        return spins.sum(axis=-1)
 
 
 @dataclass(frozen=True)
 class Magnetization(Observable):
-    def _value(self, config):
-        return config.mean()
-
-    def _table(self, idx, n):
-        return _bits.total_spin(idx, n) / n
+    def _of(self, spins):
+        return spins.mean(axis=-1)
 
 
 @dataclass(frozen=True)
 class Majority(Observable):
     """Sign of the total spin; ties go to -1."""
 
-    def _value(self, config):
-        return 1.0 if config.sum() > 0 else -1.0
-
-    def _table(self, idx, n):
-        return np.where(_bits.total_spin(idx, n) > 0, 1.0, -1.0)
+    def _of(self, spins):
+        return np.where(spins.sum(axis=-1) > 0, 1.0, -1.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -216,24 +206,16 @@ class Parity(Observable):
     def __post_init__(self):
         object.__setattr__(self, "subset", np.asarray(self.subset, dtype=np.int64))
 
-    def _value(self, config):
-        return np.prod(config[self.subset])
-
-    def _table(self, idx, n):
-        sub_bits = np.uint64(sum(1 << int(v) for v in self.subset))
-        minus_spins = len(self.subset) - _bits.popcount(idx & sub_bits)
-        return np.where(minus_spins % 2 == 0, 1.0, -1.0)
+    def _of(self, spins):
+        return spins[..., self.subset].prod(axis=-1)
 
 
 @dataclass(frozen=True)
 class SingleSpin(Observable):
     v: int
 
-    def _value(self, config):
-        return config[self.v]
-
-    def _table(self, idx, n):
-        return _bits.spins_of(idx, self.v)
+    def _of(self, spins):
+        return spins[..., self.v]
 
 
 @dataclass(frozen=True)
@@ -245,13 +227,8 @@ class Indicator(Observable):
     def __post_init__(self):
         object.__setattr__(self, "configs", frozenset(int(i) for i in self.configs))
 
-    def _value(self, config):
-        return 1.0 if _bits.config_to_index(config) in self.configs else 0.0
-
-    def _table(self, idx, n):
-        out = np.zeros(1 << n)
-        out[list(self.configs)] = 1.0
-        return out
+    def _of(self, spins):
+        return np.isin(_bits.row_indices(spins), np.array(list(self.configs), dtype=np.uint64))
 
 
 @dataclass(frozen=True)
@@ -260,13 +237,9 @@ class Custom(Observable):
 
     fn: Callable
 
-    def _value(self, config):
-        return self.fn(config)
-
-    def _table(self, idx, n):
-        return np.array([
-            float(self.fn(_bits.index_to_config(int(i), n))) for i in idx
-        ])
+    def _of(self, spins):
+        rows = spins.reshape(-1, spins.shape[-1])
+        return np.array([float(self.fn(row)) for row in rows]).reshape(spins.shape[:-1])
 
 
 def values_of(f, n: int) -> np.ndarray:

@@ -448,6 +448,24 @@ def test_subset_support_cap():
         graphs.subset_support(graphs.UniformK(12), g, cap=1000)
 
 
+def test_support_bitmasks_keep_vertices_past_64():
+    g = graphs.torus(2, 16)
+    mask = _bits.indices_to_mask([3, 100, 255], g.n_vertices)
+    assert graphs.subset_support(graphs.Fixed(mask), g) == [((1 << 255) | (1 << 100) | 8, 1.0)]
+    assert (_bits.bits_to_mask(_bits.mask_to_bits(mask), g.n_vertices) == mask).all()
+    assert all(bits >> 64 for bits, _ in graphs.subset_support(graphs.Tiled(3), g))
+
+
+def test_tiled_support_refuses_before_building_masks():
+    # (3 + 3)^2 = 36 anchors against a cap of 10: no mask is built
+    with mock.patch.object(graphs, "tiled_complement_mask",
+                           side_effect=AssertionError("mask built")) as built:
+        with pytest.raises(ValueError, match="too large"):
+            graphs.subset_support(graphs.Tiled(3), graphs.torus(2, 16), cap=10)
+    built.assert_not_called()
+    assert len(graphs.subset_support(graphs.Tiled(3), graphs.torus(2, 16), cap=36)) == 36
+
+
 def test_union_support_refuses_before_pairing():
     # C(20, 10)^2 = 3.4e10 pairs of subsets: refused before any is formed
     start = time.perf_counter()

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinlab import _bits, dac, graphs, measures
+from spinlab import _bits, dac, graphs, ising, measures
 from spinlab.measures import (
     CurieWeissMeasure,
     Custom,
@@ -46,6 +46,12 @@ def test_ising_beta_zero_uniform():
     assert np.allclose(t.p, 0.25)
 
 
+def test_ising_measure_is_the_validated_params():
+    assert IsingMeasure is ising.IsingParams
+    with pytest.raises(ValueError):
+        exact_table(IsingMeasure(-0.1), graphs.cycle(3))
+
+
 def test_table_cap():
     g = graphs.custom(21, [])
     with pytest.raises(ValueError):
@@ -75,19 +81,35 @@ def test_observable_eval_examples():
     assert TotalSum().evaluate(np.array([1, 1, -1])) == 1.0
 
 
-def test_observable_tables_match_eval():
-    n = 4
-    observables = [
-        Magnetization(), Majority(),
-        Parity([0, 3]), SingleSpin(1),
-        TotalSum(), Indicator([3, 7]),
-        Custom(lambda c: float(c[0] * c[1])),
+@st.composite
+def _observable_cases(draw):
+    """An observable of every kind on n <= 8 sites, and a batch of rows."""
+    n = draw(st.integers(1, 8))
+    sites = st.integers(0, n - 1)
+    kinds = [
+        TotalSum(), Magnetization(), Majority(),
+        Parity(sorted(draw(st.sets(sites)))),
+        SingleSpin(draw(sites)),
+        Indicator(draw(st.sets(st.integers(0, (1 << n) - 1)))),
     ]
-    for obs in observables:
-        vals = obs.table_values(n)
-        for idx in range(1 << n):
-            cfg = _bits.index_to_config(idx, n)
-            assert vals[idx] == pytest.approx(obs.evaluate(cfg))
+    coef = np.array(draw(st.lists(st.floats(-2, 2), min_size=n, max_size=n)))
+    kinds.append(Custom(lambda c: float(coef @ c)))
+    bits = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=12))
+    rows = np.array([_bits.index_to_config(b, n) for b in bits])
+    return n, kinds, rows
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_observable_cases())
+def test_observable_tables_match_eval(case):
+    # the one rule read on a batch, on each row and on the table agrees exactly
+    n, kinds, rows = case
+    for obs in kinds:
+        batch = obs.values(rows)
+        table = obs.table_values(n)
+        assert batch.dtype == np.float64 and batch.shape == (len(rows),)
+        for row, value in zip(rows, batch):
+            assert value == obs.evaluate(row) == table[_bits.config_to_index(row)]
 
 
 def test_susceptibility_product_is_one():
